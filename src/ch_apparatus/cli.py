@@ -392,6 +392,11 @@ def _base_report(command: str, gamma: float, theta: float | None, lines: Engrave
 
 def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
     """Closed-form and arc-measure tables plus full analysis, no sampling."""
+    return _exact_report(gamma, theta)[0]
+
+
+def _exact_report(gamma: float, theta: float) -> tuple[dict[str, Any], ConditionalTable]:
+    """The exact report and the arc-measure table it was built from."""
     closed = closed_form_fig2(gamma, theta)
     exact = conditional_table_exact(gamma, theta)
     diff = _table_difference(closed, exact)
@@ -402,7 +407,7 @@ def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
     report["analysis"] = {"exact": _analysis_json(analyze(exact, SettingFrequencies.uniform()))}
     report["feasibility"] = _feasibility_json(exact)
     report["consistency"] = {"closed_vs_exact_max_abs": diff}
-    return report
+    return report, exact
 
 
 def cmd_demo(
@@ -415,9 +420,8 @@ def cmd_demo(
     """Full pipeline on one configuration: tables, campaign, analysis, feasibility."""
     if trials < 1:
         raise ConfigError("demo needs at least one trial per sequence")
-    report = cmd_exact(gamma, theta)
+    report, exact = _exact_report(gamma, theta)
     report["command"] = "demo"
-    exact = conditional_table_exact(gamma, theta)
     plan = CampaignPlan.from_params(gamma, theta=theta, n_trials=trials, master_seed=seed)
     campaign = run_campaign(plan, workers=workers)
     report["tables"]["monte_carlo"] = _table_json(campaign.table)

@@ -32,10 +32,8 @@ from .apparatus import (
     ConfigError,
     EngravedLines,
     TrialBatch,
-    TrialOutcome,
     config_for_setup,
     fig2_lines,
-    run_trial,
     run_trials,
 )
 from .circle_geometry import EPS_ANGLE, TWO_PI, Arc, normalize, partition_circle
@@ -76,45 +74,35 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventPredicate:
-    """Named boolean function of a trial outcome.
+    """Named event on trial outcomes, evaluated over a whole TrialBatch.
 
-    ``batch`` is an optional vectorized twin taking a TrialBatch; it must
-    agree with ``scalar`` pointwise and exists only for speed.
+    ``batch`` maps a TrialBatch to a boolean array with one entry per trial.
+    The exact engine, the grid oracle and the Monte Carlo counts all use it.
+    run_trials matches the scalar run_trial bit for bit, so run_trial stays
+    the reference semantics of a single trial.
     """
 
     name: str
-    scalar: Callable[[TrialOutcome], bool]
-    batch: Callable[[TrialBatch], np.ndarray] | None = None
-
-    def __call__(self, outcome: TrialOutcome) -> bool:
-        return bool(self.scalar(outcome))
+    batch: Callable[[TrialBatch], np.ndarray]
 
 
 def line_crossed(name: str) -> EventPredicate:
-    return EventPredicate(
-        name=f"crossed({name})",
-        scalar=lambda o: name in o.crossed,
-        batch=lambda b: b.crossed[name],
-    )
+    return EventPredicate(name=f"crossed({name})", batch=lambda b: b.crossed[name])
 
 
 def lines_crossed(*names: str) -> EventPredicate:
-    def scalar(o: TrialOutcome) -> bool:
-        return all(n in o.crossed for n in names)
-
     def batch(b: TrialBatch) -> np.ndarray:
         out = b.crossed[names[0]].copy()
         for n in names[1:]:
             out &= b.crossed[n]
         return out
 
-    return EventPredicate(name="crossed(" + ",".join(names) + ")", scalar=scalar, batch=batch)
+    return EventPredicate(name="crossed(" + ",".join(names) + ")", batch=batch)
 
 
 def stop_cell(left: bool, right: bool) -> EventPredicate:
     return EventPredicate(
         name=f"stops:{int(left)}{int(right)}",
-        scalar=lambda o: o.reached_left_stop == left and o.reached_right_stop == right,
         batch=lambda b: (b.reached_left_stop == left) & (b.reached_right_stop == right),
     )
 
@@ -124,11 +112,7 @@ def both_stops_reached() -> EventPredicate:
 
 
 def complement(event: EventPredicate) -> EventPredicate:
-    return EventPredicate(
-        name=f"not({event.name})",
-        scalar=lambda o: not event.scalar(o),
-        batch=(lambda b: ~event.batch(b)) if event.batch is not None else None,
-    )
+    return EventPredicate(name=f"not({event.name})", batch=lambda b: ~event.batch(b))
 
 
 def _critical_angles(config: ApparatusConfig) -> list[float]:
@@ -148,16 +132,20 @@ def _critical_angles(config: ApparatusConfig) -> list[float]:
     return [normalize(a + s) for a in anchors for s in shifts]
 
 
-def _guard_points(arc: Arc) -> list[float]:
-    """Midpoint first, then the two points one margin inside the arc ends."""
-    mid = arc.midpoint()
-    if arc.extent < 2.0 * _GUARD_MARGIN:
-        return [mid]
-    return [
-        mid,
-        normalize(arc.start + _GUARD_MARGIN),
-        normalize(arc.start + (arc.extent - _GUARD_MARGIN)),
-    ]
+def _guard_points(arcs: Sequence[Arc]) -> np.ndarray:
+    """One row per arc: the midpoint, then the points one margin inside the
+    arc ends.  An arc narrower than two margins repeats its midpoint, so it is
+    classified by the midpoint alone."""
+    rows = []
+    for arc in arcs:
+        mid = arc.midpoint()
+        if arc.extent < 2.0 * _GUARD_MARGIN:
+            rows.append((mid, mid, mid))
+        else:
+            lo = normalize(arc.start + _GUARD_MARGIN)
+            hi = normalize(arc.start + (arc.extent - _GUARD_MARGIN))
+            rows.append((mid, lo, hi))
+    return np.array(rows, dtype=np.float64)
 
 
 def event_probabilities(
@@ -165,10 +153,13 @@ def event_probabilities(
 ) -> list[float]:
     """Exact probabilities of several events in one partition sweep.
 
-    Each event is evaluated at the midpoint of every arc and, on arcs at
-    least two guard margins wide, also at one margin inside each end.  A
+    The guard points of every arc go through one run_trials call.  Each
+    event is evaluated at the midpoint of every arc and, on arcs at least
+    two guard margins wide, also at one margin inside each end.  A
     disagreement among those points raises ConsistencyError: the event is
     not constant on the arc, so the breakpoint set is incomplete.  The
+    error names the first such arc in circle order, the first event in list
+    order that changes on it, the three guard angles and the config.  The
     guard ignores the band of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc
     end, where a boundary may sit off its breakpoint by rounding; an event
     that changes value farther inside an arc still trips it.  Arcs are
@@ -176,19 +167,29 @@ def event_probabilities(
     (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11 for 30 arcs.
     """
     arcs = partition_circle(_critical_angles(config))
-    totals = [0.0] * len(events)
-    for arc in arcs:
-        outcomes = [run_trial(config, phi) for phi in _guard_points(arc)]
-        for i, event in enumerate(events):
-            values = [event(o) for o in outcomes]
-            if values.count(values[0]) != len(values):
-                raise ConsistencyError(
-                    f"event {event.name} is not constant on the arc starting at "
-                    f"{arc.start!r} (extent {arc.extent!r}); breakpoint set incomplete"
-                )
-            if values[0]:
-                totals[i] += arc.extent
-    return [t / TWO_PI for t in totals]
+    points = _guard_points(arcs)
+    batch = run_trials(config, points.ravel())
+    values = np.array([event.batch(batch) for event in events], dtype=bool)
+    values = values.reshape(len(events), *points.shape)
+    bad = (values != values[:, :, :1]).any(axis=2)
+    if bad.any():
+        k = int(np.flatnonzero(bad.any(axis=0))[0])
+        event = events[int(np.flatnonzero(bad[:, k])[0])]
+        raise ConsistencyError(
+            f"event {event.name} is not constant on the arc starting at "
+            f"{arcs[k].start!r} (extent {arcs[k].extent!r}), guard angles "
+            f"{points[k].tolist()!r}, config {config!r}; breakpoint set incomplete"
+        )
+    probabilities = []
+    for hits in values[:, :, 0].tolist():
+        # one by one in arc order: sum() of floats is compensated from
+        # Python 3.12 on, which would change the last bits of the reports
+        total = 0.0
+        for arc, hit in zip(arcs, hits):
+            if hit:
+                total += arc.extent
+        probabilities.append(total / TWO_PI)
+    return probabilities
 
 
 def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
@@ -216,20 +217,13 @@ def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -
     """
     if n_points < 1:
         raise ValueError(f"need at least one grid point, got {n_points}")
-    if event.batch is not None:
-        hits = 0
-        chunk = 1 << 20
-        for start in range(0, n_points, chunk):
-            stop = min(start + chunk, n_points)
-            k = np.arange(start, stop, dtype=np.float64)
-            phis = (k + 0.5) * (TWO_PI / n_points)
-            hits += int(np.count_nonzero(event.batch(run_trials(config, phis))))
-        return hits / n_points
-    step = TWO_PI / n_points
     hits = 0
-    for k in range(n_points):
-        if event(run_trial(config, (k + 0.5) * step)):
-            hits += 1
+    chunk = 1 << 20
+    for start in range(0, n_points, chunk):
+        stop = min(start + chunk, n_points)
+        k = np.arange(start, stop, dtype=np.float64)
+        phis = (k + 0.5) * (TWO_PI / n_points)
+        hits += int(np.count_nonzero(event.batch(run_trials(config, phis))))
     return hits / n_points
 
 
@@ -293,17 +287,9 @@ def closed_form_fig2(gamma: float, theta: float) -> ConditionalTable:
 def stop_reached(side: str) -> EventPredicate:
     """The active stop on the given side ('left' or 'right') was reached."""
     if side == "left":
-        return EventPredicate(
-            name="stops:1x",
-            scalar=lambda o: o.reached_left_stop,
-            batch=lambda b: b.reached_left_stop,
-        )
+        return EventPredicate(name="stops:1x", batch=lambda b: b.reached_left_stop)
     if side == "right":
-        return EventPredicate(
-            name="stops:x1",
-            scalar=lambda o: o.reached_right_stop,
-            batch=lambda b: b.reached_right_stop,
-        )
+        return EventPredicate(name="stops:x1", batch=lambda b: b.reached_right_stop)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

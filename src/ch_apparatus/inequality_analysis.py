@@ -213,20 +213,21 @@ def reduced_ch_value(table: ConditionalTable, freqs: SettingFrequencies) -> floa
     After correction every positive term is cancelled by a marginal, leaving
     - p(11|ab') f(ab') - p(11|a'b) f(a'b), manifestly in [-1, 0].
     """
-    freqs.validate()
-    value = -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
-    residual = abs(value - ch_value(corrected_probabilities(table, freqs)))
+    residual = reduced_identity_residual(table, freqs)
     if residual > IDENTITY_TOL:
         raise ConsistencyError(
             f"reduced CH value disagrees with the corrected expansion by {residual!r}"
         )
-    return value
+    return _reduced_form(table, freqs)
 
 
 def reduced_identity_residual(table: ConditionalTable, freqs: SettingFrequencies) -> float:
     """|reduced form - corrected expansion|; zero up to rounding by algebra."""
-    value = -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
-    return abs(value - ch_value(corrected_probabilities(table, freqs)))
+    return abs(_reduced_form(table, freqs) - ch_value(corrected_probabilities(table, freqs)))
+
+
+def _reduced_form(table: ConditionalTable, freqs: SettingFrequencies) -> float:
+    return -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
 
 
 class FixedLambdaResult(NamedTuple):

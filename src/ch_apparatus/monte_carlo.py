@@ -16,6 +16,7 @@ import numpy as np
 
 from .apparatus import (
     ALL_SETUPS,
+    LINE_NAMES,
     SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
     ApparatusConfig,
@@ -25,7 +26,7 @@ from .apparatus import (
     run_trials,
 )
 from .circle_geometry import TWO_PI
-from .exact_engine import CELLS, ConditionalTable
+from .exact_engine import CELLS, ConditionalTable, line_crossed, stop_cell, stop_reached
 from .inequality_analysis import SettingFrequencies
 
 # 95% two-sided normal quantile, used by the Wilson score interval.
@@ -36,6 +37,15 @@ _CHUNK = 1 << 16
 # Counts tracked per sequence: stop-reach cells, per-side stop reaches, and
 # the four line crossings.
 COUNT_KEYS = ("11", "10", "01", "00", "left_stop", "right_stop", "A", "A'", "B", "B'")
+
+# The events behind COUNT_KEYS, in the same order; the exact engine measures
+# the same predicates on arcs.
+_COUNTED = (
+    *(stop_cell(cell[0] == "1", cell[1] == "1") for cell in CELLS),
+    stop_reached("left"),
+    stop_reached("right"),
+    *(line_crossed(name) for name in LINE_NAMES),
+)
 
 __all__ = [
     "Z95",
@@ -204,20 +214,7 @@ class SequenceResult:
 
 def _count_chunk(config: ApparatusConfig, seed: int, lo: int, hi: int) -> list[int]:
     batch = run_trials(config, phi_samples(seed, lo, hi))
-    left = batch.reached_left_stop
-    right = batch.reached_right_stop
-    return [
-        int(np.count_nonzero(left & right)),
-        int(np.count_nonzero(left & ~right)),
-        int(np.count_nonzero(~left & right)),
-        int(np.count_nonzero(~left & ~right)),
-        int(np.count_nonzero(left)),
-        int(np.count_nonzero(right)),
-        int(np.count_nonzero(batch.crossed["A"])),
-        int(np.count_nonzero(batch.crossed["A'"])),
-        int(np.count_nonzero(batch.crossed["B"])),
-        int(np.count_nonzero(batch.crossed["B'"])),
-    ]
+    return [int(np.count_nonzero(event.batch(batch))) for event in _COUNTED]
 
 
 def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) -> SequenceResult:

@@ -7,6 +7,7 @@ zero for the far pair, and gamma/4pi = 1/12 for every lone stop.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,11 +120,17 @@ class TestEventProbability:
 
     def test_non_constant_event_is_rejected(self):
         # r1 varies continuously within arcs, so thresholding it cannot be
-        # piecewise constant on the breakpoint partition
+        # piecewise constant on the breakpoint partition.  The left stop at
+        # A = pi/2 is met first from the arc [pi/3, pi/2], where r1 = pi/2 - phi
+        # crosses 0.3; the first guard angle is its midpoint 5pi/12.
         config = fig2_config(GAMMA, THETA, "ab")
-        bogus = EventPredicate(name="r1-threshold", scalar=lambda o: o.r1 > 0.3)
-        with pytest.raises(ConsistencyError, match="breakpoint set incomplete"):
+        bogus = EventPredicate(name="r1-threshold", batch=lambda b: b.r1 > 0.3)
+        with pytest.raises(ConsistencyError, match="breakpoint set incomplete") as info:
             event_probability(config, bogus)
+        message = str(info.value)
+        assert re.search(r"r1-threshold is not constant on the arc starting at 1\.04719755119659\d*", message)
+        assert re.search(r"guard angles \[1\.30899693899574\d*, ", message)
+        assert repr(config) in message
 
 
 class TestGridOracle:
@@ -133,12 +140,6 @@ class TestGridOracle:
         exact = event_probability(config, event)
         for n, tol in ((1_000, 5e-3), (100_000, 5e-5)):
             assert grid_oracle(config, event, n) == pytest.approx(exact, abs=tol)
-
-    def test_scalar_fallback_matches_batch(self):
-        config = fig2_config(GAMMA, THETA, "a'b")
-        fast = line_crossed("B")
-        slow = EventPredicate(name=fast.name, scalar=fast.scalar, batch=None)
-        assert grid_oracle(config, slow, 2048) == grid_oracle(config, fast, 2048)
 
     def test_rejects_empty_grid(self):
         config = fig2_config(GAMMA, THETA, "ab")

@@ -121,6 +121,24 @@ class TestRunSequence:
         assert c["A"] >= c["left_stop"]
         assert c["B"] >= c["right_stop"]
 
+    def test_frozen_counts(self):
+        # pins which event feeds which key: a swap of the 10 and 01 cells
+        # still passes test_counts_are_consistent
+        config = fig2_config(GAMMA, THETA, "ab'")
+        result = run_sequence(config, SequenceSpec(setup="ab'", n_trials=200_000, seed=77))
+        assert result.counts == {
+            "11": 0,
+            "10": 16689,
+            "01": 16703,
+            "00": 166608,
+            "left_stop": 16689,
+            "right_stop": 16703,
+            "A": 16689,
+            "A'": 33428,
+            "B": 33414,
+            "B'": 16703,
+        }
+
     def test_single_trial(self):
         config = fig2_config(GAMMA, THETA, "a'b")
         result = run_sequence(config, SequenceSpec(setup="a'b", n_trials=1, seed=9))
