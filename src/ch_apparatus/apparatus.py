@@ -159,6 +159,21 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     return config
 
 
+def _fits_budget(g: float, right_angle: float, left_angle: float, d_sum):
+    """Whether body 1 can reach ``left_angle`` and body 2 ``right_angle``
+    within the mutual budget g, given d_sum = ccw_delta(phi, left_angle) +
+    ccw_delta(right_angle, phi).
+
+    That sum is the constant span ccw_delta(right_angle, left_angle) when phi
+    lies on the arc from right_angle to left_angle, and a full turn more
+    elsewhere.  The test uses the span itself, not d_sum <= g: rounding of
+    the per-phi sum would otherwise flip the outcome along a whole arc whose
+    span is g + about EPS_ANGLE.  Takes a float or an array d_sum.
+    """
+    span = ccw_delta(right_angle, left_angle)
+    return (span <= g + EPS_ANGLE) & (d_sum < span + math.pi)
+
+
 class TrialOutcome(NamedTuple):
     """Final state of one trial."""
 
@@ -196,15 +211,16 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
         right = config.stops.right
         d1 = ccw_delta(phi, left) if left is not None else math.inf
         d2 = ccw_delta(right, phi) if right is not None else math.inf
+        partner_fits = left is not None and right is not None and _fits_budget(g, right, left, d1 + d2)
         if d1 <= d2 and d1 <= half + EPS_ANGLE:
             r1, blocked1, reached_left = d1, STOP, True
-            if d2 <= g - d1 + EPS_ANGLE:
+            if partner_fits:
                 r2, blocked2, reached_right = d2, STOP, True
             else:
                 r2, blocked2, reached_right = g - d1, MUTUAL_CONSTRAINT, False
         elif d2 < d1 and d2 <= half + EPS_ANGLE:
             r2, blocked2, reached_right = d2, STOP, True
-            if d1 <= g - d2 + EPS_ANGLE:
+            if partner_fits:
                 r1, blocked1, reached_left = d1, STOP, True
             else:
                 r1, blocked1, reached_left = g - d2, MUTUAL_CONSTRAINT, False
@@ -213,15 +229,23 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
             blocked1 = blocked2 = MUTUAL_CONSTRAINT
             reached_left = reached_right = False
 
+    # a body that turned gamma minus its partner's stop distance crosses a
+    # line when the budget spans the arc from the partner's stop to it
+    after_right = blocked1 == MUTUAL_CONSTRAINT and reached_right
+    after_left = blocked2 == MUTUAL_CONSTRAINT and reached_left
     crossed = []
-    if ccw_delta(phi, lines.A) <= r1 + EPS_ANGLE:
-        crossed.append("A")
-    if ccw_delta(phi, lines.A_prime) <= r1 + EPS_ANGLE:
-        crossed.append("A'")
-    if ccw_delta(lines.B, phi) <= r2 + EPS_ANGLE:
-        crossed.append("B")
-    if ccw_delta(lines.B_prime, phi) <= r2 + EPS_ANGLE:
-        crossed.append("B'")
+    for name in ("A", "A'"):
+        line = lines.by_name(name)
+        d = ccw_delta(phi, line)
+        hit = _fits_budget(g, right, line, d + d2) if after_right else d <= r1 + EPS_ANGLE
+        if hit:
+            crossed.append(name)
+    for name in ("B", "B'"):
+        line = lines.by_name(name)
+        d = ccw_delta(line, phi)
+        hit = _fits_budget(g, line, left, d + d1) if after_left else d <= r2 + EPS_ANGLE
+        if hit:
+            crossed.append(name)
 
     return TrialOutcome(
         r1=r1,
@@ -246,7 +270,7 @@ class TrialBatch(NamedTuple):
 
 def _ccw_delta_vec(start, end) -> np.ndarray:
     # same operations, in the same order, as the scalar ccw_delta
-    d = np.asarray(end, dtype=np.float64) - start
+    d = end - start
     d = np.where(d < 0.0, d + TWO_PI, d)
     return np.where(d >= TWO_PI, 0.0, d)
 
@@ -267,6 +291,7 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
         r2 = r1
         reached_left = np.zeros(phis.shape, dtype=bool)
         reached_right = reached_left
+        after_right = after_left = None
     else:
         g = config.gamma
         half = 0.5 * g
@@ -276,21 +301,35 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
         d2 = _ccw_delta_vec(right, phis) if right is not None else np.full_like(phis, np.inf)
 
         first_left = (d1 <= d2) & (d1 <= half + EPS_ANGLE)
-        first_right = ~first_left & (d2 < d1) & (d2 <= half + EPS_ANGLE)
-        partner_fits_right = d2 <= g - d1 + EPS_ANGLE
-        partner_fits_left = d1 <= g - d2 + EPS_ANGLE
+        first_right = (d2 < d1) & (d2 <= half + EPS_ANGLE)
+        if left is None or right is None:
+            partner_fits = np.zeros(phis.shape, dtype=bool)
+        else:
+            partner_fits = _fits_budget(g, right, left, d1 + d2)
 
-        r1 = np.where(first_left, d1, np.where(first_right, np.where(partner_fits_left, d1, g - d2), half))
-        r2 = np.where(first_right, d2, np.where(first_left, np.where(partner_fits_right, d2, g - d1), half))
-        reached_left = first_left | (first_right & partner_fits_left)
-        reached_right = first_right | (first_left & partner_fits_right)
+        r1 = np.where(first_left, d1, np.where(first_right, np.where(partner_fits, d1, g - d2), half))
+        r2 = np.where(first_right, d2, np.where(first_left, np.where(partner_fits, d2, g - d1), half))
+        reached_left = first_left | (first_right & partner_fits)
+        reached_right = first_right | (first_left & partner_fits)
+        # trials where a body turned gamma minus its partner's stop distance
+        after_right = first_right & ~partner_fits if right is not None else None
+        after_left = first_left & ~partner_fits if left is not None else None
 
-    crossed = {
-        "A": _ccw_delta_vec(phis, lines.A) <= r1 + EPS_ANGLE,
-        "A'": _ccw_delta_vec(phis, lines.A_prime) <= r1 + EPS_ANGLE,
-        "B": _ccw_delta_vec(lines.B, phis) <= r2 + EPS_ANGLE,
-        "B'": _ccw_delta_vec(lines.B_prime, phis) <= r2 + EPS_ANGLE,
-    }
+    reach1 = r1 + EPS_ANGLE
+    reach2 = r2 + EPS_ANGLE
+    crossed = {}
+    for name in ("A", "A'"):
+        line = lines.by_name(name)
+        d = _ccw_delta_vec(phis, line)
+        crossed[name] = d <= reach1
+        if after_right is not None:
+            crossed[name] = np.where(after_right, _fits_budget(g, right, line, d + d2), crossed[name])
+    for name in ("B", "B'"):
+        line = lines.by_name(name)
+        d = _ccw_delta_vec(line, phis)
+        crossed[name] = d <= reach2
+        if after_left is not None:
+            crossed[name] = np.where(after_left, _fits_budget(g, line, left, d + d1), crossed[name])
     return TrialBatch(
         r1=r1,
         r2=r2,
@@ -300,9 +339,8 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
     )
 
 
-def crossed_events(outcome: TrialOutcome, lines: EngravedLines) -> tuple[bool, bool, bool, bool]:
+def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:
     """Project an outcome onto the four line-crossing events (A, A', B, B')."""
-    del lines  # the outcome already names its crossings
     return tuple(name in outcome.crossed for name in LINE_NAMES)
 
 

@@ -29,6 +29,8 @@ __all__ = [
 
 def normalize(x: float) -> float:
     """Reduce an angle in radians to the canonical range [0, 2*pi)."""
+    if 0.0 <= x < TWO_PI:
+        return x  # what fmod returns for it, with no call
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x!r}")
     r = math.fmod(x, TWO_PI)

@@ -69,7 +69,11 @@ from .monte_carlo import (
     CampaignPlan,
     EstimateReport,
     PlanError,
+    SequenceSpec,
+    kinematic_counts,
+    phi_samples,
     run_campaign,
+    run_sequence,
 )
 
 SCHEMA = "ch-apparatus/1"
@@ -612,7 +616,21 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         sigma = math.sqrt(p * (1.0 - p) / 10**5)
         gap = abs(campaign.table.singles[setup] - p)
         worst_sigma = max(worst_sigma, gap / sigma if sigma > 0.0 else (math.inf if gap > 0 else 0.0))
-    record("exact-vs-monte-carlo", worst_sigma <= 5.0, f"max deviation {worst_sigma:.2f} sigma at n=1e5")
+    # campaigns count through outcome maps: the first chunk of every sequence
+    # must count the same when each trial runs through the kinematics
+    chunk = 1 << 16
+    mismatched = []
+    for spec in plan.sequences:
+        config = config_for_setup(fig2_lines(demo_gamma, demo_theta), demo_gamma, spec.setup)
+        mapped = run_sequence(config, SequenceSpec(spec.setup, chunk, spec.seed)).counts
+        if list(mapped.values()) != kinematic_counts(config, phi_samples(spec.seed, 0, chunk)).tolist():
+            mismatched.append(spec.setup)
+    detail = f"max deviation {worst_sigma:.2f} sigma at n=1e5; "
+    if mismatched:
+        detail += f"map and kinematic counts differ for setups {mismatched}"
+    else:
+        detail += f"map counts equal kinematic counts on {chunk} trials per setup"
+    record("exact-vs-monte-carlo", worst_sigma <= 5.0 and not mismatched, detail)
 
     # the corrected expansion collapses to its reduced form identically
     rng = np.random.default_rng(202)

@@ -15,12 +15,16 @@ ignores a band of 4*EPS_ANGLE at each arc end and classifies arcs narrower
 than two bands by their midpoint alone, so each probability is off by at
 most (number of arcs) * 8*EPS_ANGLE / 2*pi, about 4e-11 for 30 arcs, well
 below TABLE_TOL.
+
+The guarded arcs and their event values form an OutcomeMap.  The exact
+probabilities are read from it, and the Monte Carlo counts look sampled
+angles up in it, handing only the angles inside a guard band to run_trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +55,14 @@ __all__ = [
     "TABLE_TOL",
     "ConsistencyError",
     "EventPredicate",
+    "OutcomeMap",
     "ConditionalTable",
     "line_crossed",
     "lines_crossed",
     "stop_cell",
     "both_stops_reached",
     "complement",
+    "outcome_map",
     "event_probability",
     "event_probabilities",
     "joint_probability_table",
@@ -148,10 +154,46 @@ def _guard_points(arcs: Sequence[Arc]) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def event_probabilities(
-    config: ApparatusConfig, events: Sequence[EventPredicate]
-) -> list[float]:
-    """Exact probabilities of several events in one partition sweep.
+class OutcomeMap(NamedTuple):
+    """Value of every event on every arc of a configuration's partition.
+
+    ``bits[k, e]`` is event e on arc k, checked constant between the outer
+    guard angles ``guard[k, 1]`` and ``guard[k, 2]``; ``guard[k, 0]`` is the
+    midpoint, the only point checked on an arc narrower than two guard
+    margins.
+    """
+
+    arcs: list[Arc]
+    bits: np.ndarray
+    guard: np.ndarray
+
+    def lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges and per-segment event weights for counting angles in [0, 2*pi).
+
+        ``j = np.searchsorted(edges, phi, side="right")`` is odd when phi lies
+        in the checked interior [guard[k, 1], guard[k, 2]) of some arc k, and
+        then ``weights[j]`` is that arc's bits as integers.  An even j is a
+        guard band around a breakpoint, where the map does not decide the
+        outcome; its row of ``weights`` is zero.  Bands are cyclic: an
+        interior that wraps through 0 is split at 2*pi.
+        """
+        pieces = []
+        for k, (arc, (_mid, lo, hi)) in enumerate(zip(self.arcs, self.guard.tolist())):
+            if arc.extent < 2.0 * _GUARD_MARGIN:
+                continue
+            if lo <= hi:
+                pieces.append((lo, hi, k))
+            else:
+                pieces.extend(((lo, TWO_PI, k), (0.0, hi, k)))
+        pieces.sort()
+        edges = np.array([x for lo, hi, _k in pieces for x in (lo, hi)], dtype=np.float64)
+        weights = np.zeros((len(edges) + 1, self.bits.shape[1]), dtype=np.int64)
+        weights[1::2] = self.bits[[k for _lo, _hi, k in pieces]]
+        return edges, weights
+
+
+def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> OutcomeMap:
+    """Guarded value of each event on each arc of the partition.
 
     The guard points of every arc go through one run_trials call.  Each
     event is evaluated at the midpoint of every arc and, on arcs at least
@@ -162,9 +204,8 @@ def event_probabilities(
     order that changes on it, the three guard angles and the config.  The
     guard ignores the band of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc
     end, where a boundary may sit off its breakpoint by rounding; an event
-    that changes value farther inside an arc still trips it.  Arcs are
-    counted by their midpoint value, so each probability is accurate to
-    (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11 for 30 arcs.
+    that changes value farther inside an arc still trips it.  Each arc takes
+    its midpoint value.
     """
     arcs = partition_circle(_critical_angles(config))
     points = _guard_points(arcs)
@@ -180,12 +221,27 @@ def event_probabilities(
             f"{arcs[k].start!r} (extent {arcs[k].extent!r}), guard angles "
             f"{points[k].tolist()!r}, config {config!r}; breakpoint set incomplete"
         )
+    return OutcomeMap(arcs=arcs, bits=values[:, :, 0].T, guard=points)
+
+
+def event_probabilities(
+    config: ApparatusConfig, events: Sequence[EventPredicate]
+) -> list[float]:
+    """Exact probabilities of several events from one outcome map.
+
+    Each probability is the summed extent of the arcs on which the event
+    holds, over 2*pi.  Since each arc takes its midpoint value and the guard
+    ignores the band of _GUARD_MARGIN at each arc end, each probability is
+    accurate to (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11
+    for 30 arcs.  See outcome_map for the guard and its ConsistencyError.
+    """
+    omap = outcome_map(config, events)
     probabilities = []
-    for hits in values[:, :, 0].tolist():
+    for hits in omap.bits.T.tolist():
         # one by one in arc order: sum() of floats is compensated from
         # Python 3.12 on, which would change the last bits of the reports
         total = 0.0
-        for arc, hit in zip(arcs, hits):
+        for arc, hit in zip(omap.arcs, hits):
             if hit:
                 total += arc.extent
         probabilities.append(total / TWO_PI)

@@ -3,6 +3,13 @@
 Start angles come from a counter-based generator: trial i of a sequence is a
 pure function of (seed, i), so any index range can be generated on any worker
 and the campaign is bitwise reproducible regardless of how work is split.
+
+Sampled angles are counted through the configuration's OutcomeMap: each
+angle is located among the guarded arc interiors (by a grid of equal cells,
+then a search among the few angles whose cell holds an interior's end), and
+only the angles that fall in a guard band around a breakpoint run through
+the kinematics.  The counts equal those of run_trials on every angle
+(kinematic_counts), which the tests and the check suite verify.
 """
 
 from __future__ import annotations
@@ -26,7 +33,14 @@ from .apparatus import (
     run_trials,
 )
 from .circle_geometry import TWO_PI
-from .exact_engine import CELLS, ConditionalTable, line_crossed, stop_cell, stop_reached
+from .exact_engine import (
+    CELLS,
+    ConditionalTable,
+    line_crossed,
+    outcome_map,
+    stop_cell,
+    stop_reached,
+)
 from .inequality_analysis import SettingFrequencies
 
 # 95% two-sided normal quantile, used by the Wilson score interval.
@@ -59,6 +73,7 @@ __all__ = [
     "EstimateReport",
     "phi_samples",
     "sequence_seed",
+    "kinematic_counts",
     "estimate",
     "run_sequence",
     "run_campaign",
@@ -78,10 +93,18 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of the uint64 array z, in place; tmp is scratch
+    space of the same shape."""
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
@@ -92,19 +115,27 @@ def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad index range [{start}, {stop})")
-    idx = np.arange(start, stop, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * _GOLDEN)
-    u = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-    return u * TWO_PI
+    z = np.arange(start, stop, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= _GOLDEN
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    tmp = np.empty_like(z)
+    _mix64(z, tmp)
+    z >>= np.uint64(11)
+    u = tmp.view(np.float64)
+    u[...] = z
+    u *= 1.0 / (1 << 53)
+    u *= TWO_PI
+    return u
 
 
 def sequence_seed(master_seed: int, setup: str) -> int:
     """Per-sequence seed derived from the master seed and the setup's slot."""
     slot = ALL_SETUPS.index(setup)
-    with np.errstate(over="ignore"):
-        z = _mix64(np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + np.uint64(slot + 1))
-    return int(z)
+    z = np.array([master_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(slot + 1)
+    return int(_mix64(z, np.empty_like(z))[0])
 
 
 @dataclass(frozen=True)
@@ -212,30 +243,89 @@ class SequenceResult:
         return {key: estimate(c, self.n_trials) for key, c in self.counts.items()}
 
 
-def _count_chunk(config: ApparatusConfig, seed: int, lo: int, hi: int) -> list[int]:
-    batch = run_trials(config, phi_samples(seed, lo, hi))
-    return [int(np.count_nonzero(event.batch(batch))) for event in _COUNTED]
+def kinematic_counts(config: ApparatusConfig, phis: np.ndarray) -> np.ndarray:
+    """Counts of the COUNT_KEYS events over the start angles, each angle run
+    through run_trials: the route that needs no outcome map."""
+    batch = run_trials(config, phis)
+    return np.array([np.count_nonzero(event.batch(batch)) for event in _COUNTED], dtype=np.int64)
+
+
+# Equal cells of the circle that locate sampled angles without a search.
+_GRID = 4096
+_GRID_SCALE = _GRID / TWO_PI
+
+
+class _Lookup(NamedTuple):
+    """OutcomeMap.lookup() of _COUNTED, plus a grid of _GRID cells.
+
+    An angle's cell is int(phi * _GRID_SCALE).  Rounding the product and
+    truncating it are both monotone, so an angle in a cell that holds no
+    edge lies on the same side of every edge as the cell does, and
+    ``cell_weights`` holds its segment's weights.  Cells that hold an edge
+    (``shared``) have zero weights; their angles are searched among the
+    edges.
+    """
+
+    edges: np.ndarray
+    weights: np.ndarray
+    cell_weights: np.ndarray
+    shared: np.ndarray
+
+
+def _lookup(config: ApparatusConfig) -> _Lookup:
+    edges, weights = outcome_map(config, _COUNTED).lookup()
+    edge_cells = (edges * _GRID_SCALE).astype(np.intp)
+    # phi * _GRID_SCALE may round up to _GRID just below 2*pi: one extra cell
+    cell_weights = weights[np.searchsorted(edge_cells, np.arange(_GRID + 1), side="left")]
+    shared = np.zeros(_GRID + 1, dtype=bool)
+    shared[edge_cells] = True
+    cell_weights[shared] = 0
+    return _Lookup(edges, weights, cell_weights, shared)
+
+
+def _count_phis(config: ApparatusConfig, lookup: _Lookup, phis: np.ndarray) -> np.ndarray:
+    """Counts of the COUNT_KEYS events over start angles in [0, 2*pi).
+
+    Angles in an arc interior are counted from the outcome map; those in a
+    guard band go through kinematic_counts.
+    """
+    cells = (phis * _GRID_SCALE).astype(np.intp)
+    counts = np.bincount(cells, minlength=len(lookup.cell_weights)) @ lookup.cell_weights
+    near = phis[lookup.shared[cells]]
+    segment = np.searchsorted(lookup.edges, near, side="right")
+    hist = np.bincount(segment, minlength=len(lookup.weights))
+    counts += hist @ lookup.weights
+    if hist[::2].any():
+        counts += kinematic_counts(config, near[segment % 2 == 0])
+    return counts
 
 
 def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) -> SequenceResult:
     """Run one sequence; counts are independent of the worker split.
 
     Work is cut into fixed-size index chunks and reduced in chunk order, so
-    any worker count yields identical counts.
+    any worker count yields identical counts.  The outcome map is built once,
+    before any chunk runs; a ConsistencyError from it means the configuration
+    breaks the exact engine's breakpoint assumption.
     """
     spec.validate()
     n = spec.n_trials
     ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _count_chunk(config, spec.seed, *r), ranges))
-    else:
-        parts = [_count_chunk(config, spec.seed, lo, hi) for lo, hi in ranges]
-    totals = [0] * len(COUNT_KEYS)
-    for part in parts:
-        for i, c in enumerate(part):
-            totals[i] += c
-    return SequenceResult(setup=spec.setup, n_trials=n, counts=dict(zip(COUNT_KEYS, totals)))
+    totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
+    if ranges:
+        lookup = _lookup(config)
+
+        def count(r: tuple[int, int]) -> np.ndarray:
+            return _count_phis(config, lookup, phi_samples(spec.seed, *r))
+
+        if workers > 1 and len(ranges) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(count, ranges))
+        else:
+            parts = [count(r) for r in ranges]
+        for part in parts:
+            totals += part
+    return SequenceResult(setup=spec.setup, n_trials=n, counts=dict(zip(COUNT_KEYS, totals.tolist())))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus.apparatus import ALL_SETUPS, TWO_STOP_SETUPS, fig2_config, fig2_lines
+from ch_apparatus.apparatus import (
+    ALL_SETUPS,
+    TWO_STOP_SETUPS,
+    ConfigError,
+    EngravedLines,
+    config_for_setup,
+    fig2_config,
+    fig2_lines,
+    run_trials,
+)
 from ch_apparatus.circle_geometry import TWO_PI
-from ch_apparatus.exact_engine import closed_form_fig2
+from ch_apparatus.exact_engine import _critical_angles, _GUARD_MARGIN, closed_form_fig2, conditional_table
 from ch_apparatus.monte_carlo import (
+    _COUNTED,
     COUNT_KEYS,
     Z95,
     CampaignPlan,
@@ -23,6 +33,8 @@ from ch_apparatus.monte_carlo import (
     PlanError,
     SequenceResult,
     SequenceSpec,
+    _count_phis,
+    _lookup,
     estimate,
     phi_samples,
     run_campaign,
@@ -178,6 +190,95 @@ class TestRunSequence:
             if abs(result.counts["11"] / n - p) > 5.0 * sigma:
                 outliers += 1
         assert outliers <= 1, f"{outliers} of 40 seeds outside 5 sigma"
+
+
+def near_breakpoints(config, ulps=3):
+    """Angles at every breakpoint and every guard-band end, give or take a
+    few ulps, plus 0 and the top of [0, 2*pi)."""
+    centers = []
+    for p in [*_critical_angles(config), 0.0, TWO_PI]:
+        centers += [p, p - _GUARD_MARGIN, p + _GUARD_MARGIN]
+    phis = []
+    for x in centers:
+        up = down = x
+        phis.append(x)
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            phis += [up, down]
+    phis = np.array(phis)
+    return phis[(phis >= 0.0) & (phis < TWO_PI)]
+
+
+def kinematic_reference(config, phis):
+    batch = run_trials(config, phis)
+    return [int(np.count_nonzero(event.batch(batch))) for event in _COUNTED]
+
+
+# Engravings with a line or stop gamma + about EPS_ANGLE from a stop.  Partner
+# fits and budget-limited crossings decided from per-phi sums of stop
+# distances flip by rounding along whole arcs there: the outcome map then
+# raises ConsistencyError, or misses the flips and disagrees with the
+# kinematics.
+NEAR_BUDGET = [
+    (EngravedLines(4.642336908210131, 1.642336908211131, 2.6423369082111305, 0.6423369082091311), 4.0),
+    (EngravedLines(5.132928638048742, 1.3282556213789987, 0.8659660402068364, 6.181083101548878), 5.235030843678451),
+    (EngravedLines(1.988132142447492, 5.88660546083404, 2.796318383575111, 2.039065513379905), 5.474999066050966),
+    (EngravedLines(3.05312821183076, 2.7598507514360984, 4.298073712880316, 5.304068275937621), 5.038239806129029),
+]
+
+engraving_angles = st.lists(
+    st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True, allow_nan=False), min_size=4, max_size=4
+)
+
+
+class TestOutcomeMapCounts:
+    @pytest.mark.parametrize("setup", ALL_SETUPS)
+    def test_fig2_map_counts_match_kinematics(self, setup):
+        config = fig2_config(GAMMA, THETA, setup)
+        lookup = _lookup(config)
+        phis = np.concatenate([near_breakpoints(config), phi_samples(5, 0, 20_000)])
+        # the hand-made angles reach the guard bands; sampled ones almost never do
+        assert (np.searchsorted(lookup.edges, phis, side="right") % 2 == 0).any()
+        assert _count_phis(config, lookup, phis).tolist() == kinematic_reference(config, phis)
+
+    def test_bands_are_cyclic(self):
+        # B' = 0 is a breakpoint: angles just below 2*pi lie in its band
+        config = fig2_config(GAMMA, THETA, "ab'")
+        lookup = _lookup(config)
+        top = np.array([np.nextafter(TWO_PI, 0.0), TWO_PI - 0.5 * _GUARD_MARGIN])
+        assert (np.searchsorted(lookup.edges, top, side="right") % 2 == 0).all()
+        assert _count_phis(config, lookup, top).tolist() == kinematic_reference(config, top)
+
+    @given(engraving_angles, st.floats(min_value=0.05, max_value=TWO_PI - 0.05), st.sampled_from(ALL_SETUPS))
+    @settings(max_examples=60, deadline=None)
+    # A - gamma/2 = 0: the left stop is reached from [2*pi - EPS_ANGLE, 2*pi)
+    @example(angles=[1.0, 2.5, 4.0, 5.0], gamma=2.0, setup="ab")
+    @example(angles=[1.0, 2.5, 4.0, 1e-13], gamma=2.0, setup="ab'")
+    @example(angles=[1.0, 2.5, 4.0, TWO_PI - 1e-13], gamma=2.0, setup="ab'")
+    def test_arbitrary_map_counts_match_kinematics(self, angles, gamma, setup):
+        try:
+            config = config_for_setup(EngravedLines(*angles), gamma, setup)
+        except ConfigError:
+            return  # coinciding lines on one side
+        phis = np.concatenate([near_breakpoints(config), phi_samples(11, 0, 4096)])
+        assert _count_phis(config, _lookup(config), phis).tolist() == kinematic_reference(config, phis)
+
+    @pytest.mark.parametrize("setup", ALL_SETUPS)
+    @pytest.mark.parametrize("lines, gamma", NEAR_BUDGET)
+    def test_near_budget_map_counts_match_kinematics(self, lines, gamma, setup):
+        config = config_for_setup(lines, gamma, setup)
+        phis = np.concatenate([near_breakpoints(config), phi_samples(1, 0, 4096)])
+        assert _count_phis(config, _lookup(config), phis).tolist() == kinematic_reference(config, phis)
+
+    def test_near_budget_engraving_runs(self):
+        lines, gamma = NEAR_BUDGET[0]
+        table = conditional_table(lines, gamma)
+        assert table.joint["ab'"] == pytest.approx(4.0 / TWO_PI, abs=1e-9)
+        for setup in ALL_SETUPS:
+            config = config_for_setup(lines, gamma, setup)
+            result = run_sequence(config, SequenceSpec(setup=setup, n_trials=5000, seed=4))
+            phis = phi_samples(4, 0, 5000)
+            assert list(result.counts.values()) == kinematic_reference(config, phis), setup
 
 
 class TestCampaignPlan:
