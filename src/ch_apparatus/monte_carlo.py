@@ -1,20 +1,27 @@
 """Seeded trial campaigns over the eight stop setups.
 
-Start angles come from a counter-based generator: trial i of a sequence is a
-pure function of (seed, i), so any index range can be generated on any worker
-and the campaign is bitwise reproducible regardless of how work is split.
+Start angles come from a counter-based generator, SplitMix64 (Steele, Lea &
+Flood 2014): trial i of a sequence is a pure function of (seed, i), so any
+index range can be generated on any worker and the campaign is bitwise
+reproducible regardless of how work is split.  Its 53-bit output m becomes
+the angle angle(m) = (m * 2**-53) * 2*pi.
 
-Sampled angles are counted through the configuration's OutcomeMap: each
-angle is located among the guarded arc interiors (by a grid of equal cells,
-then a search among the few angles whose cell holds an interior's end), and
-only the angles that fall in a guard band around a breakpoint run through
-the kinematics.  The counts equal those of run_trials on every angle
-(kinematic_counts), which the tests and the check suite verify.
+Campaigns count on m itself, through the configuration's OutcomeMap.
+angle(m) is monotone in m, so each edge e of the map has an integer
+threshold t(e), the least m with angle(m) >= e, and m lies past e exactly
+when angle(m) does: the lookup on integers is exact.  A chunk locates each
+m in a grid of equal cells by a shift, counts the cells that hold no
+threshold by their weights, searches the thresholds only for the m in the
+other cells, and turns into float angles for the kinematics only the m in a
+guard band around a breakpoint.  The counts equal those of run_trials on
+every angle (kinematic_counts), which the tests and the check suite verify.
+The chunk buffers are allocated once per worker thread and sequence.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,20 +98,61 @@ class EstimateError(ValueError):
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer of the uint64 array z, in place; tmp is scratch
-    space of the same shape."""
+def _steps(n: int) -> np.ndarray:
+    """i * golden gamma for i in [0, n), wrapping modulo 2**64: the counter
+    offsets of n consecutive trials."""
+    steps = np.arange(n, dtype=np.uint64)
+    steps *= _GOLDEN
+    return steps
+
+
+def _states(seed: int, start: int, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Unmixed generator states of trial indices start, start + 1, ... (one
+    per entry of steps) into out: (index + 1) * golden gamma + seed."""
+    offset = ((start + 1) * int(_GOLDEN) + seed) & _MASK64
+    return np.add(steps, np.uint64(offset), out=out)
+
+
+def _premix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of the uint64 array z in place, all but its last
+    step z ^= z >> 31, which leaves the top 31 bits as they are; tmp is
+    scratch space of the same shape."""
     np.right_shift(z, np.uint64(30), out=tmp)
     z ^= tmp
     z *= _MIX1
     np.right_shift(z, np.uint64(27), out=tmp)
     z ^= tmp
     z *= _MIX2
+    return z
+
+
+def _finish(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Last step of the splitmix64 finalizer, in place."""
     np.right_shift(z, np.uint64(31), out=tmp)
     z ^= tmp
     return z
+
+
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of the uint64 array z, in place; tmp is scratch
+    space of the same shape."""
+    return _finish(_premix(z, tmp), tmp)
+
+
+def _angles(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """angle(m) = (m * 2**-53) * 2*pi of 53-bit outputs m, into the float64
+    array out (a new one by default; it may share m's buffer).  The
+    conversion and the power of two are exact; only the product with 2*pi
+    rounds, so angle is monotone in m."""
+    if out is None:
+        out = np.empty(len(m))
+    out[...] = m
+    out *= 1.0 / (1 << 53)
+    out *= TWO_PI
+    return out
 
 
 def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
@@ -115,18 +163,11 @@ def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
     """
     if not 0 <= start <= stop:
         raise ValueError(f"bad index range [{start}, {stop})")
-    z = np.arange(start, stop, dtype=np.uint64)
-    z += np.uint64(1)
-    z *= _GOLDEN
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z = _states(seed, start, _steps(stop - start), np.empty(stop - start, dtype=np.uint64))
     tmp = np.empty_like(z)
     _mix64(z, tmp)
     z >>= np.uint64(11)
-    u = tmp.view(np.float64)
-    u[...] = z
-    u *= 1.0 / (1 << 53)
-    u *= TWO_PI
-    return u
+    return _angles(z, tmp.view(np.float64))
 
 
 def sequence_seed(master_seed: int, setup: str) -> int:
@@ -250,53 +291,91 @@ def kinematic_counts(config: ApparatusConfig, phis: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(event.batch(batch)) for event in _COUNTED], dtype=np.int64)
 
 
-# Equal cells of the circle that locate sampled angles without a search.
+# Equal cells of the 53-bit sampler outputs: an output's cell is its top
+# bits, m >> _CELL_SHIFT.
 _GRID = 4096
-_GRID_SCALE = _GRID / TWO_PI
+_CELL_SHIFT = 41  # 2**53 outputs over _GRID cells
+_TOP = 1 << 53
 
 
 class _Lookup(NamedTuple):
-    """OutcomeMap.lookup() of _COUNTED, plus a grid of _GRID cells.
+    """OutcomeMap.lookup() of _COUNTED on sampler outputs, plus a grid of
+    _GRID cells.
 
-    An angle's cell is int(phi * _GRID_SCALE).  Rounding the product and
-    truncating it are both monotone, so an angle in a cell that holds no
-    edge lies on the same side of every edge as the cell does, and
-    ``cell_weights`` holds its segment's weights.  Cells that hold an edge
-    (``shared``) have zero weights; their angles are searched among the
-    edges.
+    ``thresholds[j]`` is t(e) = min{m : angle(m) >= e} of the j-th edge e
+    (_TOP when no output reaches e).  angle is monotone in m, so
+    ``searchsorted(thresholds, m, "right")`` equals
+    ``searchsorted(edges, angle(m), "right")``: the segment of the map, and
+    so the row of ``weights``, that angle(m) falls in.  Each cell holds the
+    outputs m with m >> _CELL_SHIFT equal to its index; a cell that holds no
+    threshold lies in one segment, and ``cell_weights`` holds that
+    segment's weights.  Cells that hold a threshold (``shared``) have zero
+    weights; their outputs are searched among the thresholds.
     """
 
-    edges: np.ndarray
+    thresholds: np.ndarray
     weights: np.ndarray
     cell_weights: np.ndarray
     shared: np.ndarray
 
 
+def _thresholds(edges: np.ndarray) -> np.ndarray:
+    """t(e) = min{m in [0, 2**53] : angle(m) >= e} for each edge e in
+    [0, 2*pi].
+
+    Outputs run up to 2**53 - 1; angle(2**53) is 2*pi, so t(e) = 2**53 when
+    no output reaches e.  Bisection keeps angle(lo) < e <= angle(hi), which
+    angle(-1) < 0 and angle(2**53) = 2*pi satisfy for any such e.  It starts
+    from a bracket of a few outputs around e * 2**53 / 2*pi, which rounding
+    strays from by at most one; an edge whose bracket fails the check starts
+    from the whole range instead.
+    """
+    guess = (edges * (_TOP / TWO_PI)).astype(np.int64)
+    lo = np.maximum(guess - 4, -1)
+    hi = np.minimum(guess + 4, _TOP)
+    stray = (_angles(lo) >= edges) | (_angles(hi) < edges)
+    lo[stray] = -1
+    hi[stray] = _TOP
+    while (hi - lo > 1).any():
+        # once hi = lo + 1, mid = lo and angle(lo) < e keep both
+        mid = (lo + hi) >> 1
+        reached = _angles(mid) >= edges
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    return hi.astype(np.uint64)
+
+
 def _lookup(config: ApparatusConfig) -> _Lookup:
     edges, weights = outcome_map(config, _COUNTED).lookup()
-    edge_cells = (edges * _GRID_SCALE).astype(np.intp)
-    # phi * _GRID_SCALE may round up to _GRID just below 2*pi: one extra cell
-    cell_weights = weights[np.searchsorted(edge_cells, np.arange(_GRID + 1), side="left")]
+    thresholds = _thresholds(edges)
+    cell_starts = np.arange(_GRID, dtype=np.uint64) << np.uint64(_CELL_SHIFT)
+    cell_weights = weights[np.searchsorted(thresholds, cell_starts, side="right")]
+    # a threshold of _TOP (an edge at 2*pi) lies past every output
     shared = np.zeros(_GRID + 1, dtype=bool)
-    shared[edge_cells] = True
+    shared[thresholds >> np.uint64(_CELL_SHIFT)] = True
+    shared = shared[:_GRID]
     cell_weights[shared] = 0
-    return _Lookup(edges, weights, cell_weights, shared)
+    return _Lookup(thresholds, weights, cell_weights, shared)
 
 
-def _count_phis(config: ApparatusConfig, lookup: _Lookup, phis: np.ndarray) -> np.ndarray:
-    """Counts of the COUNT_KEYS events over start angles in [0, 2*pi).
+def _count_states(config: ApparatusConfig, lookup: _Lookup, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Counts of the COUNT_KEYS events over generator states z, mixed by
+    _premix; z and tmp (scratch of the same shape) are overwritten.
 
-    Angles in an arc interior are counted from the outcome map; those in a
-    guard band go through kinematic_counts.
+    The cell of an output is read before _finish, which leaves the top bits
+    as they are.  Outputs in a cell without a threshold are counted from the
+    cell; the rest are finished and searched, and those in a guard band go
+    through kinematic_counts at their angles.
     """
-    cells = (phis * _GRID_SCALE).astype(np.intp)
-    counts = np.bincount(cells, minlength=len(lookup.cell_weights)) @ lookup.cell_weights
-    near = phis[lookup.shared[cells]]
-    segment = np.searchsorted(lookup.edges, near, side="right")
+    cells = np.right_shift(z, np.uint64(_CELL_SHIFT + 11), out=tmp).view(np.int64)
+    counts = np.bincount(cells, minlength=_GRID) @ lookup.cell_weights
+    near = z[lookup.shared[cells]]
+    m = _finish(near, np.empty_like(near)) >> np.uint64(11)
+    segment = np.searchsorted(lookup.thresholds, m, side="right")
     hist = np.bincount(segment, minlength=len(lookup.weights))
     counts += hist @ lookup.weights
     if hist[::2].any():
-        counts += kinematic_counts(config, near[segment % 2 == 0])
+        counts += kinematic_counts(config, _angles(m[segment % 2 == 0]))
     return counts
 
 
@@ -306,17 +385,27 @@ def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) 
     Work is cut into fixed-size index chunks and reduced in chunk order, so
     any worker count yields identical counts.  The outcome map is built once,
     before any chunk runs; a ConsistencyError from it means the configuration
-    breaks the exact engine's breakpoint assumption.
+    breaks the exact engine's breakpoint assumption.  Each thread that counts
+    chunks allocates its chunk buffers once.
     """
     spec.validate()
+    if workers < 1:
+        raise PlanError(f"workers must be at least 1, got {workers}")
     n = spec.n_trials
     ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if ranges:
         lookup = _lookup(config)
+        steps = _steps(min(n, _CHUNK))
+        local = threading.local()
 
         def count(r: tuple[int, int]) -> np.ndarray:
-            return _count_phis(config, lookup, phi_samples(spec.seed, *r))
+            if not hasattr(local, "buffers"):
+                local.buffers = np.empty((2, len(steps)), dtype=np.uint64)
+            size = r[1] - r[0]
+            z, tmp = local.buffers[:, :size]
+            _premix(_states(spec.seed, r[0], steps[:size], z), tmp)
+            return _count_states(config, lookup, z, tmp)
 
         if workers > 1 and len(ranges) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

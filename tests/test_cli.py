@@ -314,6 +314,11 @@ class TestChecksAndExitCodes:
         assert main(["exact", "--gamma", "2.0", "--theta", "3.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_main_demo_rejects_nonpositive_workers_exit_1(self, workers, capsys):
+        assert main(["demo", "--trials", "1000", "--workers", workers]) == 1
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_main_bad_flag_exit_1(self, capsys):
         assert main(["exact", "--bogus"]) == 1
 

@@ -25,7 +25,9 @@ from ch_apparatus.apparatus import (
 from ch_apparatus.circle_geometry import TWO_PI
 from ch_apparatus.exact_engine import _critical_angles, _GUARD_MARGIN, closed_form_fig2, conditional_table
 from ch_apparatus.monte_carlo import (
+    _CELL_SHIFT,
     _COUNTED,
+    _GRID,
     COUNT_KEYS,
     Z95,
     CampaignPlan,
@@ -33,8 +35,10 @@ from ch_apparatus.monte_carlo import (
     PlanError,
     SequenceResult,
     SequenceSpec,
-    _count_phis,
+    _count_states,
+    _finish,
     _lookup,
+    _thresholds,
     estimate,
     phi_samples,
     run_campaign,
@@ -44,6 +48,25 @@ from ch_apparatus.monte_carlo import (
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
+TOP = 1 << 53
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed, index):
+    """Pure-Python splitmix64 output of trial index under seed."""
+    z = ((index + 1) * 0x9E3779B97F4A7C15 + seed) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def oracle_outputs(seed, start, stop):
+    return np.array([splitmix64(seed, i) >> 11 for i in range(start, stop)], dtype=np.uint64)
+
+
+def angle(m):
+    """Start angle of 53-bit sampler outputs m (any integer, -1 and 2**53 too)."""
+    return np.asarray(m, dtype=np.float64) * 2.0**-53 * TWO_PI
 
 
 class TestPhiSamples:
@@ -74,6 +97,21 @@ class TestPhiSamples:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             phi_samples(0, 5, 3)
+
+    def test_matches_pure_python_splitmix64(self):
+        seed = sequence_seed(3, "a'b")
+        expected = angle(oracle_outputs(seed, 5, 200_003))
+        assert np.array_equal(phi_samples(seed, 5, 200_003), expected)
+
+    def test_cells_are_read_before_the_last_xorshift(self):
+        # z ^= z >> 31 leaves the top 31 bits alone, so chunks take each
+        # output's grid cell before finishing the mix
+        rng = np.random.default_rng(8)
+        z = np.concatenate([rng.integers(0, MASK64, 10_000, dtype=np.uint64, endpoint=True),
+                            np.array([0, MASK64, 1 << 63, (1 << 52) - 1], dtype=np.uint64)])
+        shift = np.uint64(_CELL_SHIFT + 11)
+        assert 64 - (_CELL_SHIFT + 11) <= 31
+        assert np.array_equal(_finish(z.copy(), np.empty_like(z)) >> shift, z >> shift)
 
     @given(st.integers(min_value=0, max_value=2**63))
     @settings(max_examples=50)
@@ -151,6 +189,13 @@ class TestRunSequence:
             "B'": 16703,
         }
 
+    def test_chunks_count_the_oracle_stream(self):
+        # three whole chunks and a tail, each from its own counter offset
+        config = fig2_config(GAMMA, THETA, "a'b'")
+        result = run_sequence(config, SequenceSpec(setup="a'b'", n_trials=200_003, seed=2**64 - 5))
+        expected = kinematic_reference(config, angle(oracle_outputs(2**64 - 5, 0, 200_003)))
+        assert list(result.counts.values()) == expected
+
     def test_single_trial(self):
         config = fig2_config(GAMMA, THETA, "a'b")
         result = run_sequence(config, SequenceSpec(setup="a'b", n_trials=1, seed=9))
@@ -209,6 +254,33 @@ def near_breakpoints(config, ulps=3):
     return phis[(phis >= 0.0) & (phis < TWO_PI)]
 
 
+def near_outputs(config, lookup, steps=3):
+    """Sampler outputs at the threshold of every angle of near_breakpoints,
+    at every threshold of the lookup and at every grid-cell boundary, give
+    or take a few outputs, plus 0 and 2**53 - 1."""
+    cell_starts = np.arange(_GRID + 1, dtype=np.int64) << _CELL_SHIFT
+    centers = np.concatenate([_thresholds(near_breakpoints(config)).astype(np.int64),
+                              lookup.thresholds.astype(np.int64), cell_starts, [0, TOP - 1]])
+    ms = (centers[:, None] + np.arange(-steps, steps + 1)).ravel()
+    return np.unique(ms[(ms >= 0) & (ms < TOP)]).astype(np.uint64)
+
+
+def sampled_outputs(seed, n):
+    return np.random.default_rng(seed).integers(0, TOP, n, dtype=np.uint64)
+
+
+def map_counts(config, lookup, ms):
+    """Chunk counts of outputs ms, fed in as states before the last xorshift
+    (whose inverse is y ^ y >> 31 ^ y >> 62); the low 11 bits are junk."""
+    y = (ms << np.uint64(11)) | np.uint64(0x5A5)
+    z = y ^ (y >> np.uint64(31)) ^ (y >> np.uint64(62))
+    return _count_states(config, lookup, z, np.empty_like(z)).tolist()
+
+
+def in_band(lookup, ms):
+    return np.searchsorted(lookup.thresholds, ms, side="right") % 2 == 0
+
+
 def kinematic_reference(config, phis):
     batch = run_trials(config, phis)
     return [int(np.count_nonzero(event.batch(batch))) for event in _COUNTED]
@@ -232,22 +304,34 @@ engraving_angles = st.lists(
 
 
 class TestOutcomeMapCounts:
+    @given(st.floats(min_value=0.0, max_value=TWO_PI, allow_nan=False))
+    @settings(max_examples=200)
+    @example(0.0)
+    @example(TWO_PI)
+    @example(float(np.nextafter(TWO_PI, 0.0)))
+    @example(5e-324)
+    def test_threshold_is_the_least_output_reaching_the_edge(self, e):
+        t = int(_thresholds(np.array([e]))[0])
+        assert 0 <= t <= TOP
+        assert angle(t - 1) < e <= angle(t)
+
     @pytest.mark.parametrize("setup", ALL_SETUPS)
     def test_fig2_map_counts_match_kinematics(self, setup):
         config = fig2_config(GAMMA, THETA, setup)
         lookup = _lookup(config)
-        phis = np.concatenate([near_breakpoints(config), phi_samples(5, 0, 20_000)])
-        # the hand-made angles reach the guard bands; sampled ones almost never do
-        assert (np.searchsorted(lookup.edges, phis, side="right") % 2 == 0).any()
-        assert _count_phis(config, lookup, phis).tolist() == kinematic_reference(config, phis)
+        ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(5, 20_000)])
+        # the hand-made outputs reach the guard bands; sampled ones almost never do
+        assert in_band(lookup, ms).any()
+        assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
 
     def test_bands_are_cyclic(self):
-        # B' = 0 is a breakpoint: angles just below 2*pi lie in its band
+        # B' = 0 is a breakpoint: the first output and the outputs just below
+        # 2*pi lie in its band
         config = fig2_config(GAMMA, THETA, "ab'")
         lookup = _lookup(config)
-        top = np.array([np.nextafter(TWO_PI, 0.0), TWO_PI - 0.5 * _GUARD_MARGIN])
-        assert (np.searchsorted(lookup.edges, top, side="right") % 2 == 0).all()
-        assert _count_phis(config, lookup, top).tolist() == kinematic_reference(config, top)
+        ends = np.array([0, TOP - 1, _thresholds(np.array([TWO_PI - 0.5 * _GUARD_MARGIN]))[0]], dtype=np.uint64)
+        assert in_band(lookup, ends).all()
+        assert map_counts(config, lookup, ends) == kinematic_reference(config, angle(ends))
 
     @given(engraving_angles, st.floats(min_value=0.05, max_value=TWO_PI - 0.05), st.sampled_from(ALL_SETUPS))
     @settings(max_examples=60, deadline=None)
@@ -260,15 +344,17 @@ class TestOutcomeMapCounts:
             config = config_for_setup(EngravedLines(*angles), gamma, setup)
         except ConfigError:
             return  # coinciding lines on one side
-        phis = np.concatenate([near_breakpoints(config), phi_samples(11, 0, 4096)])
-        assert _count_phis(config, _lookup(config), phis).tolist() == kinematic_reference(config, phis)
+        lookup = _lookup(config)
+        ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(11, 4096)])
+        assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
 
     @pytest.mark.parametrize("setup", ALL_SETUPS)
     @pytest.mark.parametrize("lines, gamma", NEAR_BUDGET)
     def test_near_budget_map_counts_match_kinematics(self, lines, gamma, setup):
         config = config_for_setup(lines, gamma, setup)
-        phis = np.concatenate([near_breakpoints(config), phi_samples(1, 0, 4096)])
-        assert _count_phis(config, _lookup(config), phis).tolist() == kinematic_reference(config, phis)
+        lookup = _lookup(config)
+        ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(1, 4096)])
+        assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
 
     def test_near_budget_engraving_runs(self):
         lines, gamma = NEAR_BUDGET[0]
@@ -339,6 +425,14 @@ class TestRunCampaign:
         # a setup that never ran yields no conditional table at all
         assert report.table is None
         assert "a'b'" not in report.estimates()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers):
+        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1000)
+        with pytest.raises(PlanError, match="workers must be at least 1"):
+            run_campaign(plan, workers=workers)
+        with pytest.raises(PlanError, match="workers must be at least 1"):
+            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec("ab", 1000, seed=0), workers=workers)
 
     def test_all_trials_zero_is_an_error(self):
         plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=0)
