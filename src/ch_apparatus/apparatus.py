@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ __all__ = [
     "validate_config",
     "run_trial",
     "run_trials",
+    "run_setups",
     "crossed_events",
     "fig2_lines",
     "fig2_config",
@@ -159,18 +160,18 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     return config
 
 
-def _fits_budget(g: float, right_angle: float, left_angle: float, d_sum):
-    """Whether body 1 can reach ``left_angle`` and body 2 ``right_angle``
-    within the mutual budget g, given d_sum = ccw_delta(phi, left_angle) +
-    ccw_delta(right_angle, phi).
+def _fits_budget(g: float, span, d_sum):
+    """Whether a body can reach an angle and its partner a stop within the
+    mutual budget g.  ``span`` is the ccw distance from the partner's stop
+    (or the right-hand angle) to the left-hand angle, and d_sum the sum of
+    the two bodies' distances to them from phi.
 
-    That sum is the constant span ccw_delta(right_angle, left_angle) when phi
-    lies on the arc from right_angle to left_angle, and a full turn more
-    elsewhere.  The test uses the span itself, not d_sum <= g: rounding of
-    the per-phi sum would otherwise flip the outcome along a whole arc whose
-    span is g + about EPS_ANGLE.  Takes a float or an array d_sum.
+    That sum is the constant span when phi lies on the arc between the two
+    angles, and a full turn more elsewhere.  The test uses the span itself,
+    not d_sum <= g: rounding of the per-phi sum would otherwise flip the
+    outcome along a whole arc whose span is g + about EPS_ANGLE.  Takes
+    floats or arrays.
     """
-    span = ccw_delta(right_angle, left_angle)
     return (span <= g + EPS_ANGLE) & (d_sum < span + math.pi)
 
 
@@ -211,7 +212,9 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
         right = config.stops.right
         d1 = ccw_delta(phi, left) if left is not None else math.inf
         d2 = ccw_delta(right, phi) if right is not None else math.inf
-        partner_fits = left is not None and right is not None and _fits_budget(g, right, left, d1 + d2)
+        partner_fits = (
+            left is not None and right is not None and _fits_budget(g, ccw_delta(right, left), d1 + d2)
+        )
         if d1 <= d2 and d1 <= half + EPS_ANGLE:
             r1, blocked1, reached_left = d1, STOP, True
             if partner_fits:
@@ -237,13 +240,13 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
     for name in ("A", "A'"):
         line = lines.by_name(name)
         d = ccw_delta(phi, line)
-        hit = _fits_budget(g, right, line, d + d2) if after_right else d <= r1 + EPS_ANGLE
+        hit = _fits_budget(g, ccw_delta(right, line), d + d2) if after_right else d <= r1 + EPS_ANGLE
         if hit:
             crossed.append(name)
     for name in ("B", "B'"):
         line = lines.by_name(name)
         d = ccw_delta(line, phi)
-        hit = _fits_budget(g, line, left, d + d1) if after_left else d <= r2 + EPS_ANGLE
+        hit = _fits_budget(g, ccw_delta(line, left), d + d1) if after_left else d <= r2 + EPS_ANGLE
         if hit:
             crossed.append(name)
 
@@ -275,45 +278,61 @@ def _ccw_delta_vec(start, end) -> np.ndarray:
     return np.where(d >= TWO_PI, 0.0, d)
 
 
-def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
-    """Vectorized run_trial over an array of normalized start angles.
+def _stop_column(stops: list[float | None], ndim: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-row stop angles shaped to broadcast over ndim phi axes, with 0.0
+    in place of an absent stop, and the rows that have a stop (None when
+    every row has one)."""
+    shape = (len(stops),) + (1,) * ndim
+    angles = np.array([0.0 if x is None else x for x in stops]).reshape(shape)
+    if all(x is not None for x in stops):
+        return angles, None
+    return angles, np.array([x is not None for x in stops]).reshape(shape)
 
-    Bitwise-identical to the scalar path field by field.
-    """
+
+def _run_rows(
+    config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray
+) -> TrialBatch:
+    """Kinematics of config over phis with per-row stops: row i of every
+    field runs the stops (lefts[i], rights[i]), None meaning no stop on that
+    side.  The only vectorized kinematics; each row matches run_trial bit for
+    bit under its stops.  Unmodified configs take one row with no stops."""
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
     phis = np.asarray(phis, dtype=np.float64)
     lines = config.lines
 
     if config.mode == UNMODIFIED:
-        g1 = config.gamma1
-        r1 = np.full_like(phis, g1)
+        r1 = np.full((1, *phis.shape), config.gamma1)
         r2 = r1
-        reached_left = np.zeros(phis.shape, dtype=bool)
+        reached_left = np.zeros(r1.shape, dtype=bool)
         reached_right = reached_left
         after_right = after_left = None
     else:
         g = config.gamma
         half = 0.5 * g
-        left = config.stops.left
-        right = config.stops.right
-        d1 = _ccw_delta_vec(phis, left) if left is not None else np.full_like(phis, np.inf)
-        d2 = _ccw_delta_vec(right, phis) if right is not None else np.full_like(phis, np.inf)
+        left, has_left = _stop_column(lefts, phis.ndim)
+        right, has_right = _stop_column(rights, phis.ndim)
+        # an absent stop is infinitely far, as in run_trial
+        d1 = _ccw_delta_vec(phis, left)
+        if has_left is not None:
+            d1 = np.where(has_left, d1, np.inf)
+        d2 = _ccw_delta_vec(right, phis)
+        if has_right is not None:
+            d2 = np.where(has_right, d2, np.inf)
 
         first_left = (d1 <= d2) & (d1 <= half + EPS_ANGLE)
         first_right = (d2 < d1) & (d2 <= half + EPS_ANGLE)
-        if left is None or right is None:
-            partner_fits = np.zeros(phis.shape, dtype=bool)
-        else:
-            partner_fits = _fits_budget(g, right, left, d1 + d2)
+        # false where a stop is absent: d1 + d2 is then infinite
+        partner_fits = _fits_budget(g, _ccw_delta_vec(right, left), d1 + d2)
 
         r1 = np.where(first_left, d1, np.where(first_right, np.where(partner_fits, d1, g - d2), half))
         r2 = np.where(first_right, d2, np.where(first_left, np.where(partner_fits, d2, g - d1), half))
         reached_left = first_left | (first_right & partner_fits)
         reached_right = first_right | (first_left & partner_fits)
-        # trials where a body turned gamma minus its partner's stop distance
-        after_right = first_right & ~partner_fits if right is not None else None
-        after_left = first_left & ~partner_fits if left is not None else None
+        # trials where a body turned gamma minus its partner's stop distance;
+        # never on a row without that partner stop, whose distance is infinite
+        after_right = first_right & ~partner_fits if has_right is None or has_right.any() else None
+        after_left = first_left & ~partner_fits if has_left is None or has_left.any() else None
 
     reach1 = r1 + EPS_ANGLE
     reach2 = r2 + EPS_ANGLE
@@ -323,13 +342,15 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
         d = _ccw_delta_vec(phis, line)
         crossed[name] = d <= reach1
         if after_right is not None:
-            crossed[name] = np.where(after_right, _fits_budget(g, right, line, d + d2), crossed[name])
+            fits = _fits_budget(g, _ccw_delta_vec(right, line), d + d2)
+            crossed[name] = np.where(after_right, fits, crossed[name])
     for name in ("B", "B'"):
         line = lines.by_name(name)
         d = _ccw_delta_vec(line, phis)
         crossed[name] = d <= reach2
         if after_left is not None:
-            crossed[name] = np.where(after_left, _fits_budget(g, line, left, d + d1), crossed[name])
+            fits = _fits_budget(g, _ccw_delta_vec(line, left), d + d1)
+            crossed[name] = np.where(after_left, fits, crossed[name])
     return TrialBatch(
         r1=r1,
         r2=r2,
@@ -337,6 +358,33 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
         reached_right_stop=reached_right,
         crossed=crossed,
     )
+
+
+def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
+    """Vectorized run_trial over an array of normalized start angles.
+
+    The one-row case of the per-row kinematics that run_setups also uses,
+    so there is one vectorized path.  Bitwise-identical to the scalar
+    run_trial field by field.
+    """
+    rows = _run_rows(config, [config.stops.left], [config.stops.right], phis)
+    crossed = {name: hit[0] for name, hit in rows.crossed.items()}
+    return TrialBatch(*(field[0] for field in rows[:4]), crossed)
+
+
+def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray) -> TrialBatch:
+    """run_trials of one engraving under several stop setups in one call.
+
+    Every field has one row per setup: row i equals
+    run_trials(config_for_setup(config.lines, config.gamma, setups[i]), phis)
+    bit for bit.  config must be a validated modified-mode configuration; its
+    own stops are ignored.  Stops sit on the engraved lines, so the setups
+    need no further validation.
+    """
+    if config.mode != MODIFIED:
+        raise ConfigError(f"run_setups needs a modified-mode configuration, got {config.mode!r}")
+    stops = [setup_stops(config.lines, setup) for setup in setups]
+    return _run_rows(config, [s.left for s in stops], [s.right for s in stops], phis)
 
 
 def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:

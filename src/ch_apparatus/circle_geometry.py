@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 # Tolerance for boundary classification (arc membership, stop-reach ties).
@@ -21,9 +23,11 @@ __all__ = [
     "EPS_ANGLE",
     "Arc",
     "normalize",
+    "normalize_array",
     "ccw_delta",
     "arc_contains",
     "partition_circle",
+    "partition_arrays",
 ]
 
 
@@ -40,6 +44,14 @@ def normalize(x: float) -> float:
         # fmod of a tiny negative rounds up to exactly 2*pi
         r = 0.0
     return r
+
+
+def normalize_array(x: np.ndarray) -> np.ndarray:
+    """normalize over an array of finite angles, bit for bit: np.fmod is the
+    exact C fmod, and it returns an angle already in [0, 2*pi) unchanged."""
+    r = np.fmod(x, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    return np.where(r >= TWO_PI, 0.0, r)
 
 
 def ccw_delta(start: float, end: float) -> float:
@@ -76,6 +88,26 @@ def arc_contains(arc: Arc, x: float) -> bool:
     return ccw_delta(arc.start, normalize(x)) <= arc.extent + EPS_ANGLE
 
 
+def partition_arrays(points: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and extents of the arcs bounded by already normalized angles.
+
+    The starts are the sorted distinct points; each extent runs to the next
+    start, and the last one wraps around to the first.  The extents sum to a
+    full turn.  No points yield one full-circle arc starting at 0.
+    """
+    starts = np.sort(np.fromiter(points, dtype=np.float64))
+    if starts.size == 0:
+        return np.array([0.0]), np.array([TWO_PI])
+    # what np.unique does, without the first call's import of numpy.ma
+    starts = starts[np.append(True, starts[1:] != starts[:-1])]
+    extents = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=extents[:-1])
+    # not ccw_delta: for a sliver span it would round up to a full turn and
+    # then collapse to zero, losing the whole circle
+    extents[-1] = TWO_PI - (starts[-1] - starts[0])
+    return starts, extents
+
+
 def partition_circle(critical: Iterable[float]) -> list[Arc]:
     """Split the circle into disjoint arcs bounded by the critical angles.
 
@@ -83,18 +115,5 @@ def partition_circle(critical: Iterable[float]) -> list[Arc]:
     exactly at the sorted critical angles, cover the circle once, and their
     extents sum to a full turn.  An empty input yields one full-circle arc.
     """
-    points = sorted({normalize(p) for p in critical})
-    if not points:
-        return [Arc(0.0, TWO_PI)]
-    if len(points) == 1:
-        return [Arc(points[0], TWO_PI)]
-    arcs = []
-    last = len(points) - 1
-    for i, p in enumerate(points):
-        if i < last:
-            arcs.append(Arc(p, points[i + 1] - p))
-        else:
-            # not ccw_delta: for a sliver span it would round up to a full
-            # turn and then collapse to zero, losing the whole circle
-            arcs.append(Arc(p, TWO_PI - (p - points[0])))
-    return arcs
+    starts, extents = partition_arrays(normalize(p) for p in critical)
+    return [Arc(s, e) for s, e in zip(starts.tolist(), extents.tolist())]

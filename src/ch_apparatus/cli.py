@@ -9,6 +9,7 @@ over gamma and theta), check (internal cross-validation suite).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
@@ -70,6 +71,7 @@ from .monte_carlo import (
     EstimateReport,
     PlanError,
     SequenceSpec,
+    check_seed,
     kinematic_counts,
     phi_samples,
     run_campaign,
@@ -194,6 +196,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 trials = {s: n for s in ALL_SETUPS}
         if "seed" in camp:
             seed = _expect_int(camp["seed"], "campaign.seed")
+            try:
+                check_seed(seed)
+            except PlanError as exc:
+                _fail("campaign.seed", str(exc))
         if "workers" in camp:
             workers = _expect_int(camp["workers"], "campaign.workers", minimum=1)
 
@@ -498,6 +504,8 @@ def cmd_sweep(
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not all(math.isfinite(x) for x in (*gamma_range, *theta_range)):
+        raise ConfigError(f"sweep bounds must be finite, got gamma {gamma_range!r}, theta {theta_range!r}")
     gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
     thetas = np.linspace(theta_range[0], theta_range[1], steps)
     uniform = SettingFrequencies.uniform()
@@ -541,6 +549,7 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of this check alone
 
 
 def _random_fig2_pair(rng: np.random.Generator) -> tuple[float, float]:
@@ -564,9 +573,12 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     closed form so the surrounding machinery can prove it would notice."""
     demo_gamma, demo_theta = math.pi / 3.0, math.pi / 6.0
     results: list[CheckResult] = []
+    started = [time.perf_counter()]
 
     def record(name: str, passed: bool, detail: str) -> None:
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
+        now = time.perf_counter()
+        results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=now - started[0]))
+        started[0] = now
 
     def perturbed_closed(gamma: float, theta: float) -> ConditionalTable:
         table = closed_form_fig2(gamma, theta)
@@ -739,11 +751,19 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     return results
 
 
-def cmd_check(perturb_closed_form: float = 0.0, out=None) -> int:
-    """Run the cross-validation suite; exit 0 when everything passes."""
+def cmd_check(perturb_closed_form: float = 0.0, out=None, err=None) -> int:
+    """Run the cross-validation suite; exit 0 when everything passes.
+
+    The report goes to out (stdout); the wall time of each check goes to err
+    (stderr), one "time <name>: <seconds>s" line per check, so the report
+    lines stay free of timings.
+    """
     out = out if out is not None else sys.stdout
+    err = err if err is not None else sys.stderr
     started = time.perf_counter()
     results = run_checks(perturb_closed_form=perturb_closed_form)
+    for result in results:
+        err.write(f"time {result.name}: {result.seconds:.3f}s\n")
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         out.write(f"{status} {result.name}: {result.detail}\n")
@@ -764,6 +784,17 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return check_seed(seed)
+    except PlanError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ch-apparatus",
@@ -778,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=math.pi / 6.0, help="engraving offset")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-    demo.add_argument("--seed", type=int, default=0, help="campaign master seed")
+    demo.add_argument("--seed", type=_seed_flag, default=0, help="campaign master seed, 0 <= seed < 2**64")
     demo.add_argument("--trials", type=int, default=10**6, help="trials per setup")
     demo.add_argument("--workers", type=int, default=1)
 
@@ -821,21 +852,10 @@ def main(argv: list[str] | None = None) -> int:
             out_path = args.out if args.out is not None else config.out_path
             _emit(render_report(report, out_format), out_path)
         elif args.command == "sweep":
-            if args.out is None:
-                cmd_sweep(
-                    (args.gamma_min, args.gamma_max),
-                    (args.theta_min, args.theta_max),
-                    args.steps,
-                    sys.stdout,
-                )
-            else:
-                with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    cmd_sweep(
-                        (args.gamma_min, args.gamma_max),
-                        (args.theta_min, args.theta_max),
-                        args.steps,
-                        fh,
-                    )
+            # rendered in full first, so that a rejected sweep leaves --out untouched
+            text = io.StringIO()
+            cmd_sweep((args.gamma_min, args.gamma_max), (args.theta_min, args.theta_max), args.steps, text)
+            _emit(text.getvalue(), args.out)
         elif args.command == "check":
             return cmd_check()
         return 0

@@ -16,9 +16,14 @@ than two bands by their midpoint alone, so each probability is off by at
 most (number of arcs) * 8*EPS_ANGLE / 2*pi, about 4e-11 for 30 arcs, well
 below TABLE_TOL.
 
-The guarded arcs and their event values form an OutcomeMap.  The exact
-probabilities are read from it, and the Monte Carlo counts look sampled
-angles up in it, handing only the angles inside a guard band to run_trials.
+The partition is array-native: sorted distinct breakpoints, arc extents and
+a (arcs x 3) array of guard points.  The guarded arcs and their event values
+form an OutcomeMap.  The exact probabilities are read from it, and the Monte
+Carlo counts look sampled angles up in it, handing only the angles inside a
+guard band to run_trials.  In the modified device the stops sit on the
+engraved lines, so every setup of one engraving has the same breakpoints:
+conditional_table partitions once per engraving and evaluates all eight
+setups in one run_setups call, one row per setup.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .apparatus import (
+    ALL_SETUPS,
     MODIFIED,
     SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
@@ -38,9 +44,10 @@ from .apparatus import (
     TrialBatch,
     config_for_setup,
     fig2_lines,
+    run_setups,
     run_trials,
 )
-from .circle_geometry import EPS_ANGLE, TWO_PI, Arc, normalize, partition_circle
+from .circle_geometry import EPS_ANGLE, TWO_PI, normalize, normalize_array, partition_arrays
 
 CELLS = ("11", "10", "01", "00")
 
@@ -113,6 +120,9 @@ def stop_cell(left: bool, right: bool) -> EventPredicate:
     )
 
 
+_CELL_EVENTS = [stop_cell(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))]
+
+
 def both_stops_reached() -> EventPredicate:
     return stop_cell(True, True)
 
@@ -138,32 +148,30 @@ def _critical_angles(config: ApparatusConfig) -> list[float]:
     return [normalize(a + s) for a in anchors for s in shifts]
 
 
-def _guard_points(arcs: Sequence[Arc]) -> np.ndarray:
-    """One row per arc: the midpoint, then the points one margin inside the
-    arc ends.  An arc narrower than two margins repeats its midpoint, so it is
-    classified by the midpoint alone."""
-    rows = []
-    for arc in arcs:
-        mid = arc.midpoint()
-        if arc.extent < 2.0 * _GUARD_MARGIN:
-            rows.append((mid, mid, mid))
-        else:
-            lo = normalize(arc.start + _GUARD_MARGIN)
-            hi = normalize(arc.start + (arc.extent - _GUARD_MARGIN))
-            rows.append((mid, lo, hi))
-    return np.array(rows, dtype=np.float64)
+def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arc starts and extents of the configuration's partition, and its guard
+    points: one row per arc, the midpoint, then the points one margin inside
+    the arc ends.  An arc narrower than two margins repeats its midpoint, so
+    it is classified by the midpoint alone."""
+    starts, extents = partition_arrays(_critical_angles(config))
+    mid = normalize_array(starts + 0.5 * extents)
+    narrow = extents < 2.0 * _GUARD_MARGIN
+    lo = np.where(narrow, mid, normalize_array(starts + _GUARD_MARGIN))
+    hi = np.where(narrow, mid, normalize_array(starts + (extents - _GUARD_MARGIN)))
+    return starts, extents, np.stack((mid, lo, hi), axis=1)
 
 
 class OutcomeMap(NamedTuple):
     """Value of every event on every arc of a configuration's partition.
 
-    ``bits[k, e]`` is event e on arc k, checked constant between the outer
-    guard angles ``guard[k, 1]`` and ``guard[k, 2]``; ``guard[k, 0]`` is the
-    midpoint, the only point checked on an arc narrower than two guard
-    margins.
+    Arc k starts at ``starts[k]`` and sweeps ``extents[k]``.  ``bits[k, e]``
+    is event e on arc k, checked constant between the outer guard angles
+    ``guard[k, 1]`` and ``guard[k, 2]``; ``guard[k, 0]`` is the midpoint, the
+    only point checked on an arc narrower than two guard margins.
     """
 
-    arcs: list[Arc]
+    starts: np.ndarray
+    extents: np.ndarray
     bits: np.ndarray
     guard: np.ndarray
 
@@ -178,9 +186,8 @@ class OutcomeMap(NamedTuple):
         interior that wraps through 0 is split at 2*pi.
         """
         pieces = []
-        for k, (arc, (_mid, lo, hi)) in enumerate(zip(self.arcs, self.guard.tolist())):
-            if arc.extent < 2.0 * _GUARD_MARGIN:
-                continue
+        wide = np.flatnonzero(self.extents >= 2.0 * _GUARD_MARGIN).tolist()
+        for k, lo, hi in zip(wide, self.guard[wide, 1].tolist(), self.guard[wide, 2].tolist()):
             if lo <= hi:
                 pieces.append((lo, hi, k))
             else:
@@ -192,60 +199,90 @@ class OutcomeMap(NamedTuple):
         return edges, weights
 
 
+def _read_arcs(
+    names: Sequence[Sequence[str]],
+    values: np.ndarray,
+    partition: tuple[np.ndarray, np.ndarray, np.ndarray],
+    config_of: Callable[[int], ApparatusConfig],
+    stop_tables: bool = False,
+) -> tuple[np.ndarray, list[list[float]]]:
+    """Guarded event bits and exact probabilities for rows of events that
+    share one partition.
+
+    ``values[s, e, k, j]`` is event ``names[s][e]`` of row s (a
+    configuration, ``config_of(s)``) at guard point j of arc k.  An event
+    that differs among the guard points of an arc is not constant there, so
+    the breakpoint set is incomplete: ConsistencyError names the first such
+    row, then the first arc in circle order, then the first event in list
+    order, with the arc, its three guard angles and the config.  The guard
+    ignores the band of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc end,
+    where a boundary may sit off its breakpoint by rounding; an event that
+    changes value farther inside an arc still trips it.
+
+    Each arc takes its midpoint value, and each probability is the extent of
+    the arcs where its event holds over 2*pi, added one by one in arc order:
+    add.accumulate runs left to right, whereas sum() of floats is compensated
+    from Python 3.12 on and np.sum is pairwise, either of which would change
+    the last bits of the reports.  So each probability is accurate to
+    (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11 for 30 arcs.
+    With stop_tables, each row's events are the stop cells in CELLS order,
+    and a row whose probabilities do not sum to 1 within TABLE_TOL raises
+    right after its guard.
+
+    Returns the bits, shape (rows, events, arcs), and the probabilities.
+    """
+    starts, extents, guard = partition
+    bits = values[..., 0]
+    bad = (values != values[..., :1]).any(axis=-1)
+    probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).tolist()
+    if stop_tables or bad.any():
+        for s, row in enumerate(probabilities):
+            if bad[s].any():
+                k = int(np.flatnonzero(bad[s].any(axis=0))[0])
+                name = names[s][int(np.flatnonzero(bad[s, :, k])[0])]
+                raise ConsistencyError(
+                    f"event {name} is not constant on the arc starting at "
+                    f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
+                    f"{guard[k].tolist()!r}, config {config_of(s)!r}; breakpoint set incomplete"
+                )
+            if stop_tables:
+                table = dict(zip(CELLS, row))
+                if abs(sum(table.values()) - 1.0) > TABLE_TOL:
+                    raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
+    return bits, probabilities
+
+
+def _one_config(
+    config: ApparatusConfig, events: Sequence[EventPredicate], stop_tables: bool = False
+) -> tuple[OutcomeMap, list[float]]:
+    partition = _partition(config)
+    guard = partition[2]
+    batch = run_trials(config, guard.ravel())
+    values = np.array([event.batch(batch) for event in events], dtype=bool)
+    values = values.reshape(1, len(events), *guard.shape)
+    bits, probabilities = _read_arcs(
+        [[event.name for event in events]], values, partition, lambda _s: config, stop_tables
+    )
+    return OutcomeMap(partition[0], partition[1], bits[0].T, guard), probabilities[0]
+
+
 def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> OutcomeMap:
     """Guarded value of each event on each arc of the partition.
 
-    The guard points of every arc go through one run_trials call.  Each
-    event is evaluated at the midpoint of every arc and, on arcs at least
-    two guard margins wide, also at one margin inside each end.  A
-    disagreement among those points raises ConsistencyError: the event is
-    not constant on the arc, so the breakpoint set is incomplete.  The
-    error names the first such arc in circle order, the first event in list
-    order that changes on it, the three guard angles and the config.  The
-    guard ignores the band of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc
-    end, where a boundary may sit off its breakpoint by rounding; an event
-    that changes value farther inside an arc still trips it.  Each arc takes
-    its midpoint value.
+    The guard points of every arc go through one run_trials call; see
+    _read_arcs for the guard and its ConsistencyError.
     """
-    arcs = partition_circle(_critical_angles(config))
-    points = _guard_points(arcs)
-    batch = run_trials(config, points.ravel())
-    values = np.array([event.batch(batch) for event in events], dtype=bool)
-    values = values.reshape(len(events), *points.shape)
-    bad = (values != values[:, :, :1]).any(axis=2)
-    if bad.any():
-        k = int(np.flatnonzero(bad.any(axis=0))[0])
-        event = events[int(np.flatnonzero(bad[:, k])[0])]
-        raise ConsistencyError(
-            f"event {event.name} is not constant on the arc starting at "
-            f"{arcs[k].start!r} (extent {arcs[k].extent!r}), guard angles "
-            f"{points[k].tolist()!r}, config {config!r}; breakpoint set incomplete"
-        )
-    return OutcomeMap(arcs=arcs, bits=values[:, :, 0].T, guard=points)
+    return _one_config(config, events)[0]
 
 
 def event_probabilities(
     config: ApparatusConfig, events: Sequence[EventPredicate]
 ) -> list[float]:
-    """Exact probabilities of several events from one outcome map.
-
-    Each probability is the summed extent of the arcs on which the event
-    holds, over 2*pi.  Since each arc takes its midpoint value and the guard
-    ignores the band of _GUARD_MARGIN at each arc end, each probability is
-    accurate to (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11
-    for 30 arcs.  See outcome_map for the guard and its ConsistencyError.
+    """Exact probabilities of several events from one outcome map: the
+    summed extent of the arcs on which each event holds, over 2*pi.  See
+    _read_arcs for their accuracy, the guard and its ConsistencyError.
     """
-    omap = outcome_map(config, events)
-    probabilities = []
-    for hits in omap.bits.T.tolist():
-        # one by one in arc order: sum() of floats is compensated from
-        # Python 3.12 on, which would change the last bits of the reports
-        total = 0.0
-        for arc, hit in zip(omap.arcs, hits):
-            if hit:
-                total += arc.extent
-        probabilities.append(total / TWO_PI)
-    return probabilities
+    return _one_config(config, events)[1]
 
 
 def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
@@ -257,12 +294,7 @@ def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
     """Full 2x2 stop-reach table for a configuration with both stops active."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    cells = [stop_cell(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))]
-    values = event_probabilities(config, cells)
-    table = dict(zip(CELLS, values))
-    if abs(sum(table.values()) - 1.0) > TABLE_TOL:
-        raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
-    return table
+    return dict(zip(CELLS, _one_config(config, _CELL_EVENTS, stop_tables=True)[1]))
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:
@@ -350,19 +382,40 @@ def stop_reached(side: str) -> EventPredicate:
 
 
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
-    """Arc-measure conditional table for an arbitrary engraving."""
-    joint: dict[str, float] = {}
-    full: dict[str, dict[str, float]] = {}
-    for setup in TWO_STOP_SETUPS:
-        table = joint_probability_table(config_for_setup(lines, gamma, setup))
-        full[setup] = table
-        joint[setup] = table["11"]
-    singles: dict[str, float | None] = {}
-    for setup in SINGLE_STOP_SETUPS:
-        config = config_for_setup(lines, gamma, setup)
-        side = "left" if setup.startswith("a") else "right"
-        singles[setup] = event_probability(config, stop_reached(side))
-    return ConditionalTable(joint=joint, singles=singles, full_tables=full).validate()
+    """Arc-measure conditional table for an arbitrary engraving.
+
+    The stops sit on the engraved lines, so all eight setups share one
+    breakpoint set: the circle is partitioned once, and the guard points of
+    every setup go through one run_setups call.  Errors name the first
+    failing setup in TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
+    """
+    config = config_for_setup(lines, gamma, ALL_SETUPS[0])
+    partition = _partition(config)
+    guard = partition[2]
+    batch = run_setups(config, ALL_SETUPS, guard.ravel())
+    pairs = len(TWO_STOP_SETUPS)
+    cells = np.stack([event.batch(batch)[:pairs] for event in _CELL_EVENTS], axis=1)
+    _bits, tables = _read_arcs(
+        [[event.name for event in _CELL_EVENTS]] * pairs,
+        cells.reshape(pairs, len(_CELL_EVENTS), *guard.shape),
+        partition,
+        lambda s: config_for_setup(lines, gamma, TWO_STOP_SETUPS[s]),
+        stop_tables=True,
+    )
+    lone = [stop_reached("left" if setup.startswith("a") else "right") for setup in SINGLE_STOP_SETUPS]
+    reached = np.stack([event.batch(batch)[pairs + s] for s, event in enumerate(lone)])
+    _bits, single = _read_arcs(
+        [[event.name] for event in lone],
+        reached.reshape(len(lone), 1, *guard.shape),
+        partition,
+        lambda s: config_for_setup(lines, gamma, SINGLE_STOP_SETUPS[s]),
+    )
+    full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, tables)}
+    return ConditionalTable(
+        joint={setup: table["11"] for setup, table in full.items()},
+        singles={setup: row[0] for setup, row in zip(SINGLE_STOP_SETUPS, single)},
+        full_tables=full,
+    ).validate()
 
 
 def conditional_table_exact(gamma: float, theta: float) -> ConditionalTable:

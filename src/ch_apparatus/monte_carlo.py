@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,6 +79,7 @@ __all__ = [
     "EstimateReport",
     "phi_samples",
     "sequence_seed",
+    "check_seed",
     "kinematic_counts",
     "estimate",
     "run_sequence",
@@ -170,6 +170,17 @@ def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
     return _angles(z, tmp.view(np.float64))
 
 
+def check_seed(seed: int) -> int:
+    """Return a master seed after checking 0 <= seed < 2**64.
+
+    sequence_seed keeps only the low 64 bits, so a seed outside that range
+    would print as itself and sample another seed's streams.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise PlanError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    return seed
+
+
 def sequence_seed(master_seed: int, setup: str) -> int:
     """Per-sequence seed derived from the master seed and the setup's slot."""
     slot = ALL_SETUPS.index(setup)
@@ -238,6 +249,7 @@ class CampaignPlan:
         return fig2_lines(self.gamma, self.theta)
 
     def validate(self) -> "CampaignPlan":
+        check_seed(self.master_seed)
         self.engraving()
         seen: dict[str, SequenceSpec] = {}
         for spec in self.sequences:
@@ -408,6 +420,10 @@ def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) 
             return _count_states(config, lookup, z, tmp)
 
         if workers > 1 and len(ranges) > 1:
+            # imported here: concurrent.futures and the logging it loads add
+            # about 0.75 MB to every process, and most runs use one worker
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(count, ranges))
         else:

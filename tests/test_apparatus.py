@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ch_apparatus.apparatus import (
@@ -30,12 +30,13 @@ from ch_apparatus.apparatus import (
     fig2_config,
     fig2_lines,
     run_trial,
+    run_setups,
     run_trials,
     setup_stops,
     unmodified_config,
     validate_config,
 )
-from ch_apparatus.circle_geometry import TWO_PI, normalize
+from ch_apparatus.circle_geometry import TWO_PI, normalize, normalize_array
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -363,3 +364,48 @@ def test_config_for_setup_round_trips_all_labels():
         config = config_for_setup(lines, GAMMA, setup)
         assert config.mode == MODIFIED
         assert config._validated
+
+
+@st.composite
+def engravings(draw):
+    angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
+    a, ap, b, bp = (draw(angles) for _ in range(4))
+    assume(a != ap and b != bp)
+    gamma = draw(st.floats(min_value=1e-3, max_value=TWO_PI - 1e-3))
+    return EngravedLines(a, ap, b, bp), gamma
+
+
+@given(engravings(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+@example(engraving=(NEAR_BUDGET_LINES, 4.0), seed=0)
+@example(engraving=(EngravedLines(0.0, 2.0, 3.0, 4.5), 1.5), seed=1)
+@example(engraving=(EngravedLines(1.0, 2.0, math.nextafter(TWO_PI, 0.0), 4.5), 1.5), seed=2)
+def test_setup_rows_match_run_trials(engraving, seed):
+    lines, gamma = engraving
+    # random angles, plus every breakpoint candidate and its neighbouring floats
+    anchors = np.array([lines.by_name(name) for name in LINE_NAMES])
+    shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
+    near = normalize_array((anchors[:, None] + shifts).ravel())
+    phis = np.concatenate(
+        [
+            np.random.default_rng(seed).uniform(0.0, TWO_PI, 64),
+            near,
+            normalize_array(np.nextafter(near, -1.0)),
+            normalize_array(np.nextafter(near, 7.0)),
+        ]
+    )
+    rows = run_setups(config_for_setup(lines, gamma, "ab"), ALL_SETUPS, phis)
+    for i, setup in enumerate(ALL_SETUPS):
+        one = run_trials(config_for_setup(lines, gamma, setup), phis)
+        assert rows.r1[i].tobytes() == one.r1.tobytes(), setup
+        assert rows.r2[i].tobytes() == one.r2.tobytes(), setup
+        assert np.array_equal(rows.reached_left_stop[i], one.reached_left_stop), setup
+        assert np.array_equal(rows.reached_right_stop[i], one.reached_right_stop), setup
+        for name in LINE_NAMES:
+            assert np.array_equal(rows.crossed[name][i], one.crossed[name]), (setup, name)
+
+
+def test_run_setups_needs_modified_mode():
+    config = unmodified_config(fig2_lines(GAMMA, THETA), 1.0)
+    with pytest.raises(ConfigError, match="modified-mode"):
+        run_setups(config, ALL_SETUPS, np.zeros(3))

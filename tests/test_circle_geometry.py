@@ -7,6 +7,7 @@ directions, and a partition by critical angles tiles the circle exactly once.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from ch_apparatus.circle_geometry import (
     arc_contains,
     ccw_delta,
     normalize,
+    normalize_array,
+    partition_arrays,
     partition_circle,
 )
 
@@ -140,7 +143,44 @@ class TestPartitionCircle:
             end = normalize(a.start + a.extent)
             assert min(ccw_delta(end, b.start), ccw_delta(b.start, end)) <= 1e-12
 
+    @given(st.lists(raw_angles, max_size=30))
+    @example(points=[0.0, 2.3e-18])
+    @example(points=[1.9769467204986113, 6.283185307179585])
+    @example(points=[0.0, math.nextafter(TWO_PI, 0.0)])
+    # the breakpoints of the standard engraving at gamma = 2 * theta =
+    # 4.115437219104934, with slivers of 4.4e-16 and 8.9e-16
+    @example(
+        points=[
+            0.0, 1.9476891310302822, 2.057718609552467, 2.0577186095524675, 2.167748088074652,
+            4.005407740582751, 4.115437219104934, 4.115437219104935, 4.22546669762712, 6.173155828657402,
+        ]
+    )
+    @example(points=[1.0, 1.0000000000000009, 3.2831853071795845, -1e-18])
+    def test_arrays_match_the_list_partition(self, points):
+        normalized = [normalize(p) for p in points]
+        starts, extents = partition_arrays(normalized)
+        reference = _list_partition(normalized)
+        assert starts.tolist() == [arc.start for arc in reference]
+        assert extents.tolist() == [arc.extent for arc in reference]
+        assert partition_circle(points) == reference
+
+    @given(st.lists(st.floats(min_value=-20.0, max_value=20.0), max_size=30))
+    @example(values=[-1e-18, TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0), 4.0 * math.pi - 1e-15])
+    def test_normalize_array_matches_normalize(self, values):
+        out = normalize_array(np.array(values, dtype=np.float64))
+        assert out.tobytes() == np.array([normalize(v) for v in values], dtype=np.float64).tobytes()
+
     def test_boundary_tolerance_is_tiny(self):
         # EPS_ANGLE guards boundary membership only; it must stay far below
         # any probability tolerance used downstream
         assert EPS_ANGLE <= 1e-12
+
+
+def _list_partition(points):
+    """Reference for partition_arrays, one Arc at a time: sorted distinct
+    points, each arc running to the next, the last one wrapping to the first."""
+    points = sorted(set(points))
+    if not points:
+        return [Arc(0.0, TWO_PI)]
+    arcs = [Arc(p, q - p) for p, q in zip(points, points[1:])]
+    return arcs + [Arc(points[-1], TWO_PI - (points[-1] - points[0]))]

@@ -8,6 +8,7 @@ consistency failure.
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -285,11 +286,20 @@ class TestChecksAndExitCodes:
 
     def test_cmd_check_reports_failure_with_exit_2(self):
         out = io.StringIO()
-        code = cmd_check(perturb_closed_form=1e-6, out=out)
+        err = io.StringIO()
+        code = cmd_check(perturb_closed_form=1e-6, out=out, err=err)
         assert code == 2
         text = out.getvalue()
         assert "FAIL closed-form-vs-exact-demo" in text
         assert "FAILED checks:" in text
+        # the report lines carry no timings; each check's time goes to err
+        lines = text.splitlines()
+        assert len(lines) == 14
+        names = [re.fullmatch(r"(?:PASS|FAIL) ([a-z0-9-]+): .*", line).group(1) for line in lines[:13]]
+        assert re.fullmatch(r"FAILED checks: [a-z0-9, -]+ \(\d+\.\ds\)", lines[13])
+        times = [re.fullmatch(r"time ([a-z0-9-]+): \d+\.\d{3}s", line) for line in err.getvalue().splitlines()]
+        assert len(times) == 13 and all(times)
+        assert [m.group(1) for m in times] == names
 
     def test_main_demo_writes_file(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -329,3 +339,42 @@ class TestChecksAndExitCodes:
     def test_main_simulate_missing_config_exit_1(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+BAD_SEEDS = ["-1", str(2**64), str(2**64 + 1)]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_demo_rejects_out_of_range_seed_exit_1(self, seed, capsys):
+        assert main(["demo", "--trials", "1000", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_simulate_rejects_out_of_range_seed_exit_1(self, seed, tmp_path, capsys):
+        payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 1000, "seed": int(seed)}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert "error: campaign.seed" in captured.err
+        assert captured.out == ""
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 1000, "seed": 2**64 - 1}}
+        assert parse_config(write_config(tmp_path, payload)).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max", "--theta-min", "--theta-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sweep_rejects_non_finite_bounds_exit_1(self, flag, value, capsys):
+        assert main(["sweep", "--steps", "3", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert "error: sweep bounds must be finite" in captured.err
+        assert captured.out == ""
+
+
+    def test_rejected_sweep_leaves_out_file_untouched(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["sweep", "--gamma-min", "nan", "--out", str(out)]) == 1
+        assert out.read_text(encoding="utf-8") == "kept\n"

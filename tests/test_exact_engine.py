@@ -14,14 +14,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
+    ALL_SETUPS,
     ConfigError,
     EngravedLines,
     fig2_config,
     fig2_lines,
+    config_for_setup,
+    run_trials,
     unmodified_config,
 )
-from ch_apparatus.circle_geometry import TWO_PI
+from ch_apparatus.circle_geometry import TWO_PI, normalize, partition_circle
 from ch_apparatus.exact_engine import (
     CELLS,
     ConditionalTable,
@@ -240,6 +244,95 @@ class TestConditionalTable:
         config = fig2_config(GAMMA, THETA, "b")
         p = event_probability(config, stop_reached("right"))
         assert p == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+def _critical_without_half_shifts(config):
+    """The breakpoint set with the +-gamma/2 shifts left out: incomplete."""
+    lines = config.lines
+    anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
+    anchors += [stop for stop in (config.stops.left, config.stops.right) if stop is not None]
+    g = config.gamma
+    return [normalize(a + s) for a in anchors for s in (0.0, g, -g)]
+
+
+class TestSharedPartition:
+    # Messages frozen from the engine that partitioned each setup on its own;
+    # one engraving fails first in a two-stop setup, one in a single-stop setup.
+    @pytest.mark.parametrize(
+        "lines, gamma, message",
+        [
+            (
+                EngravedLines(0.37261016614881004, 0.21487387664823115, 0.15773628950057886, 0.0),
+                0.21487387664823115,
+                "event stops:01 is not constant on the arc starting at 0.0 (extent "
+                "0.15773628950057886), guard angles [0.07886814475028943, 4e-12, "
+                "0.15773628949657886], config ApparatusConfig(mode='modified', lines=EngravedLines("
+                "A=0.37261016614881004, A_prime=0.21487387664823115, B=0.15773628950057886, "
+                "B_prime=0.0), gamma1=None, gamma=0.21487387664823115, stops=StopPlacement("
+                "left=0.37261016614881004, right=0.0)); breakpoint set incomplete",
+            ),
+            (
+                EngravedLines(1.1739329721253928, 1.8074990466082548, 3.968375288727041, 4.186544520997088),
+                5.696916767739077,
+                "event stops:1x is not constant on the arc starting at 4.554643828167551 (extent "
+                "0.21816923227004636), guard angles [4.663728444302574, 4.554643828171551, "
+                "4.772813060433597], config ApparatusConfig(mode='modified', lines=EngravedLines("
+                "A=1.1739329721253928, A_prime=1.8074990466082548, B=3.968375288727041, "
+                "B_prime=4.186544520997088), gamma1=None, gamma=5.696916767739077, stops="
+                "StopPlacement(left=1.1739329721253928, right=None)); breakpoint set incomplete",
+            ),
+        ],
+    )
+    def test_incomplete_breakpoints_raise_the_frozen_message(self, monkeypatch, lines, gamma, message):
+        monkeypatch.setattr(exact_engine, "_critical_angles", _critical_without_half_shifts)
+        with pytest.raises(ConsistencyError) as info:
+            conditional_table(lines, gamma)
+        assert str(info.value) == message
+
+    def test_stop_tables_must_normalize(self, monkeypatch):
+        # four copies of the 11 cell sum to 4/6 on the demo engraving
+        monkeypatch.setattr(exact_engine, "_CELL_EVENTS", [stop_cell(True, True)] * 4)
+        with pytest.raises(ConsistencyError, match=r"stop-reach table does not normalize: \{'11': 0\.1666"):
+            conditional_table_exact(GAMMA, THETA)
+        with pytest.raises(ConsistencyError, match="does not normalize"):
+            joint_probability_table(fig2_config(GAMMA, THETA, "ab"))
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), min_size=4, max_size=4),
+        st.floats(min_value=1e-3, max_value=TWO_PI - 1e-3),
+    )
+    @settings(max_examples=40)
+    @example(angles=[4.642336908210131, 1.642336908211131, 2.6423369082111305, 0.6423369082091311], gamma=4.0)
+    def test_table_equals_midpoint_sums_per_setup(self, angles, gamma):
+        # every entry is the one-by-one sum, in arc order, of the arcs of the
+        # setup's own list partition whose midpoint trial has the event
+        lines = EngravedLines(*angles)
+        if lines.A == lines.A_prime or lines.B == lines.B_prime:
+            return
+        table = conditional_table(lines, gamma)
+        for setup in ALL_SETUPS:
+            config = config_for_setup(lines, gamma, setup)
+            arcs = partition_circle(exact_engine._critical_angles(config))
+            batch = run_trials(config, np.array([arc.midpoint() for arc in arcs]))
+            cells = {
+                "11": batch.reached_left_stop & batch.reached_right_stop,
+                "10": batch.reached_left_stop & ~batch.reached_right_stop,
+                "01": ~batch.reached_left_stop & batch.reached_right_stop,
+                "00": ~batch.reached_left_stop & ~batch.reached_right_stop,
+                "1x": batch.reached_left_stop,
+                "x1": batch.reached_right_stop,
+            }
+            sums = {}
+            for cell, hits in cells.items():
+                total = 0.0
+                for arc, hit in zip(arcs, hits.tolist()):
+                    if hit:
+                        total += arc.extent
+                sums[cell] = total / TWO_PI
+            if setup in table.full_tables:
+                assert table.full_tables[setup] == {c: sums[c] for c in CELLS}, setup
+            else:
+                assert table.singles[setup] == sums["1x" if setup.startswith("a") else "x1"], setup
 
 
 def test_grid_oracle_whole_table():

@@ -408,6 +408,13 @@ class TestCampaignPlan:
         with pytest.raises(PlanError, match="unknown setup"):
             SequenceSpec(setup="xy", n_trials=1, seed=0).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        # sequence_seed keeps the low 64 bits: 2**64 + 1 would alias seed 1
+        with pytest.raises(PlanError, match="0 <= seed < 2"):
+            CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1, master_seed=seed)
+        assert CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1, master_seed=2**64 - 1)
+
 
 class TestRunCampaign:
     def test_equal_trials_give_uniform_frequencies(self):
