@@ -103,7 +103,7 @@ class ExperimentConfig:
 
     gamma: float
     theta: float | None
-    lines: EngravedLines | None
+    lines: EngravedLines
     trials: dict[str, int]
     seed: int
     workers: int
@@ -126,7 +126,8 @@ def _expect_mapping(obj: Any, path: str, allowed: set[str]) -> dict:
 
 
 def _expect_number(obj: Any, path: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not math.isfinite(obj):
+    # exact for ints: one beyond the float range fails here, not in float()
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
         _fail(path, f"expected a finite number, got {obj!r}")
     return float(obj)
 
@@ -146,7 +147,11 @@ def parse_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
     top = _expect_mapping(raw, "config", {"apparatus", "campaign", "frequencies", "output"})
@@ -400,23 +405,51 @@ def _base_report(command: str, gamma: float, theta: float | None, lines: Engrave
     return {"schema": SCHEMA, "command": command, "apparatus": apparatus}
 
 
-def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
-    """Closed-form and arc-measure tables plus full analysis, no sampling."""
-    return _exact_report(gamma, theta)[0]
-
-
-def _exact_report(gamma: float, theta: float) -> tuple[dict[str, Any], ConditionalTable]:
-    """The exact report and the arc-measure table it was built from."""
-    closed = closed_form_fig2(gamma, theta)
-    exact = conditional_table_exact(gamma, theta)
+def _closed_vs_exact(closed: ConditionalTable, exact: ConditionalTable) -> float:
     diff = _table_difference(closed, exact)
     if diff > 1e-12:
         raise ConsistencyError(f"closed form and arc measures disagree by {diff!r}")
+    return diff
+
+
+def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
+    """Closed-form and arc-measure tables plus full analysis, no sampling."""
+    closed = closed_form_fig2(gamma, theta)
+    exact = conditional_table_exact(gamma, theta)
+    diff = _closed_vs_exact(closed, exact)
     report = _base_report("exact", gamma, theta, fig2_lines(gamma, theta))
     report["tables"] = {"closed_form": _table_json(closed), "exact": _table_json(exact)}
     report["analysis"] = {"exact": _analysis_json(analyze(exact, SettingFrequencies.uniform()))}
     report["feasibility"] = _feasibility_json(exact)
     report["consistency"] = {"closed_vs_exact_max_abs": diff}
+    return report
+
+
+def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], ConditionalTable]:
+    """The simulate report of a config and the arc-measure table it was built from."""
+    exact = conditional_table(config.lines, config.gamma)
+    plan = CampaignPlan.from_params(config.gamma, lines=config.lines, n_trials=config.trials, master_seed=config.seed)
+    campaign = run_campaign(plan, workers=config.workers)
+    freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
+    mc_table = campaign.table
+    # the naive analysis needs all eight entries
+    mc_complete = mc_table is not None and all(mc_table.singles[s] is not None for s in SINGLE_STOP_SETUPS)
+    report = _base_report("simulate", config.gamma, config.theta, config.lines)
+    report["frequencies_source"] = "explicit" if config.frequencies is not None else "empirical"
+    report["tables"] = {
+        "exact": _table_json(exact),
+        "monte_carlo": _table_json(mc_table) if mc_table is not None else None,
+    }
+    if config.theta is not None:
+        report["tables"]["closed_form"] = _table_json(closed_form_fig2(config.gamma, config.theta))
+    report["estimates"] = _estimates_json(campaign)
+    report["analysis"] = {
+        "exact": _analysis_json(analyze(exact, freqs)),
+        "monte_carlo": _analysis_json(analyze(mc_table, freqs)) if mc_complete else None,
+    }
+    report["feasibility"] = _feasibility_json(exact)
+    mc_diff = _table_difference(exact, mc_table) if mc_table is not None else None
+    report["consistency"] = {"exact_vs_monte_carlo_max_abs": mc_diff}
     return report, exact
 
 
@@ -427,60 +460,25 @@ def cmd_demo(
     trials: int = 10**6,
     workers: int = 1,
 ) -> dict[str, Any]:
-    """Full pipeline on one configuration: tables, campaign, analysis, feasibility."""
+    """The simulate pipeline on the standard engraving, with equal trials per
+    sequence and uniform frequencies, plus the closed-form cross-check."""
     if trials < 1:
         raise ConfigError("demo needs at least one trial per sequence")
-    report, exact = _exact_report(gamma, theta)
-    report["command"] = "demo"
-    plan = CampaignPlan.from_params(gamma, theta=theta, n_trials=trials, master_seed=seed)
-    campaign = run_campaign(plan, workers=workers)
-    report["tables"]["monte_carlo"] = _table_json(campaign.table)
-    report["estimates"] = _estimates_json(campaign)
-    report["analysis"]["monte_carlo"] = _analysis_json(
-        analyze(campaign.table, campaign.frequencies)
+    closed = closed_form_fig2(gamma, theta)
+    config = ExperimentConfig(
+        gamma=gamma, theta=theta, lines=fig2_lines(gamma, theta), trials={s: trials for s in ALL_SETUPS},
+        seed=seed, workers=workers, frequencies=SettingFrequencies.uniform(), out_format="json", out_path=None,
     )
-    mc_diff = _table_difference(exact, campaign.table)
-    report["consistency"]["exact_vs_monte_carlo_max_abs"] = mc_diff
+    report, exact = _campaign_report(config)
+    report["command"] = "demo"
+    del report["frequencies_source"]
+    report["consistency"]["closed_vs_exact_max_abs"] = _closed_vs_exact(closed, exact)
     return report
 
 
 def cmd_simulate(config: ExperimentConfig) -> dict[str, Any]:
     """Campaign and analysis as described by a parsed experiment config."""
-    lines = config.lines
-    exact = (
-        conditional_table_exact(config.gamma, config.theta)
-        if config.theta is not None
-        else conditional_table(lines, config.gamma)
-    )
-    plan = CampaignPlan.from_params(
-        config.gamma,
-        theta=config.theta,
-        lines=None if config.theta is not None else lines,
-        n_trials=config.trials,
-        master_seed=config.seed,
-    )
-    campaign = run_campaign(plan, workers=config.workers)
-    freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
-    report = _base_report("simulate", config.gamma, config.theta, lines)
-    report["frequencies_source"] = "explicit" if config.frequencies is not None else "empirical"
-    mc_table = campaign.table
-    report["tables"] = {
-        "exact": _table_json(exact),
-        "monte_carlo": _table_json(mc_table) if mc_table is not None else None,
-    }
-    if config.theta is not None:
-        report["tables"]["closed_form"] = _table_json(closed_form_fig2(config.gamma, config.theta))
-    report["estimates"] = _estimates_json(campaign)
-    report["analysis"] = {"exact": _analysis_json(analyze(exact, freqs))}
-    if mc_table is not None and all(mc_table.singles[s] is not None for s in SINGLE_STOP_SETUPS):
-        report["analysis"]["monte_carlo"] = _analysis_json(analyze(mc_table, freqs))
-    else:
-        report["analysis"]["monte_carlo"] = None
-    report["feasibility"] = _feasibility_json(exact)
-    report["consistency"] = {
-        "exact_vs_monte_carlo_max_abs": _table_difference(exact, mc_table) if mc_table is not None else None
-    }
-    return report
+    return _campaign_report(config)[0]
 
 
 SWEEP_HEADER = "gamma,theta,ch_naive,ch_primed,ch_sum,bayes_max,ch_corrected,naive_violated,corrected_violated"
@@ -811,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     demo.add_argument("--seed", type=_seed_flag, default=0, help="campaign master seed, 0 <= seed < 2**64")
     demo.add_argument("--trials", type=int, default=10**6, help="trials per setup")
-    demo.add_argument("--workers", type=int, default=1)
+    demo.add_argument("--workers", type=int, default=1, help="accepted for compatibility (>= 1); runs are serial")
 
     simulate = sub.add_parser("simulate", help="campaign driven by a JSON config file")
     simulate.add_argument("--config", type=str, required=True)

@@ -2,9 +2,9 @@
 
 Start angles come from a counter-based generator, SplitMix64 (Steele, Lea &
 Flood 2014): trial i of a sequence is a pure function of (seed, i), so any
-index range can be generated on any worker and the campaign is bitwise
-reproducible regardless of how work is split.  Its 53-bit output m becomes
-the angle angle(m) = (m * 2**-53) * 2*pi.
+index range can be generated on its own and a campaign is bitwise
+reproducible however its index range is cut into chunks.  Its 53-bit output
+m becomes the angle angle(m) = (m * 2**-53) * 2*pi.
 
 Campaigns count on m itself, through the configuration's OutcomeMap.
 angle(m) is monotone in m, so each edge e of the map has an integer
@@ -15,13 +15,14 @@ threshold by their weights, searches the thresholds only for the m in the
 other cells, and turns into float angles for the kinematics only the m in a
 guard band around a breakpoint.  The counts equal those of run_trials on
 every angle (kinematic_counts), which the tests and the check suite verify.
-The chunk buffers are allocated once per worker thread and sequence.
+Chunks are counted one after another through one pair of buffers per
+sequence; the ``workers`` arguments are checked but do not change how a run
+executes.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -392,44 +393,30 @@ def _count_states(config: ApparatusConfig, lookup: _Lookup, z: np.ndarray, tmp: 
 
 
 def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) -> SequenceResult:
-    """Run one sequence; counts are independent of the worker split.
+    """Run one sequence.
 
-    Work is cut into fixed-size index chunks and reduced in chunk order, so
-    any worker count yields identical counts.  The outcome map is built once,
-    before any chunk runs; a ConsistencyError from it means the configuration
-    breaks the exact engine's breakpoint assumption.  Each thread that counts
-    chunks allocates its chunk buffers once.
+    Trials are counted in fixed-size index chunks, in chunk order, through
+    one pair of buffers allocated once per sequence.  The outcome map is
+    built once, before any chunk runs; a ConsistencyError from it means the
+    configuration breaks the exact engine's breakpoint assumption.
+    ``workers`` must be at least 1 and is otherwise accepted for
+    compatibility only: runs are serial, and counts do not depend on how
+    the index range is split.
     """
     spec.validate()
     if workers < 1:
         raise PlanError(f"workers must be at least 1, got {workers}")
     n = spec.n_trials
-    ranges = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
-    if ranges:
+    if n > 0:
         lookup = _lookup(config)
         steps = _steps(min(n, _CHUNK))
-        local = threading.local()
-
-        def count(r: tuple[int, int]) -> np.ndarray:
-            if not hasattr(local, "buffers"):
-                local.buffers = np.empty((2, len(steps)), dtype=np.uint64)
-            size = r[1] - r[0]
-            z, tmp = local.buffers[:, :size]
-            _premix(_states(spec.seed, r[0], steps[:size], z), tmp)
-            return _count_states(config, lookup, z, tmp)
-
-        if workers > 1 and len(ranges) > 1:
-            # imported here: concurrent.futures and the logging it loads add
-            # about 0.75 MB to every process, and most runs use one worker
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(count, ranges))
-        else:
-            parts = [count(r) for r in ranges]
-        for part in parts:
-            totals += part
+        buffers = np.empty((2, len(steps)), dtype=np.uint64)
+        for lo in range(0, n, _CHUNK):
+            size = min(_CHUNK, n - lo)
+            z, tmp = buffers[:, :size]
+            _premix(_states(spec.seed, lo, steps[:size], z), tmp)
+            totals += _count_states(config, lookup, z, tmp)
     return SequenceResult(setup=spec.setup, n_trials=n, counts=dict(zip(COUNT_KEYS, totals.tolist())))
 
 

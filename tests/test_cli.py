@@ -5,14 +5,20 @@ worker count or repetition.  Exit codes: 0 success, 1 bad input, 2 internal
 consistency failure.
 """
 
+import contextlib
+import hashlib
 import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ch_apparatus.apparatus import ALL_SETUPS, ConfigError
+from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError
 from ch_apparatus.cli import (
     SCHEMA,
     SWEEP_HEADER,
@@ -24,7 +30,6 @@ from ch_apparatus.cli import (
     main,
     parse_config,
     render_report,
-    run_checks,
 )
 from ch_apparatus.inequality_analysis import SettingFrequencies
 
@@ -279,11 +284,6 @@ class TestSweep:
 
 
 class TestChecksAndExitCodes:
-    def test_fault_injection_is_detected(self):
-        results = run_checks(perturb_closed_form=1e-6)
-        failed = {r.name for r in results if not r.passed}
-        assert "closed-form-vs-exact-demo" in failed
-
     def test_cmd_check_reports_failure_with_exit_2(self):
         out = io.StringIO()
         err = io.StringIO()
@@ -296,7 +296,8 @@ class TestChecksAndExitCodes:
         lines = text.splitlines()
         assert len(lines) == 14
         names = [re.fullmatch(r"(?:PASS|FAIL) ([a-z0-9-]+): .*", line).group(1) for line in lines[:13]]
-        assert re.fullmatch(r"FAILED checks: [a-z0-9, -]+ \(\d+\.\ds\)", lines[13])
+        failed = re.fullmatch(r"FAILED checks: ([a-z0-9, -]+) \(\d+\.\ds\)", lines[13]).group(1).split(", ")
+        assert "closed-form-vs-exact-demo" in failed
         times = [re.fullmatch(r"time ([a-z0-9-]+): \d+\.\d{3}s", line) for line in err.getvalue().splitlines()]
         assert len(times) == 13 and all(times)
         assert [m.group(1) for m in times] == names
@@ -378,3 +379,183 @@ class TestInputValidation:
         out.write_text("kept\n", encoding="utf-8")
         assert main(["sweep", "--gamma-min", "nan", "--out", str(out)]) == 1
         assert out.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 200_000 + b"]" * 200_000, b"\xff\xfe{}"],
+        ids=["deeply-nested-json", "not-utf-8"],
+    )
+    def test_unreadable_config_names_its_path_exit_1(self, content, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["simulate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# Valid configs that run in a few milliseconds: at most 64 trials per setup.
+VALID_APPARATUS = st.one_of(
+    st.builds(lambda g, r: {"gamma": g, "theta": r * g}, st.floats(0.05, 3.1), st.floats(0.01, 0.99)),
+    st.builds(
+        lambda g, angles: {"gamma": g, "lines": dict(zip(LINE_NAMES, angles))},
+        st.floats(0.01, 6.27),
+        st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+    ),
+)
+VALID_CAMPAIGN = st.fixed_dictionaries(
+    {"trials": st.one_of(st.integers(1, 64), st.dictionaries(st.sampled_from(ALL_SETUPS), st.integers(0, 64)))},
+    optional={"seed": st.integers(0, 2**64 - 1), "workers": st.integers(1, 10**30)},
+)
+VALID_CONFIGS = st.fixed_dictionaries(
+    {"apparatus": VALID_APPARATUS, "campaign": VALID_CAMPAIGN},
+    optional={
+        "frequencies": st.one_of(st.just("empirical"), st.fixed_dictionaries(dict.fromkeys(TWO_STOP_SETUPS, st.just(0.25)))),
+        "output": st.fixed_dictionaries({}, optional={"format": st.sampled_from(["json", "csv"]), "path": st.none()}),
+    },
+)
+
+# Values of every JSON type, NaN, infinities and ints beyond the float range.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+BAD = st.one_of(
+    JUNK,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, -(10**400), 2**64]),
+)
+# no large trial counts, which would run for long
+BAD_TRIALS = st.one_of(JUNK, st.floats(allow_nan=True, allow_infinity=True), st.integers(-(2**70), 64))
+# no strings, which would write a file wherever the test runs
+BAD_PATH = st.one_of(st.booleans(), st.integers(), st.lists(st.integers(), max_size=2))
+FAULT_PATHS = [
+    (),
+    ("apparatus",),
+    ("apparatus", "gamma"),
+    ("apparatus", "theta"),
+    ("apparatus", "lines"),
+    *[("apparatus", "lines", name) for name in LINE_NAMES],
+    ("campaign", "trials"),
+    ("campaign", "trials", "ab"),
+    ("campaign", "seed"),
+    ("campaign", "workers"),
+    ("frequencies",),
+    *[("frequencies", s) for s in TWO_STOP_SETUPS],
+    ("output",),
+    ("output", "format"),
+    ("output", "path"),
+]
+
+
+@st.composite
+def config_files(draw):
+    """A valid config with up to three faults: a key removed, a key added, or
+    a value replaced by one of the wrong type or range."""
+    config = draw(VALID_CONFIGS)
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(FAULT_PATHS))
+        action = draw(st.sampled_from(["remove", "add", "replace"]))
+        if not path:
+            if action == "replace":
+                config = draw(JUNK)
+            elif isinstance(config, dict):
+                config["bogus"] = draw(JUNK)
+            continue
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        key = path[-1]
+        # removing campaign.trials would run the default 10**6 trials per setup
+        if action == "remove" and path != ("campaign", "trials"):
+            parent.pop(key, None)
+        elif action == "add" and isinstance(parent.get(key), dict):
+            parent[key]["bogus"] = draw(JUNK)
+        else:
+            parent[key] = draw(BAD_TRIALS if "trials" in path else BAD_PATH if key == "path" else BAD)
+    return json.dumps(config).encode("utf-8")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(config_files())
+    @example(b"[" * 200_000 + b"]" * 200_000)
+    @example(b"\xff\xfe{}")
+    @example(json.dumps({"apparatus": {"gamma": 10**400, "theta": 0.5}, "campaign": {"trials": 8}}).encode())
+    def test_simulate_exits_cleanly_on_any_config(self, content):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_bytes(content)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["simulate", "--config", str(path)])
+        if code == 0:
+            assert err.getvalue() == ""
+            assert out.getvalue()
+        else:
+            assert code == 1, err.getvalue()
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
+            assert out.getvalue() == ""
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+README_CONFIG = {
+    "apparatus": {"gamma": 1.047, "theta": 0.524},
+    "campaign": {
+        "trials": {"ab": 200000, "ab'": 100000, "a'b": 100000, "a'b'": 0},
+        "seed": 42,
+        "workers": 4,
+    },
+    "frequencies": "empirical",
+    "output": {"format": "json"},
+}
+LINES_CONFIG = {
+    "apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}},
+    "campaign": {"trials": 100000, "seed": 3, "workers": 2},
+}
+
+
+class TestFrozenReports:
+    """Digests of rendered reports, pinned so that refactors of the demo and
+    simulate pipelines keep every byte."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "546f3cd5cd1caad192d3630288a228ca6aa4099f1cde1d3d7984cf90a4999a69"),
+            (7, "4d429d722c99df81bc0f3bd45118ca58c0b118b7c15911f7fcafc118c5feb7e4"),
+            (123, "023c94950c5e90078b28bcfef3a7ec0084958d12d84e5af0383d608fb2b25a0a"),
+        ],
+        ids=["seed0", "seed7", "seed123"],
+    )
+    def test_demo_json(self, seed, digest, workers):
+        assert sha256(render_report(cmd_demo(GAMMA, THETA, seed=seed, trials=10**6, workers=workers))) == digest
+
+    def test_demo_csv(self):
+        text = render_report(cmd_demo(GAMMA, THETA, seed=7, trials=10**6, workers=2), "csv")
+        assert sha256(text) == "e2afbe9aa0bfdedaf61e07e86f5c7da63f1c95279fc8c26adb9433c9e26fb06c"
+
+    @pytest.mark.parametrize(
+        "payload, digest",
+        [
+            (README_CONFIG, "7c69a7993bc57e4eeb7e40112338f5dfb64c73c47bc795dcb01f3fcdcc75ce5a"),
+            (LINES_CONFIG, "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
+        ],
+        ids=["readme", "explicit-lines"],
+    )
+    def test_simulate(self, payload, digest, tmp_path):
+        report = cmd_simulate(parse_config(write_config(tmp_path, payload)))
+        assert sha256(render_report(report)) == digest
