@@ -183,6 +183,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 _fail(f"apparatus.lines.{name}", "required")
             values[name] = normalize(_expect_number(block[name], f"apparatus.lines.{name}"))
         lines = EngravedLines(values["A"], values["A'"], values["B"], values["B'"])
+        try:
+            config_for_setup(lines, gamma, "ab")
+        except ConfigError as exc:  # coinciding lines on one side
+            _fail("apparatus.lines", str(exc))
 
     trials = {s: 10**6 for s in ALL_SETUPS}
     seed = 0
@@ -196,6 +200,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 trials = {s: 0 for s in ALL_SETUPS}
                 for s, n in t.items():
                     trials[s] = _expect_int(n, f"campaign.trials.{s}")
+                if not any(trials[s] for s in TWO_STOP_SETUPS):
+                    _fail("campaign.trials", "no two-stop trials: setting frequencies are undefined")
             else:
                 n = _expect_int(t, "campaign.trials", minimum=1)
                 trials = {s: n for s in ALL_SETUPS}

@@ -23,7 +23,8 @@ Carlo counts look sampled angles up in it, handing only the angles inside a
 guard band to run_trials.  In the modified device the stops sit on the
 engraved lines, so every setup of one engraving has the same breakpoints:
 conditional_table partitions once per engraving and evaluates all eight
-setups in one run_setups call, one row per setup.
+setups in one run_setups call, one row per setup, and outcome_maps builds
+the maps of a campaign's setups the same way.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "both_stops_reached",
     "complement",
     "outcome_map",
+    "outcome_maps",
     "event_probability",
     "event_probabilities",
     "joint_probability_table",
@@ -175,15 +177,17 @@ class OutcomeMap(NamedTuple):
     bits: np.ndarray
     guard: np.ndarray
 
-    def lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges and per-segment event weights for counting angles in [0, 2*pi).
+    def interiors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges for counting angles in [0, 2*pi), and the arc of each
+        checked interior.
 
         ``j = np.searchsorted(edges, phi, side="right")`` is odd when phi lies
-        in the checked interior [guard[k, 1], guard[k, 2]) of some arc k, and
-        then ``weights[j]`` is that arc's bits as integers.  An even j is a
-        guard band around a breakpoint, where the map does not decide the
-        outcome; its row of ``weights`` is zero.  Bands are cyclic: an
-        interior that wraps through 0 is split at 2*pi.
+        in the checked interior [guard[k, 1], guard[k, 2]) of the arc
+        k = ``arcs[j // 2]``, and then ``bits[k]`` holds every event at phi.
+        An even j is a guard band around a breakpoint, where the map does not
+        decide the outcome.  Bands are cyclic: an interior that wraps through
+        0 is split at 2*pi.  Both arrays depend only on the partition, so the
+        maps of outcome_maps share them.
         """
         pieces = []
         wide = np.flatnonzero(self.extents >= 2.0 * _GUARD_MARGIN).tolist()
@@ -194,9 +198,7 @@ class OutcomeMap(NamedTuple):
                 pieces.extend(((lo, TWO_PI, k), (0.0, hi, k)))
         pieces.sort()
         edges = np.array([x for lo, hi, _k in pieces for x in (lo, hi)], dtype=np.float64)
-        weights = np.zeros((len(edges) + 1, self.bits.shape[1]), dtype=np.int64)
-        weights[1::2] = self.bits[[k for _lo, _hi, k in pieces]]
-        return edges, weights
+        return edges, np.array([k for _lo, _hi, k in pieces], dtype=np.intp)
 
 
 def _read_arcs(
@@ -273,6 +275,30 @@ def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> Ou
     _read_arcs for the guard and its ConsistencyError.
     """
     return _one_config(config, events)[0]
+
+
+def outcome_maps(
+    lines: EngravedLines, gamma: float, setups: Sequence[str], events: Sequence[EventPredicate]
+) -> list[OutcomeMap]:
+    """outcome_map of each stop setup of one engraving, in setup order.
+
+    As in conditional_table, the setups share one breakpoint set: the circle
+    is partitioned once, the guard points of every setup go through one
+    run_setups call, and the maps share their starts, extents and guard
+    points.  Errors name the first failing setup in the order given.
+    """
+    config = config_for_setup(lines, gamma, setups[0])
+    partition = _partition(config)
+    guard = partition[2]
+    batch = run_setups(config, setups, guard.ravel())
+    values = np.stack([event.batch(batch) for event in events], axis=1)
+    bits, _probabilities = _read_arcs(
+        [[event.name for event in events]] * len(setups),
+        values.reshape(len(setups), len(events), *guard.shape),
+        partition,
+        lambda s: config_for_setup(lines, gamma, setups[s]),
+    )
+    return [OutcomeMap(partition[0], partition[1], row.T, guard) for row in bits]
 
 
 def event_probabilities(

@@ -6,18 +6,18 @@ index range can be generated on its own and a campaign is bitwise
 reproducible however its index range is cut into chunks.  Its 53-bit output
 m becomes the angle angle(m) = (m * 2**-53) * 2*pi.
 
-Campaigns count on m itself, through the configuration's OutcomeMap.
-angle(m) is monotone in m, so each edge e of the map has an integer
-threshold t(e), the least m with angle(m) >= e, and m lies past e exactly
-when angle(m) does: the lookup on integers is exact.  A chunk locates each
-m in a grid of equal cells by a shift, counts the cells that hold no
-threshold by their weights, searches the thresholds only for the m in the
-other cells, and turns into float angles for the kinematics only the m in a
-guard band around a breakpoint.  The counts equal those of run_trials on
-every angle (kinematic_counts), which the tests and the check suite verify.
-Chunks are counted one after another through one pair of buffers per
-sequence; the ``workers`` arguments are checked but do not change how a run
-executes.
+Campaigns count on m itself, through OutcomeMaps built from one partition
+for all sequences (outcome_maps).  angle(m) is monotone in m, so each edge
+e of a map has an integer threshold t(e), the least m with angle(m) >= e,
+and m lies past e exactly when angle(m) does: the lookup on integers is
+exact.  A chunk locates each m in a grid of equal cells by a shift, bins it
+by cell, searches the thresholds only for the m in cells that hold one and
+bins those by segment, and turns into float angles for the kinematics only
+the m in a guard band around a breakpoint.  The bins are weighted once per
+sequence, so memory does not grow with the number of trials.  The counts
+equal those of run_trials on every angle (kinematic_counts), which the tests
+and the check suite verify.  Chunks run one after another; the ``workers``
+arguments are checked but do not change how a run executes.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ from .circle_geometry import TWO_PI
 from .exact_engine import (
     CELLS,
     ConditionalTable,
+    OutcomeMap,
     line_crossed,
     outcome_map,
+    outcome_maps,
     stop_cell,
     stop_reached,
 )
@@ -312,7 +314,7 @@ _TOP = 1 << 53
 
 
 class _Lookup(NamedTuple):
-    """OutcomeMap.lookup() of _COUNTED on sampler outputs, plus a grid of
+    """OutcomeMap.interiors() of one setup on sampler outputs, plus a grid of
     _GRID cells.
 
     ``thresholds[j]`` is t(e) = min{m : angle(m) >= e} of the j-th edge e
@@ -321,14 +323,15 @@ class _Lookup(NamedTuple):
     ``searchsorted(edges, angle(m), "right")``: the segment of the map, and
     so the row of ``weights``, that angle(m) falls in.  Each cell holds the
     outputs m with m >> _CELL_SHIFT equal to its index; a cell that holds no
-    threshold lies in one segment, and ``cell_weights`` holds that
-    segment's weights.  Cells that hold a threshold (``shared``) have zero
-    weights; their outputs are searched among the thresholds.
+    threshold lies in one segment, ``cell_segment``.  Cells that hold a
+    threshold (``shared``) map to segment 0, a guard band of zero weights;
+    their outputs are searched among the thresholds.  The setups of one
+    engraving share every field but ``weights``.
     """
 
     thresholds: np.ndarray
     weights: np.ndarray
-    cell_weights: np.ndarray
+    cell_segment: np.ndarray
     shared: np.ndarray
 
 
@@ -358,46 +361,62 @@ def _thresholds(edges: np.ndarray) -> np.ndarray:
     return hi.astype(np.uint64)
 
 
-def _lookup(config: ApparatusConfig) -> _Lookup:
-    edges, weights = outcome_map(config, _COUNTED).lookup()
+def _lookups(maps: list[OutcomeMap]) -> list[_Lookup]:
+    """The _Lookup of each of a list of maps over one partition."""
+    edges, arcs = maps[0].interiors()
     thresholds = _thresholds(edges)
     cell_starts = np.arange(_GRID, dtype=np.uint64) << np.uint64(_CELL_SHIFT)
-    cell_weights = weights[np.searchsorted(thresholds, cell_starts, side="right")]
+    cell_segment = np.searchsorted(thresholds, cell_starts, side="right")
     # a threshold of _TOP (an edge at 2*pi) lies past every output
     shared = np.zeros(_GRID + 1, dtype=bool)
     shared[thresholds >> np.uint64(_CELL_SHIFT)] = True
     shared = shared[:_GRID]
-    cell_weights[shared] = 0
-    return _Lookup(thresholds, weights, cell_weights, shared)
+    cell_segment[shared] = 0
+    weights = np.zeros((len(maps), len(edges) + 1, maps[0].bits.shape[1]), dtype=np.int64)
+    weights[:, 1::2] = [outcomes.bits[arcs] for outcomes in maps]
+    return [_Lookup(thresholds, rows, cell_segment, shared) for rows in weights]
 
 
-def _count_states(config: ApparatusConfig, lookup: _Lookup, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Counts of the COUNT_KEYS events over generator states z, mixed by
-    _premix; z and tmp (scratch of the same shape) are overwritten.
+class _Tally:
+    """Fixed-size histograms of one sequence: outputs per grid cell, searched
+    outputs per segment, and COUNT_KEYS counts of guard-band outputs."""
 
-    The cell of an output is read before _finish, which leaves the top bits
-    as they are.  Outputs in a cell without a threshold are counted from the
-    cell; the rest are finished and searched, and those in a guard band go
-    through kinematic_counts at their angles.
-    """
-    cells = np.right_shift(z, np.uint64(_CELL_SHIFT + 11), out=tmp).view(np.int64)
-    counts = np.bincount(cells, minlength=_GRID) @ lookup.cell_weights
-    near = z[lookup.shared[cells]]
-    m = _finish(near, np.empty_like(near)) >> np.uint64(11)
-    segment = np.searchsorted(lookup.thresholds, m, side="right")
-    hist = np.bincount(segment, minlength=len(lookup.weights))
-    counts += hist @ lookup.weights
-    if hist[::2].any():
-        counts += kinematic_counts(config, _angles(m[segment % 2 == 0]))
-    return counts
+    def __init__(self, config: ApparatusConfig, lookup: _Lookup):
+        self.config, self.lookup = config, lookup
+        self.cells = np.zeros(_GRID, dtype=np.int64)
+        self.segments = np.zeros(len(lookup.weights), dtype=np.int64)
+        self.kinematic = np.zeros(len(COUNT_KEYS), dtype=np.int64)
+
+    def add(self, z: np.ndarray, tmp: np.ndarray) -> None:
+        """Bin the outputs of states z, mixed by _premix, by cell (read before
+        _finish, which keeps the top bits) and, in shared cells, by segment;
+        z and tmp (scratch of the same shape) are overwritten."""
+        cells = np.right_shift(z, np.uint64(_CELL_SHIFT + 11), out=tmp).view(np.int64)
+        self.cells += np.bincount(cells, minlength=_GRID)
+        near = z[self.lookup.shared[cells]]
+        m = _finish(near, np.empty_like(near)) >> np.uint64(11)
+        segment = np.searchsorted(self.lookup.thresholds, m, side="right")
+        hist = np.bincount(segment, minlength=len(self.segments))
+        self.segments += hist
+        if hist[::2].any():
+            self.kinematic += kinematic_counts(self.config, _angles(m[segment % 2 == 0]))
+
+    def counts(self) -> np.ndarray:
+        """Cells join their segments, and segments count by their weights."""
+        segments = self.segments.copy()
+        np.add.at(segments, self.lookup.cell_segment, self.cells)
+        return segments @ self.lookup.weights + self.kinematic
 
 
-def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) -> SequenceResult:
+def run_sequence(
+    config: ApparatusConfig, spec: SequenceSpec, workers: int = 1, *, _shared_lookup: _Lookup | None = None
+) -> SequenceResult:
     """Run one sequence.
 
-    Trials are counted in fixed-size index chunks, in chunk order, through
-    one pair of buffers allocated once per sequence.  The outcome map is
-    built once, before any chunk runs; a ConsistencyError from it means the
+    Trials are binned in fixed-size index chunks, in chunk order, through
+    one pair of buffers, into a _Tally of fixed size counted at the end.
+    The lookup comes from run_campaign, or else from an outcome map built
+    before any chunk runs; a ConsistencyError from it means the
     configuration breaks the exact engine's breakpoint assumption.
     ``workers`` must be at least 1 and is otherwise accepted for
     compatibility only: runs are serial, and counts do not depend on how
@@ -409,14 +428,16 @@ def run_sequence(config: ApparatusConfig, spec: SequenceSpec, workers: int = 1) 
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
-        lookup = _lookup(config)
+        lookup = _lookups([outcome_map(config, _COUNTED)])[0] if _shared_lookup is None else _shared_lookup
+        tally = _Tally(config, lookup)
         steps = _steps(min(n, _CHUNK))
         buffers = np.empty((2, len(steps)), dtype=np.uint64)
         for lo in range(0, n, _CHUNK):
             size = min(_CHUNK, n - lo)
             z, tmp = buffers[:, :size]
             _premix(_states(spec.seed, lo, steps[:size], z), tmp)
-            totals += _count_states(config, lookup, z, tmp)
+            tally.add(z, tmp)
+        totals = tally.counts()
     return SequenceResult(setup=spec.setup, n_trials=n, counts=dict(zip(COUNT_KEYS, totals.tolist())))
 
 
@@ -439,10 +460,12 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
     plan.validate()
     lines = plan.engraving()
+    live = [spec.setup for spec in plan.sequences if spec.n_trials > 0]
+    lookups = dict(zip(live, _lookups(outcome_maps(lines, plan.gamma, live, _COUNTED)))) if live else {}
     results: dict[str, SequenceResult] = {}
     for spec in plan.sequences:
         config = config_for_setup(lines, plan.gamma, spec.setup)
-        results[spec.setup] = run_sequence(config, spec, workers=workers)
+        results[spec.setup] = run_sequence(config, spec, workers=workers, _shared_lookup=lookups.get(spec.setup))
     for setup in ALL_SETUPS:
         if setup not in results:
             results[setup] = SequenceResult(setup=setup, n_trials=0, counts={k: 0 for k in COUNT_KEYS})

@@ -3,7 +3,8 @@
 Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 Bland's rule everywhere, so the method cannot cycle; problems here are tiny
 (tens of rows), so a dense tableau recomputing reduced costs per pivot is
-plenty fast and easy to audit.
+plenty fast and easy to audit.  A pivot is one rank-1 update of the rows
+with a nonzero entry in its column, bitwise equal to eliminating row by row.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ def _pivot(rows: np.ndarray, rhs: np.ndarray, basis: list[int], row: int, col: i
     piv = rows[row, col]
     rows[row] /= piv
     rhs[row] /= piv
-    for i in range(rows.shape[0]):
-        if i != row and rows[i, col] != 0.0:
-            factor = rows[i, col]
-            rows[i] -= factor * rows[row]
-            rhs[i] -= factor * rhs[row]
+    factor = rows[:, col].copy()
+    factor[row] = 0.0
+    nz = np.flatnonzero(factor)
+    rows[nz] -= factor[nz, None] * rows[row]
+    rhs[nz] -= factor[nz] * rhs[row]
     basis[row] = col
 
 

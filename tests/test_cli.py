@@ -394,6 +394,27 @@ class TestInputValidation:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "lines, pair",
+        [
+            ({"A": 1.0, "A'": 1.0, "B": 0.5, "B'": 0.0}, "A and A'"),
+            ({"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.5}, "B and B'"),
+        ],
+    )
+    def test_coinciding_lines_name_their_key_exit_1(self, lines, pair, tmp_path, capsys):
+        payload = {"apparatus": {"gamma": 1.0, "lines": lines}, "campaign": {"trials": 10}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: apparatus.lines: lines {pair} must be distinct\n"
+        assert captured.out == ""
+
+    def test_trials_without_two_stop_setups_name_their_key_exit_1(self, tmp_path, capsys):
+        payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": {"a": 5, "ab": 0, "b'": 3}}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: campaign.trials: no two-stop trials: ")
+        assert captured.out == ""
+
 
 # Valid configs that run in a few milliseconds: at most 64 trials per setup.
 VALID_APPARATUS = st.one_of(

@@ -8,6 +8,7 @@ Reference points used throughout:
   singlet correlations   no-signaling, battery maximum (sqrt 2 - 1)/2
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from ch_apparatus.lhv_feasibility import (
     singlet_table,
     strategy_table,
 )
-from ch_apparatus.simplex import solve_lp
+from ch_apparatus.simplex import _pivot, solve_lp
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -238,6 +239,57 @@ class TestSolveLp:
         result = solve_lp(np.array([-1.0, -1.0]), a_ub, b_ub, None, None)
         assert result.status == "optimal"
         assert result.objective == pytest.approx(-2.0, abs=1e-9)
+
+
+def row_loop_pivot(rows, rhs, basis, row, col):
+    """The row-by-row pivot that the rank-1 update replaced, kept as its
+    reference."""
+    piv = rows[row, col]
+    rows[row] /= piv
+    rhs[row] /= piv
+    for i in range(rows.shape[0]):
+        if i != row and rows[i, col] != 0.0:
+            factor = rows[i, col]
+            rows[i] -= factor * rows[row]
+            rhs[i] -= factor * rhs[row]
+    basis[row] = col
+
+
+class TestPivotPath:
+    def test_rank_one_pivot_matches_the_row_loop_bitwise(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            m, k = rng.integers(1, 12), rng.integers(1, 30)
+            rows = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-3, 4, size=(m, k))
+            # zeros in the pivot column, small integers that cancel exactly,
+            # and signed zeros must all take the same operations
+            rows[rng.random((m, k)) < 0.3] = 0.0
+            small = rng.random((m, k)) < 0.2
+            rows[small] = rng.integers(-3, 4, size=int(small.sum()))
+            rows[rng.random((m, k)) < 0.05] = -0.0
+            rhs = rng.normal(size=m)
+            row, col = int(rng.integers(m)), int(rng.integers(k))
+            if rows[row, col] == 0.0:
+                rows[row, col] = rng.choice([-2.0, 0.5, 3.0])
+            got = (rows.copy(), rhs.copy(), list(range(m)))
+            want = (rows.copy(), rhs.copy(), list(range(m)))
+            _pivot(*got, row, col)
+            row_loop_pivot(*want, row, col)
+            assert got[0].tobytes() == want[0].tobytes(), trial
+            assert got[1].tobytes() == want[1].tobytes(), trial
+            assert got[2] == want[2]
+
+    def test_frozen_feasibility_witnesses(self):
+        # digest of the witnesses printed before the pivot became a rank-1
+        # update: the pivot path and every weight must stay bitwise the same
+        rng = np.random.default_rng(3)
+        tables = [random_no_signaling_table(rng) for _ in range(300)]
+        tables += [pr_box_table(variant) for variant in range(8)]
+        tables += [singlet_table(), demo_behavior()]
+        text = "\n".join(repr(feasible_joint(table)) for table in tables)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7e4901a7b279cb98a6aabee86aafd9945dca8122d2da4af1e38e20d3ae2d0789"
+        )
 
 
 def test_strategy_setting_dispatch():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
     TWO_STOP_SETUPS,
@@ -22,10 +23,19 @@ from ch_apparatus.apparatus import (
     fig2_lines,
     run_trials,
 )
-from ch_apparatus.circle_geometry import TWO_PI
-from ch_apparatus.exact_engine import _critical_angles, _GUARD_MARGIN, closed_form_fig2, conditional_table
+from ch_apparatus.circle_geometry import TWO_PI, normalize
+from ch_apparatus.exact_engine import (
+    _critical_angles,
+    _GUARD_MARGIN,
+    ConsistencyError,
+    closed_form_fig2,
+    conditional_table,
+    outcome_map,
+    outcome_maps,
+)
 from ch_apparatus.monte_carlo import (
     _CELL_SHIFT,
+    _CHUNK,
     _COUNTED,
     _GRID,
     COUNT_KEYS,
@@ -35,9 +45,9 @@ from ch_apparatus.monte_carlo import (
     PlanError,
     SequenceResult,
     SequenceSpec,
-    _count_states,
     _finish,
-    _lookup,
+    _lookups,
+    _Tally,
     _thresholds,
     estimate,
     phi_samples,
@@ -237,6 +247,11 @@ class TestRunSequence:
         assert outliers <= 1, f"{outliers} of 40 seeds outside 5 sigma"
 
 
+def own_lookup(config):
+    """The lookup that run_sequence builds for a configuration on its own."""
+    return _lookups([outcome_map(config, _COUNTED)])[0]
+
+
 def near_breakpoints(config, ulps=3):
     """Angles at every breakpoint and every guard-band end, give or take a
     few ulps, plus 0 and the top of [0, 2*pi)."""
@@ -270,11 +285,14 @@ def sampled_outputs(seed, n):
 
 
 def map_counts(config, lookup, ms):
-    """Chunk counts of outputs ms, fed in as states before the last xorshift
-    (whose inverse is y ^ y >> 31 ^ y >> 62); the low 11 bits are junk."""
+    """Counts of outputs ms binned as one chunk, fed in as states before the
+    last xorshift (whose inverse is y ^ y >> 31 ^ y >> 62); the low 11 bits
+    are junk."""
     y = (ms << np.uint64(11)) | np.uint64(0x5A5)
     z = y ^ (y >> np.uint64(31)) ^ (y >> np.uint64(62))
-    return _count_states(config, lookup, z, np.empty_like(z)).tolist()
+    tally = _Tally(config, lookup)
+    tally.add(z, np.empty_like(z))
+    return tally.counts().tolist()
 
 
 def in_band(lookup, ms):
@@ -318,7 +336,7 @@ class TestOutcomeMapCounts:
     @pytest.mark.parametrize("setup", ALL_SETUPS)
     def test_fig2_map_counts_match_kinematics(self, setup):
         config = fig2_config(GAMMA, THETA, setup)
-        lookup = _lookup(config)
+        lookup = own_lookup(config)
         ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(5, 20_000)])
         # the hand-made outputs reach the guard bands; sampled ones almost never do
         assert in_band(lookup, ms).any()
@@ -328,7 +346,7 @@ class TestOutcomeMapCounts:
         # B' = 0 is a breakpoint: the first output and the outputs just below
         # 2*pi lie in its band
         config = fig2_config(GAMMA, THETA, "ab'")
-        lookup = _lookup(config)
+        lookup = own_lookup(config)
         ends = np.array([0, TOP - 1, _thresholds(np.array([TWO_PI - 0.5 * _GUARD_MARGIN]))[0]], dtype=np.uint64)
         assert in_band(lookup, ends).all()
         assert map_counts(config, lookup, ends) == kinematic_reference(config, angle(ends))
@@ -344,7 +362,7 @@ class TestOutcomeMapCounts:
             config = config_for_setup(EngravedLines(*angles), gamma, setup)
         except ConfigError:
             return  # coinciding lines on one side
-        lookup = _lookup(config)
+        lookup = own_lookup(config)
         ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(11, 4096)])
         assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
 
@@ -352,7 +370,7 @@ class TestOutcomeMapCounts:
     @pytest.mark.parametrize("lines, gamma", NEAR_BUDGET)
     def test_near_budget_map_counts_match_kinematics(self, lines, gamma, setup):
         config = config_for_setup(lines, gamma, setup)
-        lookup = _lookup(config)
+        lookup = own_lookup(config)
         ms = np.concatenate([near_outputs(config, lookup), sampled_outputs(1, 4096)])
         assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
 
@@ -365,6 +383,157 @@ class TestOutcomeMapCounts:
             result = run_sequence(config, SequenceSpec(setup=setup, n_trials=5000, seed=4))
             phis = phi_samples(4, 0, 5000)
             assert list(result.counts.values()) == kinematic_reference(config, phis), setup
+
+
+def assert_lookups_equal(shared, own):
+    for field in shared._fields:
+        a, b = getattr(shared, field), getattr(own, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def shared_lookups(lines, gamma, setups):
+    return dict(zip(setups, _lookups(outcome_maps(lines, gamma, setups, _COUNTED))))
+
+
+def critical_without_half_shifts(config):
+    """The breakpoint set with the +-gamma/2 shifts left out: incomplete."""
+    lines = config.lines
+    anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
+    anchors += [stop for stop in (config.stops.left, config.stops.right) if stop is not None]
+    g = config.gamma
+    return [normalize(a + s) for a in anchors for s in (0.0, g, -g)]
+
+
+def per_sequence_counts(plan):
+    """Counts of each sequence of a plan, each run on its own lookup."""
+    lines = plan.engraving()
+    return {
+        spec.setup: run_sequence(config_for_setup(lines, plan.gamma, spec.setup), spec).counts
+        for spec in plan.sequences
+    }
+
+
+# Configurations frozen from the campaign that built one outcome map per
+# sequence; the engravings are those of test_exact_engine's TestSharedPartition.
+PROVOKED = [
+    (
+        EngravedLines(0.37261016614881004, 0.21487387664823115, 0.15773628950057886, 0.0),
+        0.21487387664823115,
+        100,
+        "event crossed(A') is not constant on the arc starting at 0.0 (extent 0.15773628950057886), guard "
+        "angles [0.07886814475028943, 4e-12, 0.15773628949657886], config ApparatusConfig(mode='modified', "
+        "lines=EngravedLines(A=0.37261016614881004, A_prime=0.21487387664823115, B=0.15773628950057886, "
+        "B_prime=0.0), gamma1=None, gamma=0.21487387664823115, stops=StopPlacement(left=0.37261016614881004, "
+        "right=0.15773628950057886)); breakpoint set incomplete",
+    ),
+    (
+        EngravedLines(0.37261016614881004, 0.21487387664823115, 0.15773628950057886, 0.0),
+        0.21487387664823115,
+        {"ab": 0, "ab'": 5, "a'b": 5, "a'b'": 5},
+        "event stops:01 is not constant on the arc starting at 0.0 (extent 0.15773628950057886), guard "
+        "angles [0.07886814475028943, 4e-12, 0.15773628949657886], config ApparatusConfig(mode='modified', "
+        "lines=EngravedLines(A=0.37261016614881004, A_prime=0.21487387664823115, B=0.15773628950057886, "
+        "B_prime=0.0), gamma1=None, gamma=0.21487387664823115, stops=StopPlacement(left=0.37261016614881004, "
+        "right=0.0)); breakpoint set incomplete",
+    ),
+    (
+        EngravedLines(1.1739329721253928, 1.8074990466082548, 3.968375288727041, 4.186544520997088),
+        5.696916767739077,
+        100,
+        "event stops:10 is not constant on the arc starting at 4.554643828167551 (extent 0.21816923227004636), "
+        "guard angles [4.663728444302574, 4.554643828171551, 4.772813060433597], config ApparatusConfig("
+        "mode='modified', lines=EngravedLines(A=1.1739329721253928, A_prime=1.8074990466082548, "
+        "B=3.968375288727041, B_prime=4.186544520997088), gamma1=None, gamma=5.696916767739077, "
+        "stops=StopPlacement(left=1.1739329721253928, right=None)); breakpoint set incomplete",
+    ),
+    (
+        EngravedLines(1.1739329721253928, 1.8074990466082548, 3.968375288727041, 4.186544520997088),
+        5.696916767739077,
+        {"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5, "a": 0, "b": 7},
+        "event crossed(B') is not constant on the arc starting at 0.5876644326848837 (extent "
+        "0.5862685394405092), guard angles [0.8807987024051382, 0.5876644326888837, 1.173932972121393], "
+        "config ApparatusConfig(mode='modified', lines=EngravedLines(A=1.1739329721253928, "
+        "A_prime=1.8074990466082548, B=3.968375288727041, B_prime=4.186544520997088), gamma1=None, "
+        "gamma=5.696916767739077, stops=StopPlacement(left=None, right=3.968375288727041)); breakpoint set "
+        "incomplete",
+    ),
+]
+
+
+class TestSharedLookup:
+    """run_campaign builds the lookups of all its sequences from one
+    partition; each must read exactly what the sequence's own lookup reads."""
+
+    def test_fig2_setups_read_their_own_lookup(self):
+        lines = fig2_lines(GAMMA, THETA)
+        shared = shared_lookups(lines, GAMMA, ALL_SETUPS)
+        for setup in ALL_SETUPS:
+            assert_lookups_equal(shared[setup], own_lookup(config_for_setup(lines, GAMMA, setup)))
+        # every field but the weights is one array for all setups
+        first = shared[ALL_SETUPS[0]]
+        assert all(lookup.thresholds is first.thresholds for lookup in shared.values())
+
+    @given(engraving_angles, st.floats(min_value=0.05, max_value=TWO_PI - 0.05), st.permutations(ALL_SETUPS),
+           st.integers(1, len(ALL_SETUPS)))
+    @settings(max_examples=40, deadline=None)
+    @example(angles=[1.0, 2.5, 4.0, 1e-13], gamma=2.0, order=list(ALL_SETUPS), live=8)
+    # A 1e-12 from A': crossed(A) flips by rounding inside an arc of a'b', so
+    # both routes must raise the same error
+    @example(
+        angles=[1e-12, 1.175494351e-38, 6.070388223748898, 5.998185184663431],
+        gamma=2.62544592207992,
+        order=["b", "ab'", "a'b'", "b'", "a", "a'", "ab", "a'b"],
+        live=4,
+    )
+    def test_arbitrary_setups_read_their_own_lookup(self, angles, gamma, order, live):
+        lines = EngravedLines(*angles)
+        if lines.A == lines.A_prime or lines.B == lines.B_prime:
+            return
+        own = {}
+        for setup in order[:live]:
+            try:
+                own[setup] = own_lookup(config_for_setup(lines, gamma, setup))
+            except ConsistencyError as exc:
+                # the shared route names the same first failing setup
+                with pytest.raises(ConsistencyError) as info:
+                    shared_lookups(lines, gamma, order[:live])
+                assert str(info.value) == str(exc)
+                return
+        shared = shared_lookups(lines, gamma, order[:live])
+        for setup, lookup in own.items():
+            assert_lookups_equal(shared[setup], lookup)
+
+    @pytest.mark.parametrize("lines, gamma", NEAR_BUDGET)
+    def test_near_budget_setups_read_their_own_lookup(self, lines, gamma):
+        shared = shared_lookups(lines, gamma, ALL_SETUPS)
+        for setup in ALL_SETUPS:
+            assert_lookups_equal(shared[setup], own_lookup(config_for_setup(lines, gamma, setup)))
+
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            {"ab": 1, "ab'": _CHUNK - 1, "a'b": _CHUNK, "a'b'": _CHUNK + 1},
+            {"ab": 3 * _CHUNK + 17, "ab'": 1, "a'b": 2, "a'b'": _CHUNK, "a": 0, "a'": 1, "b": _CHUNK + 1, "b'": 0},
+            {s: 1 for s in ALL_SETUPS},
+        ],
+    )
+    @pytest.mark.parametrize(
+        "lines, gamma",
+        [(fig2_lines(GAMMA, THETA), GAMMA), (EngravedLines(1.5, 1.0, 0.5, 0.0), 1.0), NEAR_BUDGET[0]],
+        ids=["fig2", "explicit", "near-budget"],
+    )
+    def test_campaign_counts_equal_per_sequence_counts(self, lines, gamma, trials):
+        plan = CampaignPlan.from_params(gamma, lines=lines, n_trials=trials, master_seed=99)
+        report = run_campaign(plan)
+        assert {s: r.counts for s, r in report.results.items()} == per_sequence_counts(plan)
+        assert {s: r.n_trials for s, r in report.results.items()} == {s: trials.get(s, 0) for s in ALL_SETUPS}
+
+    @pytest.mark.parametrize("lines, gamma, trials, message", PROVOKED)
+    def test_incomplete_breakpoints_name_the_first_live_setup(self, monkeypatch, lines, gamma, trials, message):
+        monkeypatch.setattr(exact_engine, "_critical_angles", critical_without_half_shifts)
+        with pytest.raises(ConsistencyError) as info:
+            run_campaign(CampaignPlan.from_params(gamma, lines=lines, n_trials=trials, master_seed=1))
+        assert str(info.value) == message
 
 
 class TestCampaignPlan:
