@@ -193,7 +193,9 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
     Rotations are resolved in time order: whichever body meets its stop
     first is blocked there, the other continues until its own stop or until
     the mutual budget gamma is exhausted.  Ties between reaching a stop and
-    exhausting the budget resolve in favor of the stop.
+    exhausting the budget resolve in favor of the stop.  A body held at its
+    own stop crosses a line of its side that lies on its path or at most
+    EPS_ANGLE past the stop, a span that is constant along any arc.
     """
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
@@ -240,13 +242,23 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
     for name in ("A", "A'"):
         line = lines.by_name(name)
         d = ccw_delta(phi, line)
-        hit = _fits_budget(g, ccw_delta(right, line), d + d2) if after_right else d <= r1 + EPS_ANGLE
+        if after_right:
+            hit = _fits_budget(g, ccw_delta(right, line), d + d2)
+        elif reached_left:
+            hit = d <= r1 or ccw_delta(left, line) <= EPS_ANGLE
+        else:
+            hit = d <= r1 + EPS_ANGLE
         if hit:
             crossed.append(name)
     for name in ("B", "B'"):
         line = lines.by_name(name)
         d = ccw_delta(line, phi)
-        hit = _fits_budget(g, ccw_delta(line, left), d + d1) if after_left else d <= r2 + EPS_ANGLE
+        if after_left:
+            hit = _fits_budget(g, ccw_delta(line, left), d + d1)
+        elif reached_right:
+            hit = d <= r2 or ccw_delta(line, right) <= EPS_ANGLE
+        else:
+            hit = d <= r2 + EPS_ANGLE
         if hit:
             crossed.append(name)
 
@@ -336,11 +348,18 @@ def _run_rows(
 
     reach1 = r1 + EPS_ANGLE
     reach2 = r2 + EPS_ANGLE
+    # a body held at its own stop crosses a line on its path or at most
+    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
+    # same unless the span from some row's stop to the line is in
+    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
     crossed = {}
     for name in ("A", "A'"):
         line = lines.by_name(name)
         d = _ccw_delta_vec(phis, line)
         crossed[name] = d <= reach1
+        if any(0.0 < ccw_delta(x, line) <= 2.0 * EPS_ANGLE for x in lefts if x is not None):
+            held = (d <= r1) | (_ccw_delta_vec(left, line) <= EPS_ANGLE)
+            crossed[name] = np.where(reached_left, held, crossed[name])
         if after_right is not None:
             fits = _fits_budget(g, _ccw_delta_vec(right, line), d + d2)
             crossed[name] = np.where(after_right, fits, crossed[name])
@@ -348,6 +367,9 @@ def _run_rows(
         line = lines.by_name(name)
         d = _ccw_delta_vec(line, phis)
         crossed[name] = d <= reach2
+        if any(0.0 < ccw_delta(line, x) <= 2.0 * EPS_ANGLE for x in rights if x is not None):
+            held = (d <= r2) | (_ccw_delta_vec(line, right) <= EPS_ANGLE)
+            crossed[name] = np.where(reached_right, held, crossed[name])
         if after_left is not None:
             fits = _fits_budget(g, _ccw_delta_vec(line, left), d + d1)
             crossed[name] = np.where(after_left, fits, crossed[name])

@@ -7,17 +7,17 @@ reproducible however its index range is cut into chunks.  Its 53-bit output
 m becomes the angle angle(m) = (m * 2**-53) * 2*pi.
 
 Campaigns count on m itself, through OutcomeMaps built from one partition
-for all sequences (outcome_maps).  angle(m) is monotone in m, so each edge
-e of a map has an integer threshold t(e), the least m with angle(m) >= e,
-and m lies past e exactly when angle(m) does: the lookup on integers is
-exact.  A chunk locates each m in a grid of equal cells by a shift, bins it
-by cell, searches the thresholds only for the m in cells that hold one and
-bins those by segment, and turns into float angles for the kinematics only
-the m in a guard band around a breakpoint.  The bins are weighted once per
-sequence, so memory does not grow with the number of trials.  The counts
-equal those of run_trials on every angle (kinematic_counts), which the tests
-and the check suite verify.  Chunks run one after another; the ``workers``
-arguments are checked but do not change how a run executes.
+for all sequences (outcome_maps).  A chunk locates each m in a grid of equal
+cells by a shift and bins it by cell.  angle(m) is monotone in m, so a cell
+whose outputs all lie on one side of every edge of the map lies in one
+segment; only the m in the few cells where an edge falls between outputs
+become angles, are searched among the edges and binned by segment, and of
+those only the ones in a guard band around a breakpoint run through the
+kinematics.  The bins are weighted once per sequence, so memory does not
+grow with the number of trials.  The counts equal those of run_trials on
+every angle (kinematic_counts), which the tests and the check suite verify.
+Chunks run one after another; the ``workers`` arguments are checked but do
+not change how a run executes.
 """
 
 from __future__ import annotations
@@ -310,71 +310,53 @@ def kinematic_counts(config: ApparatusConfig, phis: np.ndarray) -> np.ndarray:
 # bits, m >> _CELL_SHIFT.
 _GRID = 4096
 _CELL_SHIFT = 41  # 2**53 outputs over _GRID cells
-_TOP = 1 << 53
 
 
 class _Lookup(NamedTuple):
-    """OutcomeMap.interiors() of one setup on sampler outputs, plus a grid of
-    _GRID cells.
+    """OutcomeMap.interiors() of one setup, plus a grid of _GRID cells of
+    sampler outputs.
 
-    ``thresholds[j]`` is t(e) = min{m : angle(m) >= e} of the j-th edge e
-    (_TOP when no output reaches e).  angle is monotone in m, so
-    ``searchsorted(thresholds, m, "right")`` equals
-    ``searchsorted(edges, angle(m), "right")``: the segment of the map, and
-    so the row of ``weights``, that angle(m) falls in.  Each cell holds the
-    outputs m with m >> _CELL_SHIFT equal to its index; a cell that holds no
-    threshold lies in one segment, ``cell_segment``.  Cells that hold a
-    threshold (``shared``) map to segment 0, a guard band of zero weights;
-    their outputs are searched among the thresholds.  The setups of one
-    engraving share every field but ``weights``.
+    ``searchsorted(edges, angle(m), "right")`` is the segment of the map,
+    and so the row of ``weights``, that output m falls in.  Each cell holds
+    the outputs m with m >> _CELL_SHIFT equal to its index; angle is
+    monotone in m, so a cell whose outputs all lie on one side of every edge
+    lies in one segment, ``cell_segment``.  Cells that hold the least output
+    reaching some edge (``shared``) map to segment 0, a guard band of zero
+    weights; the angles of their outputs are searched among the edges.  The
+    setups of one engraving share every field but ``weights``.
     """
 
-    thresholds: np.ndarray
+    edges: np.ndarray
     weights: np.ndarray
     cell_segment: np.ndarray
     shared: np.ndarray
 
 
-def _thresholds(edges: np.ndarray) -> np.ndarray:
-    """t(e) = min{m in [0, 2**53] : angle(m) >= e} for each edge e in
-    [0, 2*pi].
+def _grid(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment of each cell's first output (0 in a shared cell), and the
+    shared cells: those that hold the least output t(e) = min{m : angle(m)
+    >= e} reaching an edge e.
 
-    Outputs run up to 2**53 - 1; angle(2**53) is 2*pi, so t(e) = 2**53 when
-    no output reaches e.  Bisection keeps angle(lo) < e <= angle(hi), which
-    angle(-1) < 0 and angle(2**53) = 2*pi satisfy for any such e.  It starts
-    from a bracket of a few outputs around e * 2**53 / 2*pi, which rounding
-    strays from by at most one; an edge whose bracket fails the check starts
-    from the whole range instead.
+    t(e) lies in the first cell whose last output reaches e; an edge that no
+    output reaches (one at 2*pi) gives index _GRID and holds no cell.
     """
-    guess = (edges * (_TOP / TWO_PI)).astype(np.int64)
-    lo = np.maximum(guess - 4, -1)
-    hi = np.minimum(guess + 4, _TOP)
-    stray = (_angles(lo) >= edges) | (_angles(hi) < edges)
-    lo[stray] = -1
-    hi[stray] = _TOP
-    while (hi - lo > 1).any():
-        # once hi = lo + 1, mid = lo and angle(lo) < e keep both
-        mid = (lo + hi) >> 1
-        reached = _angles(mid) >= edges
-        hi = np.where(reached, mid, hi)
-        lo = np.where(reached, lo, mid)
-    return hi.astype(np.uint64)
+    starts = np.arange(_GRID, dtype=np.uint64) << np.uint64(_CELL_SHIFT)
+    cell_segment = np.searchsorted(edges, _angles(starts), side="right")
+    lasts = _angles(starts + np.uint64((1 << _CELL_SHIFT) - 1))
+    shared = np.zeros(_GRID + 1, dtype=bool)
+    shared[np.searchsorted(lasts, edges, side="left")] = True
+    shared = shared[:_GRID]
+    cell_segment[shared] = 0
+    return cell_segment, shared
 
 
 def _lookups(maps: list[OutcomeMap]) -> list[_Lookup]:
     """The _Lookup of each of a list of maps over one partition."""
     edges, arcs = maps[0].interiors()
-    thresholds = _thresholds(edges)
-    cell_starts = np.arange(_GRID, dtype=np.uint64) << np.uint64(_CELL_SHIFT)
-    cell_segment = np.searchsorted(thresholds, cell_starts, side="right")
-    # a threshold of _TOP (an edge at 2*pi) lies past every output
-    shared = np.zeros(_GRID + 1, dtype=bool)
-    shared[thresholds >> np.uint64(_CELL_SHIFT)] = True
-    shared = shared[:_GRID]
-    cell_segment[shared] = 0
+    cell_segment, shared = _grid(edges)
     weights = np.zeros((len(maps), len(edges) + 1, maps[0].bits.shape[1]), dtype=np.int64)
     weights[:, 1::2] = [outcomes.bits[arcs] for outcomes in maps]
-    return [_Lookup(thresholds, rows, cell_segment, shared) for rows in weights]
+    return [_Lookup(edges, rows, cell_segment, shared) for rows in weights]
 
 
 class _Tally:
@@ -389,17 +371,18 @@ class _Tally:
 
     def add(self, z: np.ndarray, tmp: np.ndarray) -> None:
         """Bin the outputs of states z, mixed by _premix, by cell (read before
-        _finish, which keeps the top bits) and, in shared cells, by segment;
+        _finish, which keeps the top bits) and, in shared cells, by the
+        segment of their angles, which also feed the guard-band kinematics;
         z and tmp (scratch of the same shape) are overwritten."""
         cells = np.right_shift(z, np.uint64(_CELL_SHIFT + 11), out=tmp).view(np.int64)
         self.cells += np.bincount(cells, minlength=_GRID)
         near = z[self.lookup.shared[cells]]
-        m = _finish(near, np.empty_like(near)) >> np.uint64(11)
-        segment = np.searchsorted(self.lookup.thresholds, m, side="right")
+        phis = _angles(_finish(near, np.empty_like(near)) >> np.uint64(11))
+        segment = np.searchsorted(self.lookup.edges, phis, side="right")
         hist = np.bincount(segment, minlength=len(self.segments))
         self.segments += hist
         if hist[::2].any():
-            self.kinematic += kinematic_counts(self.config, _angles(m[segment % 2 == 0]))
+            self.kinematic += kinematic_counts(self.config, phis[segment % 2 == 0])
 
     def counts(self) -> np.ndarray:
         """Cells join their segments, and segments count by their weights."""

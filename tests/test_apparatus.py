@@ -36,7 +36,7 @@ from ch_apparatus.apparatus import (
     unmodified_config,
     validate_config,
 )
-from ch_apparatus.circle_geometry import TWO_PI, normalize, normalize_array
+from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, normalize_array
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -326,10 +326,21 @@ NEAR_BUDGET_LINES = EngravedLines(
 )
 
 
-@pytest.mark.parametrize("setup", ALL_SETUPS)
-def test_near_budget_outcomes_are_constant_along_the_arc(setup):
-    config = config_for_setup(NEAR_BUDGET_LINES, 4.0, setup)
-    sample = np.linspace(0.65, 1.63, 4001)
+# Line A sits 1e-12 (one EPS_ANGLE, give or take rounding) past line A' at
+# 1.2e-38.  Body 1 held at a stop on A' crosses A when that span is at most
+# EPS_ANGLE; decided from per-phi distances as d <= r1 + EPS_ANGLE, crossed(A)
+# flipped by rounding along the arc [4.970462346140627, +1.0277].
+HELD_LINES = EngravedLines(1e-12, 1.175494351e-38, 6.070388223748898, 5.998185184663431)
+HELD_GAMMA = 2.62544592207992
+# The mirror image: body 2 held at B' = 0 and line B 1e-12 clockwise past it.
+HELD_MIRROR = EngravedLines(
+    *(normalize(-x) for x in (HELD_LINES.B, HELD_LINES.B_prime, HELD_LINES.A, HELD_LINES.A_prime))
+)
+
+
+def assert_constant_along(config, sample):
+    """Every outcome flag is constant over the sample, and run_trial agrees
+    with run_trials at every 250th angle."""
     batch = run_trials(config, sample)
     fields = {"left": batch.reached_left_stop, "right": batch.reached_right_stop, **batch.crossed}
     for name, values in fields.items():
@@ -340,6 +351,18 @@ def test_near_budget_outcomes_are_constant_along_the_arc(setup):
         assert bool(batch.reached_left_stop[i]) == out.reached_left_stop
         assert bool(batch.reached_right_stop[i]) == out.reached_right_stop
         assert {n for n in LINE_NAMES if batch.crossed[n][i]} == out.crossed
+
+
+@pytest.mark.parametrize("setup", ALL_SETUPS)
+def test_near_budget_outcomes_are_constant_along_the_arc(setup):
+    assert_constant_along(config_for_setup(NEAR_BUDGET_LINES, 4.0, setup), np.linspace(0.65, 1.63, 4001))
+
+
+@pytest.mark.parametrize("setup", ALL_SETUPS)
+@pytest.mark.parametrize("lines, lo, hi", [(HELD_LINES, 4.9705, 5.9981), (HELD_MIRROR, 0.2851, 1.3127)],
+                         ids=["left", "right"])
+def test_held_body_outcomes_are_constant_along_the_arc(lines, lo, hi, setup):
+    assert_constant_along(config_for_setup(lines, HELD_GAMMA, setup), np.linspace(lo, hi, 4001))
 
 
 def test_perfect_correlation_in_setup_ab():
@@ -380,6 +403,7 @@ def engravings(draw):
 @example(engraving=(NEAR_BUDGET_LINES, 4.0), seed=0)
 @example(engraving=(EngravedLines(0.0, 2.0, 3.0, 4.5), 1.5), seed=1)
 @example(engraving=(EngravedLines(1.0, 2.0, math.nextafter(TWO_PI, 0.0), 4.5), 1.5), seed=2)
+@example(engraving=(HELD_LINES, HELD_GAMMA), seed=3)
 def test_setup_rows_match_run_trials(engraving, seed):
     lines, gamma = engraving
     # random angles, plus every breakpoint candidate and its neighbouring floats
@@ -403,6 +427,35 @@ def test_setup_rows_match_run_trials(engraving, seed):
         assert np.array_equal(rows.reached_right_stop[i], one.reached_right_stop), setup
         for name in LINE_NAMES:
             assert np.array_equal(rows.crossed[name][i], one.crossed[name]), (setup, name)
+
+
+@given(engravings(), st.integers(0, 3), st.sampled_from([1.0, -1.0]), st.integers(-3, 3),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40)
+@example(engraving=(HELD_LINES, HELD_GAMMA), line=1, sign=1.0, ulps=0, seed=0)
+def test_held_body_batch_matches_scalar(engraving, line, sign, ulps, seed):
+    # the other line of one side moved EPS_ANGLE, give or take a few ulps,
+    # from this one: run_trials takes the exact held-body test only for
+    # spans near EPS_ANGLE, run_trial always
+    lines, gamma = engraving
+    angles = [lines.by_name(name) for name in LINE_NAMES]
+    moved = normalize(angles[line] + sign * EPS_ANGLE)
+    for _ in range(abs(ulps)):
+        moved = math.nextafter(moved, math.copysign(math.inf, ulps))
+    angles[line ^ 1] = normalize(moved)
+    assume(angles[0] != angles[1] and angles[2] != angles[3])
+    lines = EngravedLines(*angles)
+    shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
+    near = normalize_array((np.array(angles)[:, None] + shifts).ravel())
+    phis = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, 16), near,
+                           normalize_array(np.nextafter(near, -1.0)), normalize_array(np.nextafter(near, 7.0))])
+    for setup in ALL_SETUPS:
+        config = config_for_setup(lines, gamma, setup)
+        batch = run_trials(config, phis)
+        for i, phi in enumerate(phis.tolist()):
+            out = run_trial(config, phi)
+            assert (batch.r1[i], batch.r2[i]) == (out.r1, out.r2), (setup, phi)
+            assert {n for n in LINE_NAMES if batch.crossed[n][i]} == out.crossed, (setup, phi)
 
 
 def test_run_setups_needs_modified_mode():

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ch_apparatus import cli
 from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError
 from ch_apparatus.cli import (
     SCHEMA,
@@ -31,6 +32,7 @@ from ch_apparatus.cli import (
     parse_config,
     render_report,
 )
+from ch_apparatus.exact_engine import ConsistencyError
 from ch_apparatus.inequality_analysis import SettingFrequencies
 
 GAMMA = math.pi / 3.0
@@ -192,6 +194,25 @@ class TestReports:
         with pytest.raises(ValueError):
             render_report(cmd_exact(GAMMA, THETA), "yaml")
 
+    @pytest.mark.parametrize("out_format", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_numbers_name_their_path(self, value, out_format):
+        nested = {
+            "report.tables.exact.joint.ab'": {"tables": {"exact": {"joint": {"ab": 0.5, "ab'": value}}}},
+            "report.rows[1][1]": {"schema": SCHEMA, "rows": [{"x": 1.0}, [0.0, value]]},
+        }
+        for path, report in nested.items():
+            with pytest.raises(ConsistencyError) as info:
+                render_report(report, out_format)
+            assert str(info.value) == f"non-finite number at {path}"
+
+    def test_non_finite_report_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_exact", lambda gamma, theta: {"schema": SCHEMA, "rows": [{"x": [1.0, math.inf]}]})
+        assert main(["exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "internal consistency failure: non-finite number at report.rows[0].x[1]\n"
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_small_campaign(self, tmp_path):
@@ -231,6 +252,16 @@ class TestSimulate:
         assert corrected["AB'"] == 0.0
         assert corrected["A'B"] == 0.0
         assert corrected["A'B'"] == 0.0
+
+    def test_line_within_eps_of_a_stop_exits_0(self, tmp_path, capsys):
+        # A sits 1e-12 past A': a body held at a stop on A' crosses A by that
+        # span, so the maps of a'b and a'b' build and the campaign runs
+        lines = {"A": 1e-12, "A'": 1.175494351e-38, "B": 6.070388223748898, "B'": 5.998185184663431}
+        payload = {"apparatus": {"gamma": 2.62544592207992, "lines": lines}, "campaign": {"trials": 2000, "seed": 5}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["command"] == "simulate"
 
     def test_zero_single_stop_trials_marked_exact_only(self, tmp_path):
         payload = {

@@ -46,9 +46,9 @@ from ch_apparatus.monte_carlo import (
     SequenceResult,
     SequenceSpec,
     _finish,
+    _grid,
     _lookups,
     _Tally,
-    _thresholds,
     estimate,
     phi_samples,
     run_campaign,
@@ -77,6 +77,21 @@ def oracle_outputs(seed, start, stop):
 def angle(m):
     """Start angle of 53-bit sampler outputs m (any integer, -1 and 2**53 too)."""
     return np.asarray(m, dtype=np.float64) * 2.0**-53 * TWO_PI
+
+
+def least_output(edges):
+    """t(e) = min{m in [0, 2**53] : angle(m) >= e} of each edge e in
+    [0, 2*pi], by bisection over the whole range: 2**53 when no output
+    reaches e.  angle(-1) < 0 and angle(2**53) = 2*pi bracket every such e."""
+    edges = np.asarray(edges, dtype=np.float64)
+    lo = np.full(edges.shape, -1, dtype=np.int64)
+    hi = np.full(edges.shape, TOP, dtype=np.int64)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) >> 1
+        reached = angle(mid) >= edges
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, mid)
+    return hi
 
 
 class TestPhiSamples:
@@ -270,12 +285,12 @@ def near_breakpoints(config, ulps=3):
 
 
 def near_outputs(config, lookup, steps=3):
-    """Sampler outputs at the threshold of every angle of near_breakpoints,
-    at every threshold of the lookup and at every grid-cell boundary, give
-    or take a few outputs, plus 0 and 2**53 - 1."""
+    """Sampler outputs at the least output reaching every angle of
+    near_breakpoints and every edge of the lookup, and at every grid-cell
+    boundary, give or take a few outputs, plus 0 and 2**53 - 1."""
     cell_starts = np.arange(_GRID + 1, dtype=np.int64) << _CELL_SHIFT
-    centers = np.concatenate([_thresholds(near_breakpoints(config)).astype(np.int64),
-                              lookup.thresholds.astype(np.int64), cell_starts, [0, TOP - 1]])
+    centers = np.concatenate([least_output(near_breakpoints(config)), least_output(lookup.edges),
+                              cell_starts, [0, TOP - 1]])
     ms = (centers[:, None] + np.arange(-steps, steps + 1)).ravel()
     return np.unique(ms[(ms >= 0) & (ms < TOP)]).astype(np.uint64)
 
@@ -296,7 +311,7 @@ def map_counts(config, lookup, ms):
 
 
 def in_band(lookup, ms):
-    return np.searchsorted(lookup.thresholds, ms, side="right") % 2 == 0
+    return np.searchsorted(lookup.edges, angle(ms), side="right") % 2 == 0
 
 
 def kinematic_reference(config, phis):
@@ -329,9 +344,35 @@ class TestOutcomeMapCounts:
     @example(float(np.nextafter(TWO_PI, 0.0)))
     @example(5e-324)
     def test_threshold_is_the_least_output_reaching_the_edge(self, e):
-        t = int(_thresholds(np.array([e]))[0])
+        t = int(least_output([e])[0])
         assert 0 <= t <= TOP
         assert angle(t - 1) < e <= angle(t)
+
+    @given(st.lists(st.tuples(st.integers(0, _GRID), st.integers(-2, 2), st.integers(-1, 1)), min_size=1, max_size=12))
+    @settings(max_examples=200)
+    @example([(0, -2, -1), (0, 0, 0), (0, 0, 1), (0, 1, -1)])
+    @example([(_GRID, -2, 0), (_GRID, -1, 0), (_GRID, 0, -1), (_GRID, 0, 0), (_GRID, 0, 1)])
+    # the first output of cell 2833 shares its angle with the last of cell
+    # 2832, so that cell is not shared but its first output reaches the edge
+    @example([(2833, 0, 0)])
+    def test_grid_is_the_integer_rule_on_least_outputs(self, marks):
+        # edges at the angles of outputs within 2 of a cell boundary, each
+        # also an ulp either way; the reference places each edge's least
+        # output in its cell by a shift and the cell starts among them
+        edges = []
+        for cell, step, ulp in marks:
+            e = angle(min(max((cell << _CELL_SHIFT) + step, 0), TOP))
+            edges.append(min(max(np.nextafter(e, ulp * np.inf) if ulp else e, 0.0), TWO_PI))
+        edges = np.unique(edges)
+        t = least_output(edges)
+        shared = np.zeros(_GRID + 1, dtype=bool)
+        shared[t >> _CELL_SHIFT] = True
+        shared = shared[:_GRID]
+        segment = np.searchsorted(t, np.arange(_GRID, dtype=np.int64) << _CELL_SHIFT, side="right")
+        segment[shared] = 0
+        cell_segment, got_shared = _grid(edges)
+        assert np.array_equal(got_shared, shared)
+        assert cell_segment.dtype == segment.dtype and np.array_equal(cell_segment, segment)
 
     @pytest.mark.parametrize("setup", ALL_SETUPS)
     def test_fig2_map_counts_match_kinematics(self, setup):
@@ -347,7 +388,7 @@ class TestOutcomeMapCounts:
         # 2*pi lie in its band
         config = fig2_config(GAMMA, THETA, "ab'")
         lookup = own_lookup(config)
-        ends = np.array([0, TOP - 1, _thresholds(np.array([TWO_PI - 0.5 * _GUARD_MARGIN]))[0]], dtype=np.uint64)
+        ends = np.array([0, TOP - 1, least_output([TWO_PI - 0.5 * _GUARD_MARGIN])[0]], dtype=np.uint64)
         assert in_band(lookup, ends).all()
         assert map_counts(config, lookup, ends) == kinematic_reference(config, angle(ends))
 
@@ -357,6 +398,10 @@ class TestOutcomeMapCounts:
     @example(angles=[1.0, 2.5, 4.0, 5.0], gamma=2.0, setup="ab")
     @example(angles=[1.0, 2.5, 4.0, 1e-13], gamma=2.0, setup="ab'")
     @example(angles=[1.0, 2.5, 4.0, TWO_PI - 1e-13], gamma=2.0, setup="ab'")
+    # A 1e-12 past the stop A': crossed(A) of the held body is decided from
+    # that span, not from rounded per-phi distances
+    @example(angles=[1e-12, 1.175494351e-38, 6.070388223748898, 5.998185184663431], gamma=2.62544592207992,
+             setup="a'b")
     def test_arbitrary_map_counts_match_kinematics(self, angles, gamma, setup):
         try:
             config = config_for_setup(EngravedLines(*angles), gamma, setup)
@@ -471,14 +516,14 @@ class TestSharedLookup:
             assert_lookups_equal(shared[setup], own_lookup(config_for_setup(lines, GAMMA, setup)))
         # every field but the weights is one array for all setups
         first = shared[ALL_SETUPS[0]]
-        assert all(lookup.thresholds is first.thresholds for lookup in shared.values())
+        assert all(lookup.edges is first.edges for lookup in shared.values())
 
     @given(engraving_angles, st.floats(min_value=0.05, max_value=TWO_PI - 0.05), st.permutations(ALL_SETUPS),
            st.integers(1, len(ALL_SETUPS)))
     @settings(max_examples=40, deadline=None)
     @example(angles=[1.0, 2.5, 4.0, 1e-13], gamma=2.0, order=list(ALL_SETUPS), live=8)
-    # A 1e-12 from A': crossed(A) flips by rounding inside an arc of a'b', so
-    # both routes must raise the same error
+    # A 1e-12 past A': the maps of a'b' and a'b, where body 1 is held at A',
+    # build, since crossed(A) is decided from that span
     @example(
         angles=[1e-12, 1.175494351e-38, 6.070388223748898, 5.998185184663431],
         gamma=2.62544592207992,
