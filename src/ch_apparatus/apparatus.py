@@ -11,8 +11,9 @@ engraved lines: the left stop at A or A', the right stop at B or B'.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,20 +275,41 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
 
 
 class TrialBatch(NamedTuple):
-    """Struct-of-arrays form of many trial outcomes."""
+    """Struct-of-arrays form of many trial outcomes; ``crossed`` maps the
+    LINE_NAMES, in order, to crossing arrays computed when first read."""
 
     r1: np.ndarray
     r2: np.ndarray
     reached_left_stop: np.ndarray
     reached_right_stop: np.ndarray
-    crossed: dict[str, np.ndarray]
+    crossed: Mapping[str, np.ndarray]
+
+
+class _Crossings(Mapping):
+    """Read-only map from line name to cross(name), computed on first read and cached."""
+
+    def __init__(self, cross: Callable[[str], np.ndarray]):
+        self._cross, self._cache = cross, {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._cache:
+            self._cache[name] = self._cross(name)
+        return self._cache[name]
+
+    def __iter__(self):
+        return iter(LINE_NAMES)
+
+    def __len__(self) -> int:
+        return len(LINE_NAMES)
 
 
 def _ccw_delta_vec(start, end) -> np.ndarray:
-    # same operations, in the same order, as the scalar ccw_delta
-    d = end - start
-    d = np.where(d < 0.0, d + TWO_PI, d)
-    return np.where(d >= TWO_PI, 0.0, d)
+    # the scalar ccw_delta's operations in its order, in one fresh array:
+    # every caller passes an array (asarray keeps a 0-d one an array)
+    d = np.asarray(np.subtract(end, start))
+    np.add(d, TWO_PI, out=d, where=d < 0.0)
+    d[d >= TWO_PI] = 0.0
+    return d
 
 
 def _stop_column(stops: list[float | None], ndim: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -301,13 +323,35 @@ def _stop_column(stops: list[float | None], ndim: int) -> tuple[np.ndarray, np.n
     return angles, np.array([x is not None for x in stops]).reshape(shape)
 
 
+def _line_crossed(g, line, phis, way, stops, stop, r, reached, partner, d_partner, after) -> np.ndarray:
+    """Row-by-row crossing of one line by the body of its side (_run_rows).
+    ``way(x, y)`` orders ccw_delta's arguments for a turn of the body from x
+    to y: (x, y) for body 1, (y, x) for body 2, which turns clockwise.
+    ``after`` marks the trials where the body turned gamma minus d_partner,
+    the distance to the partner stop (None when there are none)."""
+    d = _ccw_delta_vec(*way(phis, line))
+    hit = d <= r + EPS_ANGLE
+    # a body held at its own stop crosses a line on its path or at most
+    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
+    # same unless the span from some row's stop to the line is in
+    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
+    if any(0.0 < ccw_delta(*way(x, line)) <= 2.0 * EPS_ANGLE for x in stops if x is not None):
+        held = (d <= r) | (_ccw_delta_vec(*way(stop, line)) <= EPS_ANGLE)
+        hit = np.where(reached, held, hit)
+    if after is not None:
+        fits = _fits_budget(g, _ccw_delta_vec(*way(partner, line)), d + d_partner)
+        hit = np.where(after, fits, hit)
+    return hit
+
+
 def _run_rows(
     config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray
 ) -> TrialBatch:
     """Kinematics of config over phis with per-row stops: row i of every
     field runs the stops (lefts[i], rights[i]), None meaning no stop on that
     side.  The only vectorized kinematics; each row matches run_trial bit for
-    bit under its stops.  Unmodified configs take one row with no stops."""
+    bit under its stops, a line's crossings computed when first read.
+    Unmodified configs take one row with no stops."""
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
     phis = np.asarray(phis, dtype=np.float64)
@@ -318,7 +362,7 @@ def _run_rows(
         r2 = r1
         reached_left = np.zeros(r1.shape, dtype=bool)
         reached_right = reached_left
-        after_right = after_left = None
+        g = left = right = d1 = d2 = after_right = after_left = None
     else:
         g = config.gamma
         half = 0.5 * g
@@ -346,39 +390,16 @@ def _run_rows(
         after_right = first_right & ~partner_fits if has_right is None or has_right.any() else None
         after_left = first_left & ~partner_fits if has_left is None or has_left.any() else None
 
-    reach1 = r1 + EPS_ANGLE
-    reach2 = r2 + EPS_ANGLE
-    # a body held at its own stop crosses a line on its path or at most
-    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
-    # same unless the span from some row's stop to the line is in
-    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
-    crossed = {}
-    for name in ("A", "A'"):
-        line = lines.by_name(name)
-        d = _ccw_delta_vec(phis, line)
-        crossed[name] = d <= reach1
-        if any(0.0 < ccw_delta(x, line) <= 2.0 * EPS_ANGLE for x in lefts if x is not None):
-            held = (d <= r1) | (_ccw_delta_vec(left, line) <= EPS_ANGLE)
-            crossed[name] = np.where(reached_left, held, crossed[name])
-        if after_right is not None:
-            fits = _fits_budget(g, _ccw_delta_vec(right, line), d + d2)
-            crossed[name] = np.where(after_right, fits, crossed[name])
-    for name in ("B", "B'"):
-        line = lines.by_name(name)
-        d = _ccw_delta_vec(line, phis)
-        crossed[name] = d <= reach2
-        if any(0.0 < ccw_delta(line, x) <= 2.0 * EPS_ANGLE for x in rights if x is not None):
-            held = (d <= r2) | (_ccw_delta_vec(line, right) <= EPS_ANGLE)
-            crossed[name] = np.where(reached_right, held, crossed[name])
-        if after_left is not None:
-            fits = _fits_budget(g, _ccw_delta_vec(line, left), d + d1)
-            crossed[name] = np.where(after_left, fits, crossed[name])
+    # body 1 turns ccw from phi, body 2 clockwise: see _line_crossed
+    a_side = (lambda x, y: (x, y), lefts, left, r1, reached_left, right, d2, after_right)
+    b_side = (lambda x, y: (y, x), rights, right, r2, reached_right, left, d1, after_left)
+    side = {"A": a_side, "A'": a_side, "B": b_side, "B'": b_side}
     return TrialBatch(
         r1=r1,
         r2=r2,
         reached_left_stop=reached_left,
         reached_right_stop=reached_right,
-        crossed=crossed,
+        crossed=_Crossings(lambda name: _line_crossed(g, lines.by_name(name), phis, *side[name])),
     )
 
 
@@ -387,10 +408,11 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
 
     The one-row case of the per-row kinematics that run_setups also uses,
     so there is one vectorized path.  Bitwise-identical to the scalar
-    run_trial field by field.
+    run_trial field by field; a line's crossings are computed when an event
+    first reads them.
     """
     rows = _run_rows(config, [config.stops.left], [config.stops.right], phis)
-    crossed = {name: hit[0] for name, hit in rows.crossed.items()}
+    crossed = _Crossings(lambda name: rows.crossed[name][0])
     return TrialBatch(*(field[0] for field in rows[:4]), crossed)
 
 
@@ -399,9 +421,10 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
 
     Every field has one row per setup: row i equals
     run_trials(config_for_setup(config.lines, config.gamma, setups[i]), phis)
-    bit for bit.  config must be a validated modified-mode configuration; its
-    own stops are ignored.  Stops sit on the engraved lines, so the setups
-    need no further validation.
+    bit for bit.  As there, a line's crossings are computed, for every row,
+    when an event first reads them.  config must be a validated modified-mode
+    configuration; its own stops are ignored.  Stops sit on the engraved
+    lines, so the setups need no further validation.
     """
     if config.mode != MODIFIED:
         raise ConfigError(f"run_setups needs a modified-mode configuration, got {config.mode!r}")

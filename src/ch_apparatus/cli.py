@@ -44,6 +44,7 @@ from .exact_engine import (
 from .inequality_analysis import (
     AnalysisReport,
     SettingFrequencies,
+    _fixed_lambda_checks,
     analyze,
     bayes_conditionals,
     ch_primed_value,
@@ -51,7 +52,6 @@ from .inequality_analysis import (
     ch_value,
     ch_violated,
     crossing_probability_set,
-    fixed_lambda_check,
     naive_plug,
     reduced_ch_value,
     reduced_identity_residual,
@@ -718,14 +718,10 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     # factorisability and range of the CH kernel at fixed hidden state
     rng = np.random.default_rng(606)
     config = _random_unmodified(rng)
-    worst_res = 0.0
-    low, high = 0.0, -1.0
     n_grid = 10**5
-    for k in range(n_grid):
-        res = fixed_lambda_check(config, (k + 0.5) * TWO_PI / n_grid)
-        worst_res = max(worst_res, res.residual)
-        low = min(low, res.value)
-        high = max(high, res.value)
+    residual, value = _fixed_lambda_checks(config, (np.arange(n_grid) + 0.5) * TWO_PI / n_grid)
+    worst_res = float(residual.max())
+    low, high = min(0.0, float(value.min())), max(-1.0, float(value.max()))
     ok = worst_res == 0.0 and low >= -1.0 and high <= 0.0
     record("fixed-lambda-grid", ok, f"max residual={worst_res:.1e}, range [{low:.1f}, {high:.1f}]")
 

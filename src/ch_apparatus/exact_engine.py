@@ -156,11 +156,12 @@ def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     the arc ends.  An arc narrower than two margins repeats its midpoint, so
     it is classified by the midpoint alone."""
     starts, extents = partition_arrays(_critical_angles(config))
-    mid = normalize_array(starts + 0.5 * extents)
+    guard = normalize_array(
+        np.stack((starts + 0.5 * extents, starts + _GUARD_MARGIN, starts + (extents - _GUARD_MARGIN)), axis=1)
+    )
     narrow = extents < 2.0 * _GUARD_MARGIN
-    lo = np.where(narrow, mid, normalize_array(starts + _GUARD_MARGIN))
-    hi = np.where(narrow, mid, normalize_array(starts + (extents - _GUARD_MARGIN)))
-    return starts, extents, np.stack((mid, lo, hi), axis=1)
+    guard[narrow, 1:] = guard[narrow, :1]
+    return starts, extents, guard
 
 
 class OutcomeMap(NamedTuple):

@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .apparatus import ApparatusConfig, UNMODIFIED, run_trial
+import numpy as np
+
+from .apparatus import UNMODIFIED, ApparatusConfig, run_trials
+from .circle_geometry import normalize
 from .exact_engine import (
     ConditionalTable,
     ConsistencyError,
@@ -243,17 +246,17 @@ def fixed_lambda_check(config: ApparatusConfig, phi: float) -> FixedLambdaResult
     (residual 0), and the kernel xy - xy' + x'y + x'y' - x' - y lies in
     [-1, 0] for any 0/1 assignment.
     """
+    residual, value = _fixed_lambda_checks(config, np.array([normalize(phi)]))
+    return FixedLambdaResult(residual=float(residual[0]), value=float(value[0]))
+
+
+def _fixed_lambda_checks(config: ApparatusConfig, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and kernel values of fixed_lambda_check at each normalized
+    angle of phis, from one run_trials call."""
     if config.mode != UNMODIFIED:
         raise ValueError("fixed-lambda check applies to the unmodified device")
-    outcome = run_trial(config, phi)
-    x = 1 if "A" in outcome.crossed else 0
-    xp = 1 if "A'" in outcome.crossed else 0
-    y = 1 if "B" in outcome.crossed else 0
-    yp = 1 if "B'" in outcome.crossed else 0
-    joint = 1 if ("A" in outcome.crossed and "B" in outcome.crossed) else 0
-    residual = abs(joint - x * y)
-    value = float(x * y - x * yp + xp * y + xp * yp - xp - y)
-    return FixedLambdaResult(residual=float(residual), value=value)
+    x, xp, y, yp = (hit.astype(np.int64) for hit in run_trials(config, phis).crossed.values())
+    return np.abs((x & y) - x * y), x * y - x * yp + xp * y + xp * yp - xp - y
 
 
 def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:

@@ -6,6 +6,7 @@ out by hand on the standard engraving with gamma = pi/3, theta = pi/6:
 lines A = pi/2, A' = pi/3, B = pi/6, B' = 0, stops for setup "ab" at A and B.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ch_apparatus.apparatus as apparatus
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
     FREE_ROTATION_END,
@@ -25,6 +27,8 @@ from ch_apparatus.apparatus import (
     ConfigError,
     EngravedLines,
     StopPlacement,
+    _fits_budget,
+    _stop_column,
     config_for_setup,
     crossed_events,
     fig2_config,
@@ -36,7 +40,9 @@ from ch_apparatus.apparatus import (
     unmodified_config,
     validate_config,
 )
-from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, normalize_array
+from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize, normalize_array
+from ch_apparatus.exact_engine import both_stops_reached, conditional_table, grid_oracle
+from ch_apparatus.inequality_analysis import crossing_probability_set
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -398,6 +404,21 @@ def engravings(draw):
     return EngravedLines(a, ap, b, bp), gamma
 
 
+def probe_angles(lines, gamma, seed):
+    """Random angles, plus every breakpoint candidate and its neighbouring floats."""
+    anchors = np.array([lines.by_name(name) for name in LINE_NAMES])
+    shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
+    near = normalize_array((anchors[:, None] + shifts).ravel())
+    return np.concatenate(
+        [
+            np.random.default_rng(seed).uniform(0.0, TWO_PI, 64),
+            near,
+            normalize_array(np.nextafter(near, -1.0)),
+            normalize_array(np.nextafter(near, 7.0)),
+        ]
+    )
+
+
 @given(engravings(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60)
 @example(engraving=(NEAR_BUDGET_LINES, 4.0), seed=0)
@@ -406,18 +427,7 @@ def engravings(draw):
 @example(engraving=(HELD_LINES, HELD_GAMMA), seed=3)
 def test_setup_rows_match_run_trials(engraving, seed):
     lines, gamma = engraving
-    # random angles, plus every breakpoint candidate and its neighbouring floats
-    anchors = np.array([lines.by_name(name) for name in LINE_NAMES])
-    shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
-    near = normalize_array((anchors[:, None] + shifts).ravel())
-    phis = np.concatenate(
-        [
-            np.random.default_rng(seed).uniform(0.0, TWO_PI, 64),
-            near,
-            normalize_array(np.nextafter(near, -1.0)),
-            normalize_array(np.nextafter(near, 7.0)),
-        ]
-    )
+    phis = probe_angles(lines, gamma, seed)
     rows = run_setups(config_for_setup(lines, gamma, "ab"), ALL_SETUPS, phis)
     for i, setup in enumerate(ALL_SETUPS):
         one = run_trials(config_for_setup(lines, gamma, setup), phis)
@@ -462,3 +472,167 @@ def test_run_setups_needs_modified_mode():
     config = unmodified_config(fig2_lines(GAMMA, THETA), 1.0)
     with pytest.raises(ConfigError, match="modified-mode"):
         run_setups(config, ALL_SETUPS, np.zeros(3))
+
+
+# ----------------------------------------------------------------------------
+# line crossings computed when first read
+# ----------------------------------------------------------------------------
+
+
+def eager_ccw_delta_vec(start, end):
+    d = end - start
+    d = np.where(d < 0.0, d + TWO_PI, d)
+    return np.where(d >= TWO_PI, 0.0, d)
+
+
+def eager_crossings(config, lefts, rights, phis):
+    """Every line's crossings as _run_rows computed them on each call before
+    they were computed on read: its kinematics and crossing loop, kept as the
+    reference for the lazily read lines."""
+    lines = config.lines
+    if config.mode == UNMODIFIED:
+        r1 = np.full((1, *phis.shape), config.gamma1)
+        r2 = r1
+        reached_left = np.zeros(r1.shape, dtype=bool)
+        reached_right = reached_left
+        after_right = after_left = None
+    else:
+        g = config.gamma
+        half = 0.5 * g
+        left, has_left = _stop_column(lefts, phis.ndim)
+        right, has_right = _stop_column(rights, phis.ndim)
+        d1 = eager_ccw_delta_vec(phis, left)
+        if has_left is not None:
+            d1 = np.where(has_left, d1, np.inf)
+        d2 = eager_ccw_delta_vec(right, phis)
+        if has_right is not None:
+            d2 = np.where(has_right, d2, np.inf)
+        first_left = (d1 <= d2) & (d1 <= half + EPS_ANGLE)
+        first_right = (d2 < d1) & (d2 <= half + EPS_ANGLE)
+        partner_fits = _fits_budget(g, eager_ccw_delta_vec(right, left), d1 + d2)
+        r1 = np.where(first_left, d1, np.where(first_right, np.where(partner_fits, d1, g - d2), half))
+        r2 = np.where(first_right, d2, np.where(first_left, np.where(partner_fits, d2, g - d1), half))
+        reached_left = first_left | (first_right & partner_fits)
+        reached_right = first_right | (first_left & partner_fits)
+        after_right = first_right & ~partner_fits if has_right is None or has_right.any() else None
+        after_left = first_left & ~partner_fits if has_left is None or has_left.any() else None
+
+    reach1 = r1 + EPS_ANGLE
+    reach2 = r2 + EPS_ANGLE
+    crossed = {}
+    for name in ("A", "A'"):
+        line = lines.by_name(name)
+        d = eager_ccw_delta_vec(phis, line)
+        crossed[name] = d <= reach1
+        if any(0.0 < ccw_delta(x, line) <= 2.0 * EPS_ANGLE for x in lefts if x is not None):
+            held = (d <= r1) | (eager_ccw_delta_vec(left, line) <= EPS_ANGLE)
+            crossed[name] = np.where(reached_left, held, crossed[name])
+        if after_right is not None:
+            fits = _fits_budget(g, eager_ccw_delta_vec(right, line), d + d2)
+            crossed[name] = np.where(after_right, fits, crossed[name])
+    for name in ("B", "B'"):
+        line = lines.by_name(name)
+        d = eager_ccw_delta_vec(line, phis)
+        crossed[name] = d <= reach2
+        if any(0.0 < ccw_delta(line, x) <= 2.0 * EPS_ANGLE for x in rights if x is not None):
+            held = (d <= r2) | (eager_ccw_delta_vec(line, right) <= EPS_ANGLE)
+            crossed[name] = np.where(reached_right, held, crossed[name])
+        if after_left is not None:
+            fits = _fits_budget(g, eager_ccw_delta_vec(line, left), d + d1)
+            crossed[name] = np.where(after_left, fits, crossed[name])
+    return crossed
+
+
+def assert_lazy_matches_eager(crossed, eager, order, row=None):
+    assert list(crossed) == list(LINE_NAMES) and len(crossed) == len(LINE_NAMES)
+    for name in order:
+        got = crossed[name]
+        want = eager[name] if row is None else eager[name][row]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert crossed[name] is got, f"{name} is computed again on a second read"
+    assert dict(**crossed).keys() == set(LINE_NAMES)
+
+
+# the examples run the budget-limited crossings near gamma + EPS_ANGLE and the
+# held-body rule on either side
+@given(engravings(), st.permutations(LINE_NAMES), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40)
+@example(engraving=(NEAR_BUDGET_LINES, 4.0), order=list(LINE_NAMES), seed=0)
+@example(engraving=(HELD_LINES, HELD_GAMMA), order=["B'", "A", "B", "A'"], seed=1)
+@example(engraving=(HELD_MIRROR, HELD_GAMMA), order=["A'", "B", "B'", "A"], seed=2)
+def test_lazy_crossings_match_the_eager_loop(engraving, order, seed):
+    lines, gamma = engraving
+    phis = probe_angles(lines, gamma, seed)
+    stops = [setup_stops(lines, setup) for setup in ALL_SETUPS]
+    lefts, rights = [s.left for s in stops], [s.right for s in stops]
+    config = config_for_setup(lines, gamma, "ab")
+    rows = run_setups(config, ALL_SETUPS, phis)
+    assert_lazy_matches_eager(rows.crossed, eager_crossings(config, lefts, rights, phis), order)
+    configs = [config_for_setup(lines, gamma, setup) for setup in ALL_SETUPS]
+    configs.append(unmodified_config(lines, gamma))
+    for i, one in enumerate(configs):
+        # each run_trials batch reads its lines in a different rotation of the order
+        turn = order[i % 4:] + order[: i % 4]
+        eager = eager_crossings(one, [one.stops.left], [one.stops.right], phis)
+        assert_lazy_matches_eager(run_trials(one, phis).crossed, eager, turn, row=0)
+
+
+def test_stop_events_compute_no_crossing(monkeypatch):
+    lines_read = []
+    line_crossed = apparatus._line_crossed
+
+    def spy(*args):
+        lines_read.append(args[1])
+        return line_crossed(*args)
+
+    monkeypatch.setattr(apparatus, "_line_crossed", spy)
+    conditional_table(fig2_lines(GAMMA, THETA), GAMMA)
+    conditional_table(NEAR_BUDGET_LINES, 4.0)
+    conditional_table(HELD_LINES, HELD_GAMMA)
+    # run_trials reads row 0 of run_setups' crossings on demand as well
+    grid_oracle(demo_config("ab"), both_stops_reached(), 1000)
+    assert lines_read == []
+    # the spy does see the lines that an event reads
+    crossing_probability_set(unmodified_config(SQUARE_LINES, 1.0))
+    assert sorted(lines_read) == sorted(SQUARE_LINES.by_name(name) for name in LINE_NAMES)
+
+
+def frozen_engravings():
+    """300 seeded engravings: standard, arbitrary, and near-coincident ones
+    whose lines sit a few EPS_ANGLE from another line or its gamma shift."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for k in range(300):
+        gamma = float(rng.uniform(0.2, TWO_PI - 0.2))
+        if k % 3 == 0:
+            lines = fig2_lines(gamma, min(gamma, TWO_PI - gamma) * float(rng.uniform(0.05, 0.95)))
+        elif k % 3 == 1:
+            lines = EngravedLines(*(float(x) for x in rng.uniform(0.0, TWO_PI, 4)))
+        else:
+            a = float(rng.uniform(0.0, TWO_PI))
+            nudge = [float(j) * EPS_ANGLE for j in rng.choice([-2, -1, 1, 2], size=3)]
+            ap = normalize(a + nudge[0])
+            b = normalize(ap + float(rng.choice([gamma, -gamma, 0.5 * gamma])) + nudge[1])
+            lines = EngravedLines(a, ap, b, normalize(b + nudge[2]))
+        out.append((lines, gamma, float(rng.uniform(0.05, TWO_PI))))
+    return out
+
+
+def test_frozen_exact_tables():
+    # digest taken while run_setups still computed every crossing on every
+    # call: computing them on read must leave each probability bitwise the same
+    text = "\n".join(
+        f"{conditional_table(lines, gamma)!r}\n{crossing_probability_set(unmodified_config(lines, gamma1))!r}"
+        for lines, gamma, gamma1 in frozen_engravings()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "19dfc24289df7c592f4c14841f97073f0211d782b2edbf43098b6d8d89cae5f8"
+    )
+
+
+@pytest.mark.parametrize("config", [demo_config("ab"), demo_config("a'"), unmodified_config(SQUARE_LINES, 1.0)])
+def test_run_trials_takes_a_scalar_angle(config):
+    out = run_trial(config, 0.7)
+    batch = run_trials(config, 0.7)
+    assert (batch.r1, batch.r2) == (out.r1, out.r2)
+    assert {n for n in LINE_NAMES if batch.crossed[n]} == out.crossed
