@@ -34,6 +34,13 @@ TWO_STOP_SETUPS = ("ab", "ab'", "a'b", "a'b'")
 SINGLE_STOP_SETUPS = ("a", "a'", "b", "b'")
 ALL_SETUPS = TWO_STOP_SETUPS + SINGLE_STOP_SETUPS
 
+# The lines that carry each setup's left and right stop; None for no stop.
+_SETUP_LINES = {
+    "ab": ("A", "B"), "ab'": ("A", "B'"), "a'b": ("A'", "B"), "a'b'": ("A'", "B'"),
+    "a": ("A", None), "a'": ("A'", None), "b": (None, "B"), "b'": (None, "B'"),
+}
+_LINE_FIELDS = dict(zip(LINE_NAMES, ("A", "A_prime", "B", "B_prime")))
+
 __all__ = [
     "UNMODIFIED",
     "MODIFIED",
@@ -82,12 +89,7 @@ class EngravedLines:
     B_prime: float
 
     def by_name(self, name: str) -> float:
-        return {
-            "A": self.A,
-            "A'": self.A_prime,
-            "B": self.B,
-            "B'": self.B_prime,
-        }[name]
+        return getattr(self, _LINE_FIELDS[name])
 
 
 @dataclass(frozen=True)
@@ -304,23 +306,25 @@ class _Crossings(Mapping):
 
 
 def _ccw_delta_vec(start, end) -> np.ndarray:
-    # the scalar ccw_delta's operations in its order, in one fresh array:
-    # every caller passes an array (asarray keeps a 0-d one an array)
-    d = np.asarray(np.subtract(end, start))
+    # every caller passes an array with a row axis, so it is never 0-d
+    return _wrap_turn(np.subtract(end, start))
+
+
+def _wrap_turn(d: np.ndarray) -> np.ndarray:
+    """The scalar ccw_delta's operations in its order on end - start, in place."""
     np.add(d, TWO_PI, out=d, where=d < 0.0)
     d[d >= TWO_PI] = 0.0
     return d
 
 
-def _stop_column(stops: list[float | None], ndim: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-row stop angles shaped to broadcast over ndim phi axes, with 0.0
-    in place of an absent stop, and the rows that have a stop (None when
-    every row has one)."""
-    shape = (len(stops),) + (1,) * ndim
-    angles = np.array([0.0 if x is None else x for x in stops]).reshape(shape)
-    if all(x is not None for x in stops):
-        return angles, None
-    return angles, np.array([x is not None for x in stops]).reshape(shape)
+def _stop_columns(lefts: list[float | None], rights: list[float | None], ndim: int) -> np.ndarray:
+    """Per-row left stop, right stop and ccw span from the right stop to the
+    left one (_fits_budget), each shaped (rows, 1, ..., 1) for ndim phi axes.
+    NaN stands for an absent stop and its span: every comparison is false."""
+    xs = [math.nan if x is None else x for x in lefts]
+    ys = [math.nan if y is None else y for y in rights]
+    spans = [ccw_delta(y, x) for x, y in zip(xs, ys)]
+    return np.array(xs + ys + spans).reshape((3, len(xs)) + (1,) * ndim)
 
 
 def _line_crossed(g, line, phis, way, stops, stop, r, reached, partner, d_partner, after) -> np.ndarray:
@@ -346,60 +350,58 @@ def _line_crossed(g, line, phis, way, stops, stop, r, reached, partner, d_partne
 
 def _run_rows(
     config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray
-) -> TrialBatch:
+) -> tuple[tuple[np.ndarray, ...], Callable[[str], np.ndarray]]:
     """Kinematics of config over phis with per-row stops: row i of every
     field runs the stops (lefts[i], rights[i]), None meaning no stop on that
     side.  The only vectorized kinematics; each row matches run_trial bit for
-    bit under its stops, a line's crossings computed when first read.
+    bit under its stops.  Returns the first four TrialBatch fields, shaped
+    (rows, *phis.shape), and the function that computes a line's crossings.
     Unmodified configs take one row with no stops."""
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
-    phis = np.asarray(phis, dtype=np.float64)
-    lines = config.lines
+    # a leading row axis, so that no array below is 0-d
+    phis = np.asarray(phis, dtype=np.float64)[None]
 
     if config.mode == UNMODIFIED:
-        r1 = np.full((1, *phis.shape), config.gamma1)
-        r2 = r1
-        reached_left = np.zeros(r1.shape, dtype=bool)
-        reached_right = reached_left
+        r1 = r2 = np.full(phis.shape, config.gamma1)
+        reached_left = reached_right = np.zeros(phis.shape, dtype=bool)
         g = left = right = d1 = d2 = after_right = after_left = None
+        # both bodies turn gamma1 on every trial, so gamma1 stands for r1 and r2
+        reach1 = reach2 = config.gamma1
     else:
         g = config.gamma
-        half = 0.5 * g
-        left, has_left = _stop_column(lefts, phis.ndim)
-        right, has_right = _stop_column(rights, phis.ndim)
+        left, right, span = columns = _stop_columns(lefts, rights, phis.ndim - 1)
+        # axis 0 is the body, so each step below is one call for both: d is
+        # each body's distance to its own stop, body 1 turning ccw from phi
+        # and body 2 clockwise, and [::-1] swaps the bodies
+        d = np.empty((2, len(lefts)) + phis.shape[1:])
+        np.subtract(left, phis, out=d[0])
+        np.subtract(phis, right, out=d[1])
         # an absent stop is infinitely far, as in run_trial
-        d1 = _ccw_delta_vec(phis, left)
-        if has_left is not None:
-            d1 = np.where(has_left, d1, np.inf)
-        d2 = _ccw_delta_vec(right, phis)
-        if has_right is not None:
-            d2 = np.where(has_right, d2, np.inf)
-
-        first_left = (d1 <= d2) & (d1 <= half + EPS_ANGLE)
-        first_right = (d2 < d1) & (d2 <= half + EPS_ANGLE)
+        np.copyto(_wrap_turn(d), np.inf, where=np.isnan(columns[:2]))
+        d1, d2 = d
+        # a body meets its stop first: body 1 wins ties
+        first = np.empty(d.shape, dtype=bool)
+        np.less_equal(d1, d2, out=first[0])
+        np.less(d2, d1, out=first[1])
+        first &= d <= 0.5 * g + EPS_ANGLE
         # false where a stop is absent: d1 + d2 is then infinite
-        partner_fits = _fits_budget(g, _ccw_delta_vec(right, left), d1 + d2)
-
-        r1 = np.where(first_left, d1, np.where(first_right, np.where(partner_fits, d1, g - d2), half))
-        r2 = np.where(first_right, d2, np.where(first_left, np.where(partner_fits, d2, g - d1), half))
-        reached_left = first_left | (first_right & partner_fits)
-        reached_right = first_right | (first_left & partner_fits)
-        # trials where a body turned gamma minus its partner's stop distance;
-        # never on a row without that partner stop, whose distance is infinite
-        after_right = first_right & ~partner_fits if has_right is None or has_right.any() else None
-        after_left = first_left & ~partner_fits if has_left is None or has_left.any() else None
+        partner_fits = _fits_budget(g, span, d1 + d2)
+        reached = first | (first[::-1] & partner_fits)
+        # trials where a body turned gamma minus its partner's stop distance
+        after = first[::-1] & ~partner_fits
+        r1, r2 = reach1, reach2 = np.where(reached, d, np.where(after, g - d[::-1], 0.5 * g))
+        reached_left, reached_right = reached
+        # the crossings skip them when no row has that partner stop
+        after_right = None if all(x is None for x in rights) else after[0]
+        after_left = None if all(x is None for x in lefts) else after[1]
 
     # body 1 turns ccw from phi, body 2 clockwise: see _line_crossed
-    a_side = (lambda x, y: (x, y), lefts, left, r1, reached_left, right, d2, after_right)
-    b_side = (lambda x, y: (y, x), rights, right, r2, reached_right, left, d1, after_left)
+    a_side = (lambda x, y: (x, y), lefts, left, reach1, reached_left, right, d2, after_right)
+    b_side = (lambda x, y: (y, x), rights, right, reach2, reached_right, left, d1, after_left)
     side = {"A": a_side, "A'": a_side, "B": b_side, "B'": b_side}
-    return TrialBatch(
-        r1=r1,
-        r2=r2,
-        reached_left_stop=reached_left,
-        reached_right_stop=reached_right,
-        crossed=_Crossings(lambda name: _line_crossed(g, lines.by_name(name), phis, *side[name])),
+    return (r1, r2, reached_left, reached_right), lambda name: _line_crossed(
+        g, config.lines.by_name(name), phis, *side[name]
     )
 
 
@@ -411,9 +413,8 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
     run_trial field by field; a line's crossings are computed when an event
     first reads them.
     """
-    rows = _run_rows(config, [config.stops.left], [config.stops.right], phis)
-    crossed = _Crossings(lambda name: rows.crossed[name][0])
-    return TrialBatch(*(field[0] for field in rows[:4]), crossed)
+    fields, cross = _run_rows(config, [config.stops.left], [config.stops.right], phis)
+    return TrialBatch(*(field[0] for field in fields), _Crossings(lambda name: cross(name)[0]))
 
 
 def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray) -> TrialBatch:
@@ -428,8 +429,9 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
     """
     if config.mode != MODIFIED:
         raise ConfigError(f"run_setups needs a modified-mode configuration, got {config.mode!r}")
-    stops = [setup_stops(config.lines, setup) for setup in setups]
-    return _run_rows(config, [s.left for s in stops], [s.right for s in stops], phis)
+    stops = [_stop_angles(config.lines, setup) for setup in setups]
+    fields, cross = _run_rows(config, [x for x, _y in stops], [y for _x, y in stops], phis)
+    return TrialBatch(*fields, _Crossings(cross))
 
 
 def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:
@@ -457,21 +459,16 @@ def fig2_lines(gamma: float, theta: float) -> EngravedLines:
     )
 
 
-def setup_stops(lines: EngravedLines, setup: str) -> StopPlacement:
-    """Stop placement named by a setup label such as "ab'" or "a"."""
+def _stop_angles(lines: EngravedLines, setup: str) -> list[float | None]:
+    """Left and right stop angles of a setup label, None for no stop."""
     if setup not in ALL_SETUPS:
         raise ConfigError(f"unknown setup label {setup!r}")
-    left = right = None
-    rest = setup
-    if rest.startswith("a'"):
-        left, rest = lines.A_prime, rest[2:]
-    elif rest.startswith("a"):
-        left, rest = lines.A, rest[1:]
-    if rest == "b":
-        right = lines.B
-    elif rest == "b'":
-        right = lines.B_prime
-    return StopPlacement(left=left, right=right)
+    return [None if name is None else lines.by_name(name) for name in _SETUP_LINES[setup]]
+
+
+def setup_stops(lines: EngravedLines, setup: str) -> StopPlacement:
+    """Stop placement named by a setup label such as "ab'" or "a"."""
+    return StopPlacement(*_stop_angles(lines, setup))
 
 
 def config_for_setup(lines: EngravedLines, gamma: float, setup: str) -> ApparatusConfig:

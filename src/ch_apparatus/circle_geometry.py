@@ -9,7 +9,7 @@ because boundaries have measure zero.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,18 +88,18 @@ def arc_contains(arc: Arc, x: float) -> bool:
     return ccw_delta(arc.start, normalize(x)) <= arc.extent + EPS_ANGLE
 
 
-def partition_arrays(points: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and extents of the arcs bounded by already normalized angles.
+def partition_arrays(points: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and extents of the arcs bounded by a flat array of normalized angles.
 
     The starts are the sorted distinct points; each extent runs to the next
     start, and the last one wraps around to the first.  The extents sum to a
     full turn.  No points yield one full-circle arc starting at 0.
     """
-    starts = np.sort(np.fromiter(points, dtype=np.float64))
+    starts = np.sort(np.asarray(points, dtype=np.float64))
     if starts.size == 0:
         return np.array([0.0]), np.array([TWO_PI])
     # what np.unique does, without the first call's import of numpy.ma
-    starts = starts[np.append(True, starts[1:] != starts[:-1])]
+    starts = starts[np.concatenate(([True], starts[1:] != starts[:-1]))]
     extents = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=extents[:-1])
     # not ccw_delta: for a sliver span it would round up to a full turn and
@@ -115,5 +115,5 @@ def partition_circle(critical: Iterable[float]) -> list[Arc]:
     exactly at the sorted critical angles, cover the circle once, and their
     extents sum to a full turn.  An empty input yields one full-circle arc.
     """
-    starts, extents = partition_arrays(normalize(p) for p in critical)
+    starts, extents = partition_arrays([normalize(p) for p in critical])
     return [Arc(s, e) for s, e in zip(starts.tolist(), extents.tolist())]

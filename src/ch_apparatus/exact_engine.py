@@ -22,9 +22,9 @@ form an OutcomeMap.  The exact probabilities are read from it, and the Monte
 Carlo counts look sampled angles up in it, handing only the angles inside a
 guard band to run_trials.  In the modified device the stops sit on the
 engraved lines, so every setup of one engraving has the same breakpoints:
-conditional_table partitions once per engraving and evaluates all eight
-setups in one run_setups call, one row per setup, and outcome_maps builds
-the maps of a campaign's setups the same way.
+conditional_table partitions once per engraving, evaluates all eight
+setups in one run_setups call, one row per setup, and guards all eight
+rows in one _read_arcs pass; outcome_maps builds a campaign's maps alike.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .apparatus import (
     run_setups,
     run_trials,
 )
-from .circle_geometry import EPS_ANGLE, TWO_PI, normalize, normalize_array, partition_arrays
+from .circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_arrays
 
 CELLS = ("11", "10", "01", "00")
 
@@ -107,9 +107,9 @@ def line_crossed(name: str) -> EventPredicate:
 
 def lines_crossed(*names: str) -> EventPredicate:
     def batch(b: TrialBatch) -> np.ndarray:
-        out = b.crossed[names[0]].copy()
+        out = b.crossed[names[0]]
         for n in names[1:]:
-            out &= b.crossed[n]
+            out = out & b.crossed[n]
         return out
 
     return EventPredicate(name="crossed(" + ",".join(names) + ")", batch=batch)
@@ -133,13 +133,12 @@ def complement(event: EventPredicate) -> EventPredicate:
     return EventPredicate(name=f"not({event.name})", batch=lambda b: ~event.batch(b))
 
 
-def _critical_angles(config: ApparatusConfig) -> list[float]:
-    lines = config.lines
+def _critical_angles(config: ApparatusConfig) -> np.ndarray:
+    lines, stops = config.lines, config.stops
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
-    if config.stops.left is not None:
-        anchors.append(config.stops.left)
-    if config.stops.right is not None:
-        anchors.append(config.stops.right)
+    # a stop that sits exactly on a line adds only repeats
+    anchors += [x for x in (stops.left, stops.right) if x is not None and x not in anchors]
+    # a set: its order decides which of 0.0 and -0.0 the partition keeps
     shifts = {0.0}
     if config.mode == MODIFIED:
         g = config.gamma
@@ -147,7 +146,7 @@ def _critical_angles(config: ApparatusConfig) -> list[float]:
     if config.gamma1 is not None:
         g1 = config.gamma1
         shifts.update((g1, -g1))
-    return [normalize(a + s) for a in anchors for s in shifts]
+    return np.array([normalize(a + s) for a in anchors for s in shifts])
 
 
 def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,11 +155,16 @@ def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     the arc ends.  An arc narrower than two margins repeats its midpoint, so
     it is classified by the midpoint alone."""
     starts, extents = partition_arrays(_critical_angles(config))
-    guard = normalize_array(
-        np.stack((starts + 0.5 * extents, starts + _GUARD_MARGIN, starts + (extents - _GUARD_MARGIN)), axis=1)
-    )
-    narrow = extents < 2.0 * _GUARD_MARGIN
-    guard[narrow, 1:] = guard[narrow, :1]
+    guard = np.empty((starts.size, 3))
+    np.multiply(extents, 0.5, out=guard[:, 0])
+    guard[:, 1] = _GUARD_MARGIN
+    np.subtract(extents, _GUARD_MARGIN, out=guard[:, 2])
+    # start plus an offset of at least 0, for which fmod alone is normalize;
+    # the exception, the far point of an arc under one margin, is replaced
+    guard = np.fmod(np.add(starts[:, None], guard, out=guard), TWO_PI, out=guard)
+    if extents.min() < 2.0 * _GUARD_MARGIN:
+        narrow = extents < 2.0 * _GUARD_MARGIN
+        guard[narrow, 1:] = guard[narrow, :1]
     return starts, extents, guard
 
 
@@ -207,20 +211,23 @@ def _read_arcs(
     values: np.ndarray,
     partition: tuple[np.ndarray, np.ndarray, np.ndarray],
     config_of: Callable[[int], ApparatusConfig],
-    stop_tables: bool = False,
+    tables: int = 0,
 ) -> tuple[np.ndarray, list[list[float]]]:
     """Guarded event bits and exact probabilities for rows of events that
-    share one partition.
+    share one partition, all rows in one pass.
 
     ``values[s, e, k, j]`` is event ``names[s][e]`` of row s (a
     configuration, ``config_of(s)``) at guard point j of arc k.  An event
     that differs among the guard points of an arc is not constant there, so
-    the breakpoint set is incomplete: ConsistencyError names the first such
-    row, then the first arc in circle order, then the first event in list
-    order, with the arc, its three guard angles and the config.  The guard
-    ignores the band of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc end,
-    where a boundary may sit off its breakpoint by rounding; an event that
-    changes value farther inside an arc still trips it.
+    the breakpoint set is incomplete.  The guard ignores the band of width
+    _GUARD_MARGIN (4*EPS_ANGLE) at each arc end, where a boundary may sit
+    off its breakpoint by rounding; an event that changes value farther
+    inside an arc still trips it.  The first ``tables`` rows are stop-reach
+    tables (the stop cells in CELLS order) that must sum to 1 within
+    TABLE_TOL.  Only a failure takes a Python loop: row by row, its guard
+    (ConsistencyError naming the first arc in circle order, then the first
+    event in list order, with the arc, its guard angles and the config),
+    then its table's sum.
 
     Each arc takes its midpoint value, and each probability is the extent of
     the arcs where its event holds over 2*pi, added one by one in arc order:
@@ -228,17 +235,15 @@ def _read_arcs(
     from Python 3.12 on and np.sum is pairwise, either of which would change
     the last bits of the reports.  So each probability is accurate to
     (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11 for 30 arcs.
-    With stop_tables, each row's events are the stop cells in CELLS order,
-    and a row whose probabilities do not sum to 1 within TABLE_TOL raises
-    right after its guard.
 
     Returns the bits, shape (rows, events, arcs), and the probabilities.
     """
     starts, extents, guard = partition
     bits = values[..., 0]
-    bad = (values != values[..., :1]).any(axis=-1)
+    differs = values[..., 1:] != values[..., :1]
     probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).tolist()
-    if stop_tables or bad.any():
+    if differs.any() or any(abs(sum(row) - 1.0) > TABLE_TOL for row in probabilities[:tables]):
+        bad = differs.any(axis=-1)
         for s, row in enumerate(probabilities):
             if bad[s].any():
                 k = int(np.flatnonzero(bad[s].any(axis=0))[0])
@@ -248,7 +253,7 @@ def _read_arcs(
                     f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
                     f"{guard[k].tolist()!r}, config {config_of(s)!r}; breakpoint set incomplete"
                 )
-            if stop_tables:
+            if s < tables:
                 table = dict(zip(CELLS, row))
                 if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                     raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
@@ -256,16 +261,13 @@ def _read_arcs(
 
 
 def _one_config(
-    config: ApparatusConfig, events: Sequence[EventPredicate], stop_tables: bool = False
+    config: ApparatusConfig, events: Sequence[EventPredicate], tables: int = 0
 ) -> tuple[OutcomeMap, list[float]]:
     partition = _partition(config)
     guard = partition[2]
     batch = run_trials(config, guard.ravel())
-    values = np.array([event.batch(batch) for event in events], dtype=bool)
-    values = values.reshape(1, len(events), *guard.shape)
-    bits, probabilities = _read_arcs(
-        [[event.name for event in events]], values, partition, lambda _s: config, stop_tables
-    )
+    values = np.array([event.batch(batch) for event in events], dtype=bool).reshape(1, len(events), *guard.shape)
+    bits, probabilities = _read_arcs([[event.name for event in events]], values, partition, lambda _s: config, tables)
     return OutcomeMap(partition[0], partition[1], bits[0].T, guard), probabilities[0]
 
 
@@ -292,7 +294,9 @@ def outcome_maps(
     partition = _partition(config)
     guard = partition[2]
     batch = run_setups(config, setups, guard.ravel())
-    values = np.stack([event.batch(batch) for event in events], axis=1)
+    values = np.empty((len(setups), len(events), guard.size), dtype=bool)
+    for e, event in enumerate(events):
+        values[:, e] = event.batch(batch)
     bits, _probabilities = _read_arcs(
         [[event.name for event in events]] * len(setups),
         values.reshape(len(setups), len(events), *guard.shape),
@@ -321,7 +325,7 @@ def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
     """Full 2x2 stop-reach table for a configuration with both stops active."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    return dict(zip(CELLS, _one_config(config, _CELL_EVENTS, stop_tables=True)[1]))
+    return dict(zip(CELLS, _one_config(config, _CELL_EVENTS, tables=1)[1]))
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:
@@ -408,6 +412,10 @@ def stop_reached(side: str) -> EventPredicate:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+# The one event of each single-stop setup, in SINGLE_STOP_SETUPS order.
+_LONE_EVENTS = [stop_reached("left" if setup.startswith("a") else "right") for setup in SINGLE_STOP_SETUPS]
+
+
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     """Arc-measure conditional table for an arbitrary engraving.
 
@@ -421,26 +429,23 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     guard = partition[2]
     batch = run_setups(config, ALL_SETUPS, guard.ravel())
     pairs = len(TWO_STOP_SETUPS)
-    cells = np.stack([event.batch(batch)[:pairs] for event in _CELL_EVENTS], axis=1)
-    _bits, tables = _read_arcs(
-        [[event.name for event in _CELL_EVENTS]] * pairs,
-        cells.reshape(pairs, len(_CELL_EVENTS), *guard.shape),
+    # one row per setup; a single-stop row repeats its one event
+    values = np.empty((len(ALL_SETUPS), len(_CELL_EVENTS), guard.size), dtype=bool)
+    for e, event in enumerate(_CELL_EVENTS):
+        values[:pairs, e] = event.batch(batch)[:pairs]
+    for s, event in enumerate(_LONE_EVENTS):
+        values[pairs + s] = event.batch(batch)[pairs + s]
+    _bits, rows = _read_arcs(
+        [[event.name for event in _CELL_EVENTS]] * pairs + [[event.name] * len(_CELL_EVENTS) for event in _LONE_EVENTS],
+        values.reshape(len(ALL_SETUPS), len(_CELL_EVENTS), *guard.shape),
         partition,
-        lambda s: config_for_setup(lines, gamma, TWO_STOP_SETUPS[s]),
-        stop_tables=True,
+        lambda s: config_for_setup(lines, gamma, ALL_SETUPS[s]),
+        tables=pairs,
     )
-    lone = [stop_reached("left" if setup.startswith("a") else "right") for setup in SINGLE_STOP_SETUPS]
-    reached = np.stack([event.batch(batch)[pairs + s] for s, event in enumerate(lone)])
-    _bits, single = _read_arcs(
-        [[event.name] for event in lone],
-        reached.reshape(len(lone), 1, *guard.shape),
-        partition,
-        lambda s: config_for_setup(lines, gamma, SINGLE_STOP_SETUPS[s]),
-    )
-    full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, tables)}
+    full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, rows)}
     return ConditionalTable(
         joint={setup: table["11"] for setup, table in full.items()},
-        singles={setup: row[0] for setup, row in zip(SINGLE_STOP_SETUPS, single)},
+        singles={setup: row[0] for setup, row in zip(SINGLE_STOP_SETUPS, rows[pairs:])},
         full_tables=full,
     ).validate()
 

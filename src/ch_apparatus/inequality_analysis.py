@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .apparatus import UNMODIFIED, ApparatusConfig, run_trials
+from .apparatus import LINE_NAMES, UNMODIFIED, ApparatusConfig, run_trials
 from .circle_geometry import normalize
 from .exact_engine import (
     ConditionalTable,
@@ -255,8 +255,14 @@ def _fixed_lambda_checks(config: ApparatusConfig, phis: np.ndarray) -> tuple[np.
     angle of phis, from one run_trials call."""
     if config.mode != UNMODIFIED:
         raise ValueError("fixed-lambda check applies to the unmodified device")
-    x, xp, y, yp = (hit.astype(np.int64) for hit in run_trials(config, phis).crossed.values())
+    x, xp, y, yp = np.array(list(run_trials(config, phis).crossed.values()), dtype=np.int64)
     return np.abs((x & y) - x * y), x * y - x * yp + xp * y + xp * yp - xp - y
+
+
+# The events of a ProbabilitySet, in its field order.
+_CROSSING_EVENTS = [lines_crossed(a, b) for a in ("A", "A'") for b in ("B", "B'")] + [
+    line_crossed(name) for name in LINE_NAMES
+]
 
 
 def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:
@@ -265,17 +271,7 @@ def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:
     All eight come from one arc partition, so they refer to the same
     configuration and the same probability space.
     """
-    events = [
-        lines_crossed("A", "B"),
-        lines_crossed("A", "B'"),
-        lines_crossed("A'", "B"),
-        lines_crossed("A'", "B'"),
-        line_crossed("A"),
-        line_crossed("A'"),
-        line_crossed("B"),
-        line_crossed("B'"),
-    ]
-    v = event_probabilities(config, events)
+    v = event_probabilities(config, _CROSSING_EVENTS)
     return ProbabilitySet(ab=v[0], abp=v[1], apb=v[2], apbp=v[3], a=v[4], ap=v[5], b=v[6], bp=v[7])
 
 

@@ -28,7 +28,6 @@ from ch_apparatus.apparatus import (
     EngravedLines,
     StopPlacement,
     _fits_budget,
-    _stop_column,
     config_for_setup,
     crossed_events,
     fig2_config,
@@ -474,6 +473,53 @@ def test_run_setups_needs_modified_mode():
         run_setups(config, ALL_SETUPS, np.zeros(3))
 
 
+def parsed_stops(lines, setup):
+    """setup_stops as it read a label before the label table."""
+    left = right = None
+    rest = setup
+    if rest.startswith("a'"):
+        left, rest = lines.A_prime, rest[2:]
+    elif rest.startswith("a"):
+        left, rest = lines.A, rest[1:]
+    if rest == "b":
+        right = lines.B
+    elif rest == "b'":
+        right = lines.B_prime
+    return StopPlacement(left=left, right=right)
+
+
+@given(engravings(), st.permutations(ALL_SETUPS))
+@settings(max_examples=40)
+def test_run_setups_takes_the_stops_of_setup_stops(engraving, order):
+    # both read one label table; each row of run_setups gets its label's stops
+    lines, gamma = engraving
+    seen = []
+    run_rows = apparatus._run_rows
+
+    def spy(config, lefts, rights, phis):
+        seen.append((lefts, rights))
+        return run_rows(config, lefts, rights, phis)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(apparatus, "_run_rows", spy)
+        run_setups(config_for_setup(lines, gamma, "ab"), order, np.zeros(1))
+    stops = [setup_stops(lines, setup) for setup in order]
+    assert stops == [parsed_stops(lines, setup) for setup in order]
+    [(lefts, rights)] = seen
+    assert [repr(x) for x in lefts] == [repr(stop.left) for stop in stops]
+    assert [repr(x) for x in rights] == [repr(stop.right) for stop in stops]
+
+
+@pytest.mark.parametrize("label", ["ba", "", "ab ", "A", "a'b'b"])
+def test_unknown_setup_label_raises_the_same_config_error(label):
+    lines = fig2_lines(GAMMA, THETA)
+    with pytest.raises(ConfigError) as from_table:
+        setup_stops(lines, label)
+    with pytest.raises(ConfigError) as from_rows:
+        run_setups(config_for_setup(lines, GAMMA, "ab"), ["ab", label], np.zeros(1))
+    assert str(from_table.value) == str(from_rows.value) == f"unknown setup label {label!r}"
+
+
 # ----------------------------------------------------------------------------
 # line crossings computed when first read
 # ----------------------------------------------------------------------------
@@ -483,6 +529,16 @@ def eager_ccw_delta_vec(start, end):
     d = end - start
     d = np.where(d < 0.0, d + TWO_PI, d)
     return np.where(d >= TWO_PI, 0.0, d)
+
+
+def stop_column(stops, ndim):
+    """Per-row stop angles, 0.0 for an absent stop, and the rows that have a
+    stop (None when every row has one), as _run_rows built them before."""
+    shape = (len(stops),) + (1,) * ndim
+    angles = np.array([0.0 if x is None else x for x in stops]).reshape(shape)
+    if all(x is not None for x in stops):
+        return angles, None
+    return angles, np.array([x is not None for x in stops]).reshape(shape)
 
 
 def eager_crossings(config, lefts, rights, phis):
@@ -499,8 +555,8 @@ def eager_crossings(config, lefts, rights, phis):
     else:
         g = config.gamma
         half = 0.5 * g
-        left, has_left = _stop_column(lefts, phis.ndim)
-        right, has_right = _stop_column(rights, phis.ndim)
+        left, has_left = stop_column(lefts, phis.ndim)
+        right, has_right = stop_column(rights, phis.ndim)
         d1 = eager_ccw_delta_vec(phis, left)
         if has_left is not None:
             d1 = np.where(has_left, d1, np.inf)

@@ -11,21 +11,25 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
+    MODIFIED,
+    ApparatusConfig,
     ConfigError,
     EngravedLines,
+    StopPlacement,
     fig2_config,
     fig2_lines,
     config_for_setup,
     run_trials,
     unmodified_config,
+    validate_config,
 )
-from ch_apparatus.circle_geometry import TWO_PI, normalize, partition_circle
+from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_arrays, partition_circle
 from ch_apparatus.exact_engine import (
     CELLS,
     ConditionalTable,
@@ -244,6 +248,74 @@ class TestConditionalTable:
         config = fig2_config(GAMMA, THETA, "b")
         p = event_probability(config, stop_reached("right"))
         assert p == pytest.approx(1.0 / 12.0, abs=1e-12)
+
+
+def _list_breakpoints(config):
+    """The partition as it was built from Python lists: every anchor shifted by
+    every budget, normalized one by one, then each guard point normalized."""
+    lines = config.lines
+    anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
+    anchors += [stop for stop in (config.stops.left, config.stops.right) if stop is not None]
+    shifts = {0.0}
+    if config.mode == MODIFIED:
+        g = config.gamma
+        shifts.update((g, -g, 0.5 * g, -0.5 * g))
+    if config.gamma1 is not None:
+        shifts.update((config.gamma1, -config.gamma1))
+    starts, extents = partition_arrays([normalize(a + s) for a in anchors for s in shifts])
+    margin = exact_engine._GUARD_MARGIN
+    guard = np.array(
+        [
+            [normalize(s + 0.5 * e), normalize(s + margin), normalize(s + (e - margin))]
+            for s, e in zip(starts.tolist(), extents.tolist())
+        ]
+    )
+    narrow = extents < 2.0 * margin
+    guard[narrow, 1:] = guard[narrow, :1]
+    return starts, extents, guard
+
+
+@st.composite
+def breakpoint_configs(draw):
+    """Validated configs of both devices on arbitrary or near-coincident lines,
+    with stops on a line or up to EPS_ANGLE off it."""
+    angle = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
+    budget = draw(st.floats(min_value=1e-3, max_value=TWO_PI - 1e-3))
+    a = draw(angle)
+    if draw(st.booleans()):
+        angles = [a] + [draw(angle) for _ in range(3)]
+    else:
+        # each line a few EPS_ANGLE from the one before or from its budget shift
+        angles = [a]
+        for _ in range(3):
+            shift = draw(st.sampled_from([0.0, budget, -budget, 0.5 * budget, -0.5 * budget]))
+            angles.append(normalize(angles[-1] + shift + draw(st.integers(-3, 3)) * EPS_ANGLE))
+    lines = EngravedLines(*angles)
+    assume(lines.A != lines.A_prime and lines.B != lines.B_prime)
+    kind = draw(st.sampled_from(["setup", "offset stops", "unmodified"]))
+    if kind == "unmodified":
+        return unmodified_config(lines, draw(st.sampled_from([budget, TWO_PI])))
+    setup = draw(st.sampled_from(ALL_SETUPS))
+    config = config_for_setup(lines, budget, setup)
+    if kind == "setup":
+        return config
+    nudge = draw(st.sampled_from([-0.5 * EPS_ANGLE, 0.5 * EPS_ANGLE]))
+    stops = StopPlacement(*(None if x is None else normalize(x + nudge) for x in (config.stops.left, config.stops.right)))
+    return validate_config(ApparatusConfig(mode=MODIFIED, lines=lines, gamma=budget, stops=stops))
+
+
+# A - gamma is a tiny negative that rounds onto 2*pi and normalizes to 0.0; a
+# line at 0.0 with gamma1 = 2*pi yields both 0.0 and -0.0 as breakpoints
+@given(breakpoint_configs())
+@settings(max_examples=200)
+@example(config_for_setup(EngravedLines(1.0, 2.0, 3.0, 4.0), math.nextafter(1.0, 2.0), "ab"))
+@example(unmodified_config(EngravedLines(1.0, 2.0, 0.0, 4.0), TWO_PI))
+@example(unmodified_config(EngravedLines(0.0, 2.0, 3.0, 4.0), TWO_PI))
+def test_partition_equals_the_list_breakpoints(config):
+    got = exact_engine._partition(config)
+    want = _list_breakpoints(config)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), config
 
 
 def _critical_without_half_shifts(config):
