@@ -20,17 +20,18 @@ The partition is array-native: sorted distinct breakpoints, arc extents and
 a (arcs x 3) array of guard points.  The guarded arcs and their event values
 form an OutcomeMap.  The exact probabilities are read from it, and the Monte
 Carlo counts look sampled angles up in it, handing only the angles inside a
-guard band to run_trials.  In the modified device the stops sit on the
-engraved lines, so every setup of one engraving has the same breakpoints:
-conditional_table partitions once per engraving, evaluates all eight
-setups in one run_setups call, one row per setup, and guards all eight
-rows in one _read_arcs pass; outcome_maps builds a campaign's maps alike.
+guard band to run_trials.  One function, _guarded, reads every map and
+table: it partitions once, runs one kinematics call, then guards and sums
+every row.  In the modified device the stops sit on the engraved lines, so
+every setup of one engraving has the same breakpoints: conditional_table and
+outcome_maps read their setups as rows of one run_setups call, and the
+other readers take a configuration's own stops through run_trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,28 +207,30 @@ class OutcomeMap(NamedTuple):
         return edges, np.array([k for _lo, _hi, k in pieces], dtype=np.intp)
 
 
-def _read_arcs(
-    names: Sequence[Sequence[str]],
-    values: np.ndarray,
-    partition: tuple[np.ndarray, np.ndarray, np.ndarray],
-    config_of: Callable[[int], ApparatusConfig],
+def _guarded(
+    config: ApparatusConfig,
+    setups: Sequence[str] | None,
+    events: Sequence[EventPredicate],
+    names: Sequence[Sequence[str]] | None = None,
     tables: int = 0,
-) -> tuple[np.ndarray, list[list[float]]]:
-    """Guarded event bits and exact probabilities for rows of events that
-    share one partition, all rows in one pass.
+) -> tuple[Iterator[OutcomeMap], list[list[float]]]:
+    """Outcome maps and exact probabilities of the same events on rows that
+    share the partition of config: one row per setup label of setups, all in
+    one run_setups call, or config's own stops in one run_trials call when
+    setups is None.  The maps are built as they are iterated, so a caller
+    that reads only probabilities builds none.
 
-    ``values[s, e, k, j]`` is event ``names[s][e]`` of row s (a
-    configuration, ``config_of(s)``) at guard point j of arc k.  An event
-    that differs among the guard points of an arc is not constant there, so
-    the breakpoint set is incomplete.  The guard ignores the band of width
-    _GUARD_MARGIN (4*EPS_ANGLE) at each arc end, where a boundary may sit
-    off its breakpoint by rounding; an event that changes value farther
-    inside an arc still trips it.  The first ``tables`` rows are stop-reach
-    tables (the stop cells in CELLS order) that must sum to 1 within
-    TABLE_TOL.  Only a failure takes a Python loop: row by row, its guard
-    (ConsistencyError naming the first arc in circle order, then the first
-    event in list order, with the arc, its guard angles and the config),
-    then its table's sum.
+    An event that differs among the guard points of an arc is not constant
+    there, so the breakpoint set is incomplete.  The guard ignores the band
+    of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc end, where a boundary
+    may sit off its breakpoint by rounding; an event that changes value
+    farther inside an arc still trips it.  The first ``tables`` rows are
+    stop-reach tables (the stop cells in CELLS order) that must sum to 1
+    within TABLE_TOL.  Only a failure takes a Python loop: row by row, its
+    guard (ConsistencyError naming the first arc in circle order, then the
+    first event in list order, with the arc, its guard angles and the row's
+    config), then its table's sum.  ``names[s]`` names the events of row s in
+    that message; the default is the events' own names.
 
     Each arc takes its midpoint value, and each probability is the extent of
     the arcs where its event holds over 2*pi, added one by one in arc order:
@@ -235,49 +238,45 @@ def _read_arcs(
     from Python 3.12 on and np.sum is pairwise, either of which would change
     the last bits of the reports.  So each probability is accurate to
     (number of arcs) * 2 * _GUARD_MARGIN / 2*pi, about 4e-11 for 30 arcs.
-
-    Returns the bits, shape (rows, events, arcs), and the probabilities.
     """
-    starts, extents, guard = partition
+    starts, extents, guard = _partition(config)
+    if setups is None:
+        batch, rows = run_trials(config, guard.ravel()), 1
+    else:
+        batch, rows = run_setups(config, setups, guard.ravel()), len(setups)
+    # values[s, e, k, j]: event e of row s at guard point j of arc k
+    values = np.array([event.batch(batch) for event in events], dtype=bool)
+    values = values.reshape(len(events), rows, *guard.shape).swapaxes(0, 1)
     bits = values[..., 0]
     differs = values[..., 1:] != values[..., :1]
     probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).tolist()
     if differs.any() or any(abs(sum(row) - 1.0) > TABLE_TOL for row in probabilities[:tables]):
+        names = names or [[event.name for event in events]] * rows
         bad = differs.any(axis=-1)
         for s, row in enumerate(probabilities):
             if bad[s].any():
                 k = int(np.flatnonzero(bad[s].any(axis=0))[0])
                 name = names[s][int(np.flatnonzero(bad[s, :, k])[0])]
+                row_config = config if setups is None else config_for_setup(config.lines, config.gamma, setups[s])
                 raise ConsistencyError(
                     f"event {name} is not constant on the arc starting at "
                     f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
-                    f"{guard[k].tolist()!r}, config {config_of(s)!r}; breakpoint set incomplete"
+                    f"{guard[k].tolist()!r}, config {row_config!r}; breakpoint set incomplete"
                 )
             if s < tables:
                 table = dict(zip(CELLS, row))
                 if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                     raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
-    return bits, probabilities
-
-
-def _one_config(
-    config: ApparatusConfig, events: Sequence[EventPredicate], tables: int = 0
-) -> tuple[OutcomeMap, list[float]]:
-    partition = _partition(config)
-    guard = partition[2]
-    batch = run_trials(config, guard.ravel())
-    values = np.array([event.batch(batch) for event in events], dtype=bool).reshape(1, len(events), *guard.shape)
-    bits, probabilities = _read_arcs([[event.name for event in events]], values, partition, lambda _s: config, tables)
-    return OutcomeMap(partition[0], partition[1], bits[0].T, guard), probabilities[0]
+    return (OutcomeMap(starts, extents, row.T, guard) for row in bits), probabilities
 
 
 def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> OutcomeMap:
     """Guarded value of each event on each arc of the partition.
 
     The guard points of every arc go through one run_trials call; see
-    _read_arcs for the guard and its ConsistencyError.
+    _guarded for the guard and its ConsistencyError.
     """
-    return _one_config(config, events)[0]
+    return next(_guarded(config, None, events)[0])
 
 
 def outcome_maps(
@@ -290,20 +289,7 @@ def outcome_maps(
     run_setups call, and the maps share their starts, extents and guard
     points.  Errors name the first failing setup in the order given.
     """
-    config = config_for_setup(lines, gamma, setups[0])
-    partition = _partition(config)
-    guard = partition[2]
-    batch = run_setups(config, setups, guard.ravel())
-    values = np.empty((len(setups), len(events), guard.size), dtype=bool)
-    for e, event in enumerate(events):
-        values[:, e] = event.batch(batch)
-    bits, _probabilities = _read_arcs(
-        [[event.name for event in events]] * len(setups),
-        values.reshape(len(setups), len(events), *guard.shape),
-        partition,
-        lambda s: config_for_setup(lines, gamma, setups[s]),
-    )
-    return [OutcomeMap(partition[0], partition[1], row.T, guard) for row in bits]
+    return list(_guarded(config_for_setup(lines, gamma, setups[0]), setups, events)[0])
 
 
 def event_probabilities(
@@ -311,9 +297,9 @@ def event_probabilities(
 ) -> list[float]:
     """Exact probabilities of several events from one outcome map: the
     summed extent of the arcs on which each event holds, over 2*pi.  See
-    _read_arcs for their accuracy, the guard and its ConsistencyError.
+    _guarded for their accuracy, the guard and its ConsistencyError.
     """
-    return _one_config(config, events)[1]
+    return _guarded(config, None, events)[1][0]
 
 
 def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
@@ -325,7 +311,7 @@ def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
     """Full 2x2 stop-reach table for a configuration with both stops active."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    return dict(zip(CELLS, _one_config(config, _CELL_EVENTS, tables=1)[1]))
+    return dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, tables=1)[1][0]))
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:
@@ -412,8 +398,13 @@ def stop_reached(side: str) -> EventPredicate:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-# The one event of each single-stop setup, in SINGLE_STOP_SETUPS order.
-_LONE_EVENTS = [stop_reached("left" if setup.startswith("a") else "right") for setup in SINGLE_STOP_SETUPS]
+# The one event of each single-stop setup, in SINGLE_STOP_SETUPS order, and
+# the index of the stop cell equal to it: a setup never reaches the stop it
+# lacks.
+_LONE = [
+    (stop_reached("left"), CELLS.index("10")) if setup.startswith("a") else (stop_reached("right"), CELLS.index("01"))
+    for setup in SINGLE_STOP_SETUPS
+]
 
 
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
@@ -421,31 +412,18 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
 
     The stops sit on the engraved lines, so all eight setups share one
     breakpoint set: the circle is partitioned once, and the guard points of
-    every setup go through one run_setups call.  Errors name the first
-    failing setup in TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
+    every setup go through one run_setups call.  Every row evaluates the
+    stop cells; a single-stop setup reads its entry from cell 10 or 01, and
+    its errors name its one event.  Errors name the first failing setup in
+    TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
     """
-    config = config_for_setup(lines, gamma, ALL_SETUPS[0])
-    partition = _partition(config)
-    guard = partition[2]
-    batch = run_setups(config, ALL_SETUPS, guard.ravel())
     pairs = len(TWO_STOP_SETUPS)
-    # one row per setup; a single-stop row repeats its one event
-    values = np.empty((len(ALL_SETUPS), len(_CELL_EVENTS), guard.size), dtype=bool)
-    for e, event in enumerate(_CELL_EVENTS):
-        values[:pairs, e] = event.batch(batch)[:pairs]
-    for s, event in enumerate(_LONE_EVENTS):
-        values[pairs + s] = event.batch(batch)[pairs + s]
-    _bits, rows = _read_arcs(
-        [[event.name for event in _CELL_EVENTS]] * pairs + [[event.name] * len(_CELL_EVENTS) for event in _LONE_EVENTS],
-        values.reshape(len(ALL_SETUPS), len(_CELL_EVENTS), *guard.shape),
-        partition,
-        lambda s: config_for_setup(lines, gamma, ALL_SETUPS[s]),
-        tables=pairs,
-    )
+    names = [[event.name for event in _CELL_EVENTS]] * pairs + [[event.name] * len(_CELL_EVENTS) for event, _ in _LONE]
+    rows = _guarded(config_for_setup(lines, gamma, ALL_SETUPS[0]), ALL_SETUPS, _CELL_EVENTS, names, tables=pairs)[1]
     full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, rows)}
     return ConditionalTable(
         joint={setup: table["11"] for setup, table in full.items()},
-        singles={setup: row[0] for setup, row in zip(SINGLE_STOP_SETUPS, rows[pairs:])},
+        singles={setup: row[cell] for setup, (_, cell), row in zip(SINGLE_STOP_SETUPS, _LONE, rows[pairs:])},
         full_tables=full,
     ).validate()
 

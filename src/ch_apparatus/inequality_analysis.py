@@ -198,16 +198,7 @@ def corrected_probabilities(table: ConditionalTable, freqs: SettingFrequencies) 
     abp = table.joint["ab'"] * freqs.abp
     apb = table.joint["a'b"] * freqs.apb
     apbp = table.joint["a'b'"] * freqs.apbp
-    return ProbabilitySet(
-        ab=ab,
-        abp=abp,
-        apb=apb,
-        apbp=apbp,
-        a=ab + abp,
-        ap=apb + apbp,
-        b=ab + apb,
-        bp=abp + apbp,
-    )
+    return ProbabilitySet(ab=ab, abp=abp, apb=apb, apbp=apbp, a=ab + abp, ap=apb + apbp, b=ab + apb, bp=abp + apbp)
 
 
 def reduced_ch_value(table: ConditionalTable, freqs: SettingFrequencies) -> float:
@@ -216,12 +207,7 @@ def reduced_ch_value(table: ConditionalTable, freqs: SettingFrequencies) -> floa
     After correction every positive term is cancelled by a marginal, leaving
     - p(11|ab') f(ab') - p(11|a'b) f(a'b), manifestly in [-1, 0].
     """
-    residual = reduced_identity_residual(table, freqs)
-    if residual > IDENTITY_TOL:
-        raise ConsistencyError(
-            f"reduced CH value disagrees with the corrected expansion by {residual!r}"
-        )
-    return _reduced_form(table, freqs)
+    return _checked_reduced_form(table, freqs, ch_value(corrected_probabilities(table, freqs)))[0]
 
 
 def reduced_identity_residual(table: ConditionalTable, freqs: SettingFrequencies) -> float:
@@ -231,6 +217,18 @@ def reduced_identity_residual(table: ConditionalTable, freqs: SettingFrequencies
 
 def _reduced_form(table: ConditionalTable, freqs: SettingFrequencies) -> float:
     return -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
+
+
+def _checked_reduced_form(
+    table: ConditionalTable, freqs: SettingFrequencies, corrected_ch: float
+) -> tuple[float, float]:
+    """The reduced form and its residual against corrected_ch, the CH value
+    of the corrected set; ConsistencyError above IDENTITY_TOL."""
+    reduced = _reduced_form(table, freqs)
+    residual = abs(reduced - corrected_ch)
+    if residual > IDENTITY_TOL:
+        raise ConsistencyError(f"reduced CH value disagrees with the corrected expansion by {residual!r}")
+    return reduced, residual
 
 
 class FixedLambdaResult(NamedTuple):
@@ -271,8 +269,7 @@ def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:
     All eight come from one arc partition, so they refer to the same
     configuration and the same probability space.
     """
-    v = event_probabilities(config, _CROSSING_EVENTS)
-    return ProbabilitySet(ab=v[0], abp=v[1], apb=v[2], apbp=v[3], a=v[4], ap=v[5], b=v[6], bp=v[7])
+    return ProbabilitySet(*event_probabilities(config, _CROSSING_EVENTS))
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ def analyze(table: ConditionalTable, freqs: SettingFrequencies) -> AnalysisRepor
     chs = ch_sum_value(naive)
     corrected = corrected_probabilities(table, freqs)
     cch = ch_value(corrected)
-    reduced = reduced_ch_value(table, freqs)
+    reduced, residual = _checked_reduced_form(table, freqs, cch)
     return AnalysisReport(
         naive=naive,
         ch=ch,
@@ -318,5 +315,5 @@ def analyze(table: ConditionalTable, freqs: SettingFrequencies) -> AnalysisRepor
         corrected_ch=cch,
         corrected_ch_flagged=ch_violated(cch),
         reduced_ch=reduced,
-        identity_residual=reduced_identity_residual(table, freqs),
+        identity_residual=residual,
     )

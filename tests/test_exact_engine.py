@@ -18,6 +18,8 @@ from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
     MODIFIED,
+    SINGLE_STOP_SETUPS,
+    TWO_STOP_SETUPS,
     ApparatusConfig,
     ConfigError,
     EngravedLines,
@@ -45,9 +47,13 @@ from ch_apparatus.exact_engine import (
     joint_probability_table,
     line_crossed,
     lines_crossed,
+    outcome_map,
+    outcome_maps,
     stop_cell,
     stop_reached,
 )
+from ch_apparatus.monte_carlo import _COUNTED
+from test_monte_carlo import NEAR_BUDGET
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -275,23 +281,33 @@ def _list_breakpoints(config):
     return starts, extents, guard
 
 
+budgets = st.floats(min_value=1e-3, max_value=TWO_PI - 1e-3)
+
+
 @st.composite
-def breakpoint_configs(draw):
-    """Validated configs of both devices on arbitrary or near-coincident lines,
-    with stops on a line or up to EPS_ANGLE off it."""
+def engraved_lines(draw, budget):
+    """Arbitrary lines, or each line a few EPS_ANGLE from the one before or
+    from its shift by the budget or half of it."""
     angle = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
-    budget = draw(st.floats(min_value=1e-3, max_value=TWO_PI - 1e-3))
     a = draw(angle)
     if draw(st.booleans()):
         angles = [a] + [draw(angle) for _ in range(3)]
     else:
-        # each line a few EPS_ANGLE from the one before or from its budget shift
         angles = [a]
         for _ in range(3):
             shift = draw(st.sampled_from([0.0, budget, -budget, 0.5 * budget, -0.5 * budget]))
             angles.append(normalize(angles[-1] + shift + draw(st.integers(-3, 3)) * EPS_ANGLE))
     lines = EngravedLines(*angles)
     assume(lines.A != lines.A_prime and lines.B != lines.B_prime)
+    return lines
+
+
+@st.composite
+def breakpoint_configs(draw):
+    """Validated configs of both devices on arbitrary or near-coincident lines,
+    with stops on a line or up to EPS_ANGLE off it."""
+    budget = draw(budgets)
+    lines = draw(engraved_lines(budget))
     kind = draw(st.sampled_from(["setup", "offset stops", "unmodified"]))
     if kind == "unmodified":
         return unmodified_config(lines, draw(st.sampled_from([budget, TWO_PI])))
@@ -327,15 +343,25 @@ def _critical_without_half_shifts(config):
     return [normalize(a + s) for a in anchors for s in (0.0, g, -g)]
 
 
+# Engravings whose partition without the +-gamma/2 shifts fails first in a
+# two-stop setup, and first in a single-stop setup
+FAILS_IN_A_PAIR = (
+    EngravedLines(0.37261016614881004, 0.21487387664823115, 0.15773628950057886, 0.0),
+    0.21487387664823115,
+)
+FAILS_IN_A_SINGLE = (
+    EngravedLines(1.1739329721253928, 1.8074990466082548, 3.968375288727041, 4.186544520997088),
+    5.696916767739077,
+)
+
+
 class TestSharedPartition:
-    # Messages frozen from the engine that partitioned each setup on its own;
-    # one engraving fails first in a two-stop setup, one in a single-stop setup.
+    # Messages frozen from the engine that partitioned each setup on its own
     @pytest.mark.parametrize(
         "lines, gamma, message",
         [
             (
-                EngravedLines(0.37261016614881004, 0.21487387664823115, 0.15773628950057886, 0.0),
-                0.21487387664823115,
+                *FAILS_IN_A_PAIR,
                 "event stops:01 is not constant on the arc starting at 0.0 (extent "
                 "0.15773628950057886), guard angles [0.07886814475028943, 4e-12, "
                 "0.15773628949657886], config ApparatusConfig(mode='modified', lines=EngravedLines("
@@ -344,8 +370,7 @@ class TestSharedPartition:
                 "left=0.37261016614881004, right=0.0)); breakpoint set incomplete",
             ),
             (
-                EngravedLines(1.1739329721253928, 1.8074990466082548, 3.968375288727041, 4.186544520997088),
-                5.696916767739077,
+                *FAILS_IN_A_SINGLE,
                 "event stops:1x is not constant on the arc starting at 4.554643828167551 (extent "
                 "0.21816923227004636), guard angles [4.663728444302574, 4.554643828171551, "
                 "4.772813060433597], config ApparatusConfig(mode='modified', lines=EngravedLines("
@@ -405,6 +430,96 @@ class TestSharedPartition:
                 assert table.full_tables[setup] == {c: sums[c] for c in CELLS}, setup
             else:
                 assert table.singles[setup] == sums["1x" if setup.startswith("a") else "x1"], setup
+
+
+def _reads(calls):
+    """The results of calls, made in order up to the first that raises
+    ConsistencyError, and that error's message (None if none raises)."""
+    results = []
+    for call in calls:
+        try:
+            results.append(call())
+        except ConsistencyError as exc:
+            return results, str(exc)
+    return results, None
+
+
+def _assert_shared_read(shared_call, own_calls, same):
+    """The shared call reads what the calls on their own read, or raises the
+    message of the first of them that raises; returns that message."""
+    own, failure = _reads(own_calls)
+    if failure is not None:
+        with pytest.raises(ConsistencyError) as info:
+            shared_call()
+        assert str(info.value) == failure
+        return failure
+    shared = shared_call()
+    assert len(shared) == len(own)
+    for got, want in zip(shared, own):
+        same(got, want)
+    return None
+
+
+def _same_map(got, want):
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def _same_repr(got, want):
+    assert repr(got) == repr(want)
+
+
+def _shared_table(lines, gamma):
+    table = conditional_table(lines, gamma)
+    return [table.full_tables[s] for s in TWO_STOP_SETUPS] + [table.singles[s] for s in SINGLE_STOP_SETUPS]
+
+
+def _own_table_calls(lines, gamma):
+    """Per setup in ALL_SETUPS order, the call that reads its conditional_table
+    entry on its own partition: the full table, or the one stop's event."""
+    def own(setup):
+        config = config_for_setup(lines, gamma, setup)
+        if setup in TWO_STOP_SETUPS:
+            return joint_probability_table(config)
+        return event_probability(config, stop_reached("left" if setup.startswith("a") else "right"))
+
+    return [lambda setup=setup: own(setup) for setup in ALL_SETUPS]
+
+
+def _assert_rows_read_their_own(lines, gamma, order):
+    """Every row of a shared partition reads what the setup's own partition
+    reads, bits of arcs under two guard margins included; returns the
+    messages both routes raised (None where they raised nothing)."""
+    maps = _assert_shared_read(
+        lambda: outcome_maps(lines, gamma, order, _COUNTED),
+        [lambda setup=setup: outcome_map(config_for_setup(lines, gamma, setup), _COUNTED) for setup in order],
+        _same_map,
+    )
+    return maps, _assert_shared_read(lambda: _shared_table(lines, gamma), _own_table_calls(lines, gamma), _same_repr)
+
+
+# Arbitrary and near-coincident engravings, and those where per-phi sums of
+# stop distances flip by rounding along whole arcs
+engravings = st.one_of(
+    budgets.flatmap(lambda budget: st.tuples(engraved_lines(budget), st.just(budget))),
+    st.sampled_from(NEAR_BUDGET),
+)
+
+
+@given(engravings, st.permutations(ALL_SETUPS))
+@settings(max_examples=100, deadline=None)
+@example(engraving=FAILS_IN_A_PAIR, order=list(ALL_SETUPS))
+@example(engraving=FAILS_IN_A_SINGLE, order=list(ALL_SETUPS))
+def test_setup_rows_read_what_one_config_reads(engraving, order):
+    _assert_rows_read_their_own(*engraving, order)
+
+
+@pytest.mark.parametrize("engraving", [FAILS_IN_A_PAIR, FAILS_IN_A_SINGLE])
+@pytest.mark.parametrize("order", [ALL_SETUPS, ALL_SETUPS[::-1]])
+def test_setup_rows_raise_what_one_config_raises(monkeypatch, engraving, order):
+    monkeypatch.setattr(exact_engine, "_critical_angles", _critical_without_half_shifts)
+    maps, table = _assert_rows_read_their_own(*engraving, list(order))
+    assert maps is not None and table is not None
 
 
 def test_grid_oracle_whole_table():
