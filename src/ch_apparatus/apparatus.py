@@ -6,13 +6,19 @@ unmodified device both run freely for a fixed angle gamma1.  In the modified
 device a mutual constraint keeps the sum of the two rotations at or below
 gamma, and each side may carry a mechanical stop placed on one of its two
 engraved lines: the left stop at A or A', the right stop at B or B'.
+
+run_trial is the reference kinematics of one trial.  run_trials and
+run_setups give the same outcomes as a TrialBatch, which computes the
+stop-reach flags at once and every other field on first read, in one array
+pass: a read of any line's crossings computes all four lines.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -276,40 +282,6 @@ def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
     )
 
 
-class TrialBatch(NamedTuple):
-    """Struct-of-arrays form of many trial outcomes; ``crossed`` maps the
-    LINE_NAMES, in order, to crossing arrays computed when first read."""
-
-    r1: np.ndarray
-    r2: np.ndarray
-    reached_left_stop: np.ndarray
-    reached_right_stop: np.ndarray
-    crossed: Mapping[str, np.ndarray]
-
-
-class _Crossings(Mapping):
-    """Read-only map from line name to cross(name), computed on first read and cached."""
-
-    def __init__(self, cross: Callable[[str], np.ndarray]):
-        self._cross, self._cache = cross, {}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        if name not in self._cache:
-            self._cache[name] = self._cross(name)
-        return self._cache[name]
-
-    def __iter__(self):
-        return iter(LINE_NAMES)
-
-    def __len__(self) -> int:
-        return len(LINE_NAMES)
-
-
-def _ccw_delta_vec(start, end) -> np.ndarray:
-    # every caller passes an array with a row axis, so it is never 0-d
-    return _wrap_turn(np.subtract(end, start))
-
-
 def _wrap_turn(d: np.ndarray) -> np.ndarray:
     """The scalar ccw_delta's operations in its order on end - start, in place."""
     np.add(d, TWO_PI, out=d, where=d < 0.0)
@@ -327,82 +299,120 @@ def _stop_columns(lefts: list[float | None], rights: list[float | None], ndim: i
     return np.array(xs + ys + spans).reshape((3, len(xs)) + (1,) * ndim)
 
 
-def _line_crossed(g, line, phis, way, stops, stop, r, reached, partner, d_partner, after) -> np.ndarray:
-    """Row-by-row crossing of one line by the body of its side (_run_rows).
-    ``way(x, y)`` orders ccw_delta's arguments for a turn of the body from x
-    to y: (x, y) for body 1, (y, x) for body 2, which turns clockwise.
-    ``after`` marks the trials where the body turned gamma minus d_partner,
-    the distance to the partner stop (None when there are none)."""
-    d = _ccw_delta_vec(*way(phis, line))
-    hit = d <= r + EPS_ANGLE
-    # a body held at its own stop crosses a line on its path or at most
-    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
-    # same unless the span from some row's stop to the line is in
-    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
-    if any(0.0 < ccw_delta(*way(x, line)) <= 2.0 * EPS_ANGLE for x in stops if x is not None):
-        held = (d <= r) | (_ccw_delta_vec(*way(stop, line)) <= EPS_ANGLE)
-        hit = np.where(reached, held, hit)
-    if after is not None:
-        fits = _fits_budget(g, _ccw_delta_vec(*way(partner, line)), d + d_partner)
-        hit = np.where(after, fits, hit)
-    return hit
+class TrialBatch:
+    """Struct-of-arrays form of many trial outcomes (run_trials, run_setups).
+
+    reached_left_stop and reached_right_stop are computed with the batch,
+    every other field on first read, in one array pass, then cached: r1 and
+    r2; crossings, the crossing flags of the four lines stacked in LINE_NAMES
+    order, which crossed maps by line name, so reading any line computes all
+    four; stop_cells, the flags of the stop cells 11, 10, 01 and 00 (both
+    stops, left only, right only, neither: exact_engine.CELLS) stacked.
+    """
+
+    def __init__(self, config: ApparatusConfig, phis: np.ndarray, reached: np.ndarray, kinematics, row):
+        # _run_rows' state over all its rows; row picks the rows that show
+        self._config, self._phis, self._reached, self._kinematics, self._row = config, phis, reached, kinematics, row
+        self.reached_left_stop, self.reached_right_stop = reached[:, row]
+
+    _rotations = cached_property(lambda self: _travel(self))
+    r1 = cached_property(lambda self: self._rotations[0][0, self._row])
+    r2 = cached_property(lambda self: self._rotations[0][1, self._row])
+    crossings = cached_property(lambda self: _crossings(self)[:, self._row])
+    crossed = cached_property(lambda self: dict(zip(LINE_NAMES, self.crossings)))
+
+    @cached_property
+    def stop_cells(self) -> np.ndarray:
+        left, right = self.reached_left_stop, self.reached_right_stop
+        return np.array([left & right, left > right, left < right, ~(left | right)])
 
 
 def _run_rows(
-    config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], Callable[[str], np.ndarray]]:
+    config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray, row=slice(None)
+) -> TrialBatch:
     """Kinematics of config over phis with per-row stops: row i of every
     field runs the stops (lefts[i], rights[i]), None meaning no stop on that
     side.  The only vectorized kinematics; each row matches run_trial bit for
-    bit under its stops.  Returns the first four TrialBatch fields, shaped
-    (rows, *phis.shape), and the function that computes a line's crossings.
-    Unmodified configs take one row with no stops."""
+    bit under its stops.  Computes the stop-reach flags of a TrialBatch with
+    fields shaped (rows, *phis.shape), or phis.shape for row=0.  Unmodified
+    configs take one row with no stops."""
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
     # a leading row axis, so that no array below is 0-d
     phis = np.asarray(phis, dtype=np.float64)[None]
-
     if config.mode == UNMODIFIED:
-        r1 = r2 = np.full(phis.shape, config.gamma1)
-        reached_left = reached_right = np.zeros(phis.shape, dtype=bool)
-        g = left = right = d1 = d2 = after_right = after_left = None
-        # both bodies turn gamma1 on every trial, so gamma1 stands for r1 and r2
-        reach1 = reach2 = config.gamma1
-    else:
-        g = config.gamma
-        left, right, span = columns = _stop_columns(lefts, rights, phis.ndim - 1)
-        # axis 0 is the body, so each step below is one call for both: d is
-        # each body's distance to its own stop, body 1 turning ccw from phi
-        # and body 2 clockwise, and [::-1] swaps the bodies
-        d = np.empty((2, len(lefts)) + phis.shape[1:])
-        np.subtract(left, phis, out=d[0])
-        np.subtract(phis, right, out=d[1])
-        # an absent stop is infinitely far, as in run_trial
-        np.copyto(_wrap_turn(d), np.inf, where=np.isnan(columns[:2]))
-        d1, d2 = d
-        # a body meets its stop first: body 1 wins ties
-        first = np.empty(d.shape, dtype=bool)
-        np.less_equal(d1, d2, out=first[0])
-        np.less(d2, d1, out=first[1])
-        first &= d <= 0.5 * g + EPS_ANGLE
-        # false where a stop is absent: d1 + d2 is then infinite
-        partner_fits = _fits_budget(g, span, d1 + d2)
-        reached = first | (first[::-1] & partner_fits)
-        # trials where a body turned gamma minus its partner's stop distance
-        after = first[::-1] & ~partner_fits
-        r1, r2 = reach1, reach2 = np.where(reached, d, np.where(after, g - d[::-1], 0.5 * g))
-        reached_left, reached_right = reached
-        # the crossings skip them when no row has that partner stop
-        after_right = None if all(x is None for x in rights) else after[0]
-        after_left = None if all(x is None for x in lefts) else after[1]
+        return TrialBatch(config, phis, np.zeros((2,) + phis.shape, dtype=bool), None, row)
+    g = config.gamma
+    columns = _stop_columns(lefts, rights, phis.ndim - 1)
+    # axis 0 is the body, so each step below is one call for both: d is
+    # each body's distance to its own stop, body 1 turning ccw from phi
+    # and body 2 clockwise, and [::-1] swaps the bodies
+    d = np.empty((2, len(lefts)) + phis.shape[1:])
+    np.subtract(columns[0], phis, out=d[0])
+    np.subtract(phis, columns[1], out=d[1])
+    # an absent stop is infinitely far, as in run_trial
+    np.copyto(_wrap_turn(d), np.inf, where=np.isnan(columns[:2]))
+    # a body meets its stop first: body 1 wins ties
+    first = np.empty(d.shape, dtype=bool)
+    np.less_equal(d[0], d[1], out=first[0])
+    np.less(d[1], d[0], out=first[1])
+    first &= d <= 0.5 * g + EPS_ANGLE
+    # false where a stop is absent: d1 + d2 is then infinite
+    partner_fits = _fits_budget(g, columns[2], d[0] + d[1])
+    reached = first | (first[::-1] & partner_fits)
+    return TrialBatch(config, phis, reached, (columns, d, first, partner_fits), row)
 
-    # body 1 turns ccw from phi, body 2 clockwise: see _line_crossed
-    a_side = (lambda x, y: (x, y), lefts, left, reach1, reached_left, right, d2, after_right)
-    b_side = (lambda x, y: (y, x), rights, right, reach2, reached_right, left, d1, after_left)
-    side = {"A": a_side, "A'": a_side, "B": b_side, "B'": b_side}
-    return (r1, r2, reached_left, reached_right), lambda name: _line_crossed(
-        g, config.lines.by_name(name), phis, *side[name]
-    )
+
+def _travel(batch: TrialBatch) -> tuple[np.ndarray, np.ndarray | None]:
+    """Both bodies' rotations on every row of _run_rows, axis 0 the body, and
+    where each turned gamma minus its partner's stop distance (None in the
+    unmodified device, where both turn gamma1)."""
+    if batch._kinematics is None:
+        return np.full(batch._reached.shape, batch._config.gamma1), None
+    g = batch._config.gamma
+    _columns, d, first, partner_fits = batch._kinematics
+    after = first[::-1] & ~partner_fits
+    return np.where(batch._reached, d, np.where(after, g - d[::-1], 0.5 * g)), after
+
+
+def _crossings(batch: TrialBatch) -> np.ndarray:
+    """Crossings of the four lines on every row of _run_rows, in LINE_NAMES
+    order, from one expression over (side, line, row, *phis.shape) arrays:
+    side 0 is body 1 with A and A', side 1 body 2 with B and B', and body 2
+    turns clockwise, so its distances run from the line to phi."""
+    config, phis = batch._config, batch._phis
+    lines = config.lines
+    lines = np.array([lines.A, lines.A_prime, lines.B, lines.B_prime]).reshape((2, 2) + (1,) * phis.ndim)
+    d = np.empty((2, 2) + phis.shape)
+    np.subtract(lines[0], phis, out=d[0])
+    np.subtract(phis, lines[1], out=d[1])
+    _wrap_turn(d)
+    if batch._kinematics is None:
+        # both bodies turn gamma1 on every trial, so gamma1 stands for r1 and r2
+        return (d <= config.gamma1 + EPS_ANGLE).reshape((4,) + phis.shape)
+    g = config.gamma
+    columns, d_stop = batch._kinematics[:2]
+    r, after = batch._rotations
+    r = r[:, None]
+    hit = d <= r + EPS_ANGLE
+    # spans[side, 0] from the side's own stop to its lines, spans[side, 1]
+    # from the partner stop, each in the turn of the side's body
+    spans = np.empty((2, 2, 2) + columns.shape[1:])
+    np.subtract(lines[0], columns[:2, None], out=spans[0])
+    np.subtract(columns[1::-1, None], lines[1], out=spans[1])
+    own, partner = _wrap_turn(spans).swapaxes(0, 1)
+    # a body held at its own stop crosses a line on its path or at most
+    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
+    # same unless the span from some row's stop to the line is in
+    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
+    near = ((0.0 < own) & (own <= 2.0 * EPS_ANGLE)).any(axis=2, keepdims=True)
+    if near.any():
+        held = (d <= r) | (own <= EPS_ANGLE)
+        hit = np.where(batch._reached[:, None] & near, held, hit)
+    # a body that turned gamma minus its partner's stop distance crosses a
+    # line when the budget spans the arc from the partner's stop to it
+    fits = _fits_budget(g, partner, d + d_stop[::-1, None])
+    return np.where(after[:, None], fits, hit).reshape((4,) + hit.shape[2:])
 
 
 def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
@@ -410,11 +420,10 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
 
     The one-row case of the per-row kinematics that run_setups also uses,
     so there is one vectorized path.  Bitwise-identical to the scalar
-    run_trial field by field; a line's crossings are computed when an event
-    first reads them.
+    run_trial field by field; see TrialBatch for the fields computed when
+    first read.
     """
-    fields, cross = _run_rows(config, [config.stops.left], [config.stops.right], phis)
-    return TrialBatch(*(field[0] for field in fields), _Crossings(lambda name: cross(name)[0]))
+    return _run_rows(config, [config.stops.left], [config.stops.right], phis, 0)
 
 
 def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray) -> TrialBatch:
@@ -422,16 +431,15 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
 
     Every field has one row per setup: row i equals
     run_trials(config_for_setup(config.lines, config.gamma, setups[i]), phis)
-    bit for bit.  As there, a line's crossings are computed, for every row,
-    when an event first reads them.  config must be a validated modified-mode
-    configuration; its own stops are ignored.  Stops sit on the engraved
-    lines, so the setups need no further validation.
+    bit for bit.  As there, the fields other than the stop-reach flags are
+    computed, for every row, when first read.  config must be a validated
+    modified-mode configuration; its own stops are ignored.  Stops sit on the
+    engraved lines, so the setups need no further validation.
     """
     if config.mode != MODIFIED:
         raise ConfigError(f"run_setups needs a modified-mode configuration, got {config.mode!r}")
     stops = [_stop_angles(config.lines, setup) for setup in setups]
-    fields, cross = _run_rows(config, [x for x, _y in stops], [y for _x, y in stops], phis)
-    return TrialBatch(*fields, _Crossings(cross))
+    return _run_rows(config, [x for x, _y in stops], [y for _x, y in stops], phis)
 
 
 def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:

@@ -25,7 +25,9 @@ table: it partitions once, runs one kinematics call, then guards and sums
 every row.  In the modified device the stops sit on the engraved lines, so
 every setup of one engraving has the same breakpoints: conditional_table and
 outcome_maps read their setups as rows of one run_setups call, and the
-other readers take a configuration's own stops through run_trials.
+other readers take a configuration's own stops through run_trials.  Events
+read a batch's stop-cell stack or its crossings (all four lines at once), so
+conditional_table, which reads stop cells, computes no crossing or rotation.
 """
 
 from __future__ import annotations
@@ -117,10 +119,9 @@ def lines_crossed(*names: str) -> EventPredicate:
 
 
 def stop_cell(left: bool, right: bool) -> EventPredicate:
-    return EventPredicate(
-        name=f"stops:{int(left)}{int(right)}",
-        batch=lambda b: (b.reached_left_stop == left) & (b.reached_right_stop == right),
-    )
+    cell = f"{int(left)}{int(right)}"
+    k = CELLS.index(cell)
+    return EventPredicate(name=f"stops:{cell}", batch=lambda b: b.stop_cells[k])
 
 
 _CELL_EVENTS = [stop_cell(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))]
@@ -139,15 +140,15 @@ def _critical_angles(config: ApparatusConfig) -> np.ndarray:
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
     # a stop that sits exactly on a line adds only repeats
     anchors += [x for x in (stops.left, stops.right) if x is not None and x not in anchors]
-    # a set: its order decides which of 0.0 and -0.0 the partition keeps
-    shifts = {0.0}
+    shifts = (0.0,)
     if config.mode == MODIFIED:
         g = config.gamma
-        shifts.update((g, -g, 0.5 * g, -0.5 * g))
+        shifts += (g, -g, 0.5 * g, -0.5 * g)
     if config.gamma1 is not None:
         g1 = config.gamma1
-        shifts.update((g1, -g1))
-    return np.array([normalize(a + s) for a in anchors for s in shifts])
+        shifts += (g1, -g1)
+    # normalize(-2*pi) is -0.0, and -0.0 + 0.0 is 0.0: no arc starts at -0.0
+    return np.array([normalize(a + s) for a in anchors for s in shifts]) + 0.0
 
 
 def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

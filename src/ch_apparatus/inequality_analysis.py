@@ -253,7 +253,7 @@ def _fixed_lambda_checks(config: ApparatusConfig, phis: np.ndarray) -> tuple[np.
     angle of phis, from one run_trials call."""
     if config.mode != UNMODIFIED:
         raise ValueError("fixed-lambda check applies to the unmodified device")
-    x, xp, y, yp = np.array(list(run_trials(config, phis).crossed.values()), dtype=np.int64)
+    x, xp, y, yp = run_trials(config, phis).crossings.astype(np.int64)
     return np.abs((x & y) - x * y), x * y - x * yp + xp * y + xp * yp - xp - y
 
 

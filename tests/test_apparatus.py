@@ -541,10 +541,10 @@ def stop_column(stops, ndim):
     return angles, np.array([x is not None for x in stops]).reshape(shape)
 
 
-def eager_crossings(config, lefts, rights, phis):
-    """Every line's crossings as _run_rows computed them on each call before
-    they were computed on read: its kinematics and crossing loop, kept as the
-    reference for the lazily read lines."""
+def eager_fields(config, lefts, rights, phis):
+    """r1, r2 and every line's crossings, by name, as _run_rows computed them
+    on each call before they were computed on read: its kinematics and
+    crossing loop, kept as the reference for the lazily read fields."""
     lines = config.lines
     if config.mode == UNMODIFIED:
         r1 = np.full((1, *phis.shape), config.gamma1)
@@ -596,16 +596,23 @@ def eager_crossings(config, lefts, rights, phis):
         if after_left is not None:
             fits = _fits_budget(g, eager_ccw_delta_vec(line, left), d + d1)
             crossed[name] = np.where(after_left, fits, crossed[name])
-    return crossed
+    return {"r1": r1, "r2": r2, **crossed}
 
 
-def assert_lazy_matches_eager(crossed, eager, order, row=None):
-    assert list(crossed) == list(LINE_NAMES) and len(crossed) == len(LINE_NAMES)
-    for name in order:
-        got = crossed[name]
+def read_field(batch, name):
+    return getattr(batch, name) if name in ("r1", "r2") else batch.crossed[name]
+
+
+def assert_lazy_matches_eager(batch, eager, names, row=None):
+    """Each field of names, read in that order, equals the eager one byte for
+    byte, and a second read returns the same object."""
+    for name in names:
+        got = read_field(batch, name)
         want = eager[name] if row is None else eager[name][row]
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
-        assert crossed[name] is got, f"{name} is computed again on a second read"
+        assert read_field(batch, name) is got, f"{name} is computed again on a second read"
+    crossed = batch.crossed
+    assert list(crossed) == list(LINE_NAMES) and len(crossed) == len(LINE_NAMES)
     assert dict(**crossed).keys() == set(LINE_NAMES)
 
 
@@ -623,34 +630,44 @@ def test_lazy_crossings_match_the_eager_loop(engraving, order, seed):
     lefts, rights = [s.left for s in stops], [s.right for s in stops]
     config = config_for_setup(lines, gamma, "ab")
     rows = run_setups(config, ALL_SETUPS, phis)
-    assert_lazy_matches_eager(rows.crossed, eager_crossings(config, lefts, rights, phis), order)
+    # travel read after the crossings, which compute it first
+    assert_lazy_matches_eager(rows, eager_fields(config, lefts, rights, phis), [*order, "r1", "r2"])
     configs = [config_for_setup(lines, gamma, setup) for setup in ALL_SETUPS]
     configs.append(unmodified_config(lines, gamma))
     for i, one in enumerate(configs):
-        # each run_trials batch reads its lines in a different rotation of the order
+        # each run_trials batch reads its lines in a different rotation of the
+        # order, and every other one reads its travel before any line
         turn = order[i % 4:] + order[: i % 4]
-        eager = eager_crossings(one, [one.stops.left], [one.stops.right], phis)
-        assert_lazy_matches_eager(run_trials(one, phis).crossed, eager, turn, row=0)
+        names = ["r2", "r1", *turn] if i % 2 else [*turn, "r1", "r2"]
+        eager = eager_fields(one, [one.stops.left], [one.stops.right], phis)
+        assert_lazy_matches_eager(run_trials(one, phis), eager, names, row=0)
+
+
+def spy_on(monkeypatch, name):
+    """Replace the apparatus function name by a spy; returns the list of
+    its results, one per call."""
+    results, compute = [], getattr(apparatus, name)
+
+    def spy(batch):
+        results.append(compute(batch))
+        return results[-1]
+
+    monkeypatch.setattr(apparatus, name, spy)
+    return results
 
 
 def test_stop_events_compute_no_crossing(monkeypatch):
-    lines_read = []
-    line_crossed = apparatus._line_crossed
-
-    def spy(*args):
-        lines_read.append(args[1])
-        return line_crossed(*args)
-
-    monkeypatch.setattr(apparatus, "_line_crossed", spy)
+    crossings, travel = spy_on(monkeypatch, "_crossings"), spy_on(monkeypatch, "_travel")
     conditional_table(fig2_lines(GAMMA, THETA), GAMMA)
     conditional_table(NEAR_BUDGET_LINES, 4.0)
     conditional_table(HELD_LINES, HELD_GAMMA)
-    # run_trials reads row 0 of run_setups' crossings on demand as well
+    # run_trials reads the stop cells of its one row without crossings as well
     grid_oracle(demo_config("ab"), both_stops_reached(), 1000)
-    assert lines_read == []
-    # the spy does see the lines that an event reads
+    assert crossings == [] and travel == []
+    # the spy does see the lines that an event reads: all four in one call
     crossing_probability_set(unmodified_config(SQUARE_LINES, 1.0))
-    assert sorted(lines_read) == sorted(SQUARE_LINES.by_name(name) for name in LINE_NAMES)
+    [stack] = crossings
+    assert stack.shape[0] == len(LINE_NAMES) and stack.dtype == bool
 
 
 def frozen_engravings():

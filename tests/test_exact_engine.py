@@ -256,9 +256,10 @@ class TestConditionalTable:
         assert p == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
-def _list_breakpoints(config):
+def _list_breakpoints(config, order=None):
     """The partition as it was built from Python lists: every anchor shifted by
-    every budget, normalized one by one, then each guard point normalized."""
+    every budget, normalized one by one and -0.0 taken as 0.0, then each guard
+    point normalized.  ``order`` rearranges the shifts."""
     lines = config.lines
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
     anchors += [stop for stop in (config.stops.left, config.stops.right) if stop is not None]
@@ -268,7 +269,8 @@ def _list_breakpoints(config):
         shifts.update((g, -g, 0.5 * g, -0.5 * g))
     if config.gamma1 is not None:
         shifts.update((config.gamma1, -config.gamma1))
-    starts, extents = partition_arrays([normalize(a + s) for a in anchors for s in shifts])
+    shifts = list(shifts) if order is None else order(shifts)
+    starts, extents = partition_arrays([normalize(a + s) or 0.0 for a in anchors for s in shifts])
     margin = exact_engine._GUARD_MARGIN
     guard = np.array(
         [
@@ -321,7 +323,8 @@ def breakpoint_configs(draw):
 
 
 # A - gamma is a tiny negative that rounds onto 2*pi and normalizes to 0.0; a
-# line at 0.0 with gamma1 = 2*pi yields both 0.0 and -0.0 as breakpoints
+# line at 0.0 with gamma1 = 2*pi yields both 0.0 and -0.0 as breakpoints, and
+# the partition keeps 0.0
 @given(breakpoint_configs())
 @settings(max_examples=200)
 @example(config_for_setup(EngravedLines(1.0, 2.0, 3.0, 4.0), math.nextafter(1.0, 2.0), "ab"))
@@ -329,9 +332,12 @@ def breakpoint_configs(draw):
 @example(unmodified_config(EngravedLines(0.0, 2.0, 3.0, 4.0), TWO_PI))
 def test_partition_equals_the_list_breakpoints(config):
     got = exact_engine._partition(config)
-    want = _list_breakpoints(config)
-    for g, w in zip(got, want):
-        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), config
+    # no arc starts at -0.0, whichever order the shifts come in
+    assert not np.signbit(got[0]).any(), config
+    for order in (None, sorted, lambda shifts: sorted(shifts, reverse=True)):
+        want = _list_breakpoints(config, order)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), (config, order)
 
 
 def _critical_without_half_shifts(config):
