@@ -40,10 +40,11 @@ TWO_STOP_SETUPS = ("ab", "ab'", "a'b", "a'b'")
 SINGLE_STOP_SETUPS = ("a", "a'", "b", "b'")
 ALL_SETUPS = TWO_STOP_SETUPS + SINGLE_STOP_SETUPS
 
-# The lines that carry each setup's left and right stop; None for no stop.
+# Each setup's left and right stop as an index into [A, A', B, B', NaN];
+# 4, the NaN, stands for no stop.
 _SETUP_LINES = {
-    "ab": ("A", "B"), "ab'": ("A", "B'"), "a'b": ("A'", "B"), "a'b'": ("A'", "B'"),
-    "a": ("A", None), "a'": ("A'", None), "b": (None, "B"), "b'": (None, "B'"),
+    "ab": (0, 2), "ab'": (0, 3), "a'b": (1, 2), "a'b'": (1, 3),
+    "a": (0, 4), "a'": (1, 4), "b": (4, 2), "b'": (4, 3),
 }
 _LINE_FIELDS = dict(zip(LINE_NAMES, ("A", "A_prime", "B", "B_prime")))
 
@@ -121,7 +122,7 @@ def _on_circle(x: float) -> bool:
 
 
 def _is_line(x: float, candidates: tuple[float, float]) -> bool:
-    return any(
+    return x in candidates or any(
         min(ccw_delta(x, c), ccw_delta(c, x)) <= EPS_ANGLE for c in candidates
     )
 
@@ -136,8 +137,7 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
         problems.append(f"mode must be {UNMODIFIED!r} or {MODIFIED!r}, got {config.mode!r}")
 
     lines = config.lines
-    for name in LINE_NAMES:
-        value = lines.by_name(name)
+    for name, value in zip(LINE_NAMES, (lines.A, lines.A_prime, lines.B, lines.B_prime)):
         if not _on_circle(value):
             problems.append(f"line {name} must be a normalized angle in [0, 2*pi), got {value!r}")
     if lines.A == lines.A_prime:
@@ -289,14 +289,13 @@ def _wrap_turn(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _stop_columns(lefts: list[float | None], rights: list[float | None], ndim: int) -> np.ndarray:
+def _stop_columns(lefts: list[float], rights: list[float], ndim: int) -> np.ndarray:
     """Per-row left stop, right stop and ccw span from the right stop to the
     left one (_fits_budget), each shaped (rows, 1, ..., 1) for ndim phi axes.
-    NaN stands for an absent stop and its span: every comparison is false."""
-    xs = [math.nan if x is None else x for x in lefts]
-    ys = [math.nan if y is None else y for y in rights]
-    spans = [ccw_delta(y, x) for x, y in zip(xs, ys)]
-    return np.array(xs + ys + spans).reshape((3, len(xs)) + (1,) * ndim)
+    NaN stands for an absent stop and stays NaN in ccw_delta's span: every
+    comparison with it is false."""
+    spans = list(map(ccw_delta, rights, lefts))
+    return np.array(lefts + rights + spans).reshape((3, len(lefts)) + (1,) * ndim)
 
 
 class TrialBatch:
@@ -328,10 +327,10 @@ class TrialBatch:
 
 
 def _run_rows(
-    config: ApparatusConfig, lefts: list[float | None], rights: list[float | None], phis: np.ndarray, row=slice(None)
+    config: ApparatusConfig, lefts: list[float], rights: list[float], phis: np.ndarray, row=slice(None)
 ) -> TrialBatch:
     """Kinematics of config over phis with per-row stops: row i of every
-    field runs the stops (lefts[i], rights[i]), None meaning no stop on that
+    field runs the stops (lefts[i], rights[i]), NaN meaning no stop on that
     side.  The only vectorized kinematics; each row matches run_trial bit for
     bit under its stops.  Computes the stop-reach flags of a TrialBatch with
     fields shaped (rows, *phis.shape), or phis.shape for row=0.  Unmodified
@@ -350,14 +349,15 @@ def _run_rows(
     d = np.empty((2, len(lefts)) + phis.shape[1:])
     np.subtract(columns[0], phis, out=d[0])
     np.subtract(phis, columns[1], out=d[1])
-    # an absent stop is infinitely far, as in run_trial
-    np.copyto(_wrap_turn(d), np.inf, where=np.isnan(columns[:2]))
-    # a body meets its stop first: body 1 wins ties
+    _wrap_turn(d)
+    # a body meets its stop first, body 1 winning ties, unless the other
+    # body's stop is nearer: each test is false where a distance is NaN, so
+    # an absent stop counts as infinitely far, as in run_trial
     first = np.empty(d.shape, dtype=bool)
-    np.less_equal(d[0], d[1], out=first[0])
-    np.less(d[1], d[0], out=first[1])
-    first &= d <= 0.5 * g + EPS_ANGLE
-    # false where a stop is absent: d1 + d2 is then infinite
+    np.less(d[1], d[0], out=first[0])
+    np.less_equal(d[0], d[1], out=first[1])
+    np.greater(d <= 0.5 * g + EPS_ANGLE, first, out=first)
+    # false where a stop is absent: its span is NaN
     partner_fits = _fits_budget(g, columns[2], d[0] + d[1])
     reached = first | (first[::-1] & partner_fits)
     return TrialBatch(config, phis, reached, (columns, d, first, partner_fits), row)
@@ -423,7 +423,8 @@ def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
     run_trial field by field; see TrialBatch for the fields computed when
     first read.
     """
-    return _run_rows(config, [config.stops.left], [config.stops.right], phis, 0)
+    left, right = config.stops.left, config.stops.right
+    return _run_rows(config, [math.nan if left is None else left], [math.nan if right is None else right], phis, 0)
 
 
 def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray) -> TrialBatch:
@@ -438,8 +439,10 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
     """
     if config.mode != MODIFIED:
         raise ConfigError(f"run_setups needs a modified-mode configuration, got {config.mode!r}")
-    stops = [_stop_angles(config.lines, setup) for setup in setups]
-    return _run_rows(config, [x for x, _y in stops], [y for _x, y in stops], phis)
+    lines = config.lines
+    angles = (lines.A, lines.A_prime, lines.B, lines.B_prime, math.nan)
+    index = [_setup_lines(setup) for setup in setups]
+    return _run_rows(config, [angles[i] for i, _ in index], [angles[j] for _, j in index], phis)
 
 
 def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:
@@ -451,7 +454,8 @@ def fig2_lines(gamma: float, theta: float) -> EngravedLines:
     """Standard engraving: B' = 0, B = theta, A' = gamma, A = gamma + theta.
 
     Requires 0 < theta < gamma and gamma + theta < 2*pi so the four lines
-    keep their cyclic order.
+    keep their cyclic order, and each side's lines more than 2*EPS_ANGLE
+    apart, outside the window where a held body crosses a line (run_trial).
     """
     if not (math.isfinite(gamma) and math.isfinite(theta)):
         raise ConfigError(f"gamma and theta must be finite, got {gamma!r}, {theta!r}")
@@ -459,24 +463,31 @@ def fig2_lines(gamma: float, theta: float) -> EngravedLines:
         raise ConfigError(
             f"need 0 < theta < gamma and gamma + theta < 2*pi, got gamma={gamma!r}, theta={theta!r}"
         )
-    return EngravedLines(
+    lines = EngravedLines(
         A=normalize(gamma + theta),
         A_prime=normalize(gamma),
         B=normalize(theta),
         B_prime=0.0,
     )
+    if min(lines.A - lines.A_prime, lines.B) <= 2.0 * EPS_ANGLE:
+        raise ConfigError(
+            f"theta={theta!r} is below the angular resolution: lines A and A' or B and B' lie within "
+            f"2*EPS_ANGLE of each other (gamma={gamma!r})"
+        )
+    return lines
 
 
-def _stop_angles(lines: EngravedLines, setup: str) -> list[float | None]:
-    """Left and right stop angles of a setup label, None for no stop."""
+def _setup_lines(setup: str) -> tuple[int, int]:
+    """The (left, right) index pair of _SETUP_LINES of a setup label."""
     if setup not in ALL_SETUPS:
         raise ConfigError(f"unknown setup label {setup!r}")
-    return [None if name is None else lines.by_name(name) for name in _SETUP_LINES[setup]]
+    return _SETUP_LINES[setup]
 
 
 def setup_stops(lines: EngravedLines, setup: str) -> StopPlacement:
     """Stop placement named by a setup label such as "ab'" or "a"."""
-    return StopPlacement(*_stop_angles(lines, setup))
+    angles = (lines.A, lines.A_prime, lines.B, lines.B_prime, None)
+    return StopPlacement(*(angles[i] for i in _setup_lines(setup)))
 
 
 def config_for_setup(lines: EngravedLines, gamma: float, setup: str) -> ApparatusConfig:

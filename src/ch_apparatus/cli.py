@@ -32,6 +32,7 @@ from .apparatus import (
 )
 from .circle_geometry import TWO_PI, normalize
 from .exact_engine import (
+    CLOSED_FORM_TOL,
     ConditionalTable,
     ConsistencyError,
     both_stops_reached,
@@ -174,7 +175,10 @@ def parse_config(path: str) -> ExperimentConfig:
         theta = _expect_number(app["theta"], "apparatus.theta")
         if not (0.0 < theta < gamma and gamma + theta < TWO_PI):
             _fail("apparatus.theta", f"need 0 < theta < gamma and gamma + theta < 2*pi, got {theta!r}")
-        lines = fig2_lines(gamma, theta)
+        try:
+            lines = fig2_lines(gamma, theta)
+        except ConfigError as exc:  # lines within the angular resolution
+            _fail("apparatus.theta", str(exc))
     else:
         block = _expect_mapping(app["lines"], "apparatus.lines", set(LINE_NAMES))
         values = {}
@@ -413,7 +417,7 @@ def _base_report(command: str, gamma: float, theta: float | None, lines: Engrave
 
 def _closed_vs_exact(closed: ConditionalTable, exact: ConditionalTable) -> float:
     diff = _table_difference(closed, exact)
-    if diff > 1e-12:
+    if diff > CLOSED_FORM_TOL:
         raise ConsistencyError(f"closed form and arc measures disagree by {diff!r}")
     return diff
 
@@ -596,13 +600,13 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
 
     # closed form against the arc engine, on the demo point and at random
     diff = _table_difference(perturbed_closed(demo_gamma, demo_theta), conditional_table_exact(demo_gamma, demo_theta))
-    record("closed-form-vs-exact-demo", diff <= 1e-12, f"max|diff|={diff:.3e}")
+    record("closed-form-vs-exact-demo", diff <= CLOSED_FORM_TOL, f"max|diff|={diff:.3e}")
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
         g, t = _random_fig2_pair(rng)
         worst = max(worst, _table_difference(perturbed_closed(g, t), conditional_table_exact(g, t)))
-    record("closed-form-vs-exact-random", worst <= 1e-12, f"max|diff|={worst:.3e} over 100 pairs")
+    record("closed-form-vs-exact-random", worst <= CLOSED_FORM_TOL, f"max|diff|={worst:.3e} over 100 pairs")
 
     # arc engine against the brute-force grid oracle on the demo setups
     worst = 0.0

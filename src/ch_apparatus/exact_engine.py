@@ -25,14 +25,18 @@ table: it partitions once, runs one kinematics call, then guards and sums
 every row.  In the modified device the stops sit on the engraved lines, so
 every setup of one engraving has the same breakpoints: conditional_table and
 outcome_maps read their setups as rows of one run_setups call, and the
-other readers take a configuration's own stops through run_trials.  Events
-read a batch's stop-cell stack or its crossings (all four lines at once), so
+other readers take a configuration's own stops through run_trials.  Every
+call reads all its events as one stacked boolean array: conditional_table
+and joint_probability_table take a batch's stop-cell stack as it is,
+crossing_probability_set one expression over its crossings (all four lines
+at once), and the readers of arbitrary events stack each event's read.  So
 conditional_table, which reads stop cells, computes no crossing or rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -59,11 +63,18 @@ CELLS = ("11", "10", "01", "00")
 # clears the rounding band around a breakpoint (EPS_ANGLE plus a few ulps).
 _GUARD_MARGIN = 4.0 * EPS_ANGLE
 
+# A stop-reach table must sum to 1 within this.
 TABLE_TOL = 1e-9
+
+# The closed forms of the standard engraving (closed_form_fig2) and its arc
+# measures must agree within this: both add the same few arc extents, so
+# they differ by rounding only.
+CLOSED_FORM_TOL = 1e-12
 
 __all__ = [
     "CELLS",
     "TABLE_TOL",
+    "CLOSED_FORM_TOL",
     "ConsistencyError",
     "EventPredicate",
     "OutcomeMap",
@@ -125,6 +136,9 @@ def stop_cell(left: bool, right: bool) -> EventPredicate:
 
 
 _CELL_EVENTS = [stop_cell(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))]
+
+# The stacked read of _CELL_EVENTS
+_stop_cells = attrgetter("stop_cells")
 
 
 def both_stops_reached() -> EventPredicate:
@@ -214,12 +228,18 @@ def _guarded(
     events: Sequence[EventPredicate],
     names: Sequence[Sequence[str]] | None = None,
     tables: int = 0,
+    read: Callable[[TrialBatch], np.ndarray] | None = None,
 ) -> tuple[Iterator[OutcomeMap], list[list[float]]]:
     """Outcome maps and exact probabilities of the same events on rows that
     share the partition of config: one row per setup label of setups, all in
     one run_setups call, or config's own stops in one run_trials call when
     setups is None.  The maps are built as they are iterated, so a caller
     that reads only probabilities builds none.
+
+    All events are read as one boolean array, axis 0 the event: read(batch)
+    when given, which must stack what each event's batch function returns,
+    such as a batch's stop_cells for _CELL_EVENTS; otherwise each event is
+    read on its own and stacked.
 
     An event that differs among the guard points of an arc is not constant
     there, so the breakpoint set is incomplete.  The guard ignores the band
@@ -245,15 +265,17 @@ def _guarded(
         batch, rows = run_trials(config, guard.ravel()), 1
     else:
         batch, rows = run_setups(config, setups, guard.ravel()), len(setups)
-    # values[s, e, k, j]: event e of row s at guard point j of arc k
-    values = np.array([event.batch(batch) for event in events], dtype=bool)
-    values = values.reshape(len(events), rows, *guard.shape).swapaxes(0, 1)
-    bits = values[..., 0]
-    differs = values[..., 1:] != values[..., :1]
-    probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).tolist()
+    values = read(batch) if read else np.array([event.batch(batch) for event in events], dtype=bool)
+    # points[i, j]: guard point j of the arc of i, which runs over (event,
+    # row, arc) in C order, so that each comparison is one strided pass
+    points = values.reshape(-1, 3)
+    differs = (points[:, 1] != points[:, 0]) | (points[:, 2] != points[:, 0])
+    # bits[e, s, k]: event e of row s on arc k
+    bits = points[:, 0].reshape(len(events), rows, -1)
+    probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).T.tolist()
     if differs.any() or any(abs(sum(row) - 1.0) > TABLE_TOL for row in probabilities[:tables]):
         names = names or [[event.name for event in events]] * rows
-        bad = differs.any(axis=-1)
+        bad = differs.reshape(bits.shape).swapaxes(0, 1)
         for s, row in enumerate(probabilities):
             if bad[s].any():
                 k = int(np.flatnonzero(bad[s].any(axis=0))[0])
@@ -268,7 +290,7 @@ def _guarded(
                 table = dict(zip(CELLS, row))
                 if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                     raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
-    return (OutcomeMap(starts, extents, row.T, guard) for row in bits), probabilities
+    return (OutcomeMap(starts, extents, bits[:, s].T, guard) for s in range(rows)), probabilities
 
 
 def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> OutcomeMap:
@@ -312,7 +334,7 @@ def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
     """Full 2x2 stop-reach table for a configuration with both stops active."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    return dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, tables=1)[1][0]))
+    return dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, tables=1, read=_stop_cells)[1][0]))
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:
@@ -407,6 +429,11 @@ _LONE = [
     for setup in SINGLE_STOP_SETUPS
 ]
 
+# The names of conditional_table's events in its errors, row by row
+_TABLE_NAMES = [[event.name for event in _CELL_EVENTS]] * len(TWO_STOP_SETUPS) + [
+    [event.name] * len(_CELL_EVENTS) for event, _ in _LONE
+]
+
 
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     """Arc-measure conditional table for an arbitrary engraving.
@@ -419,8 +446,8 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
     """
     pairs = len(TWO_STOP_SETUPS)
-    names = [[event.name for event in _CELL_EVENTS]] * pairs + [[event.name] * len(_CELL_EVENTS) for event, _ in _LONE]
-    rows = _guarded(config_for_setup(lines, gamma, ALL_SETUPS[0]), ALL_SETUPS, _CELL_EVENTS, names, tables=pairs)[1]
+    config = config_for_setup(lines, gamma, ALL_SETUPS[0])
+    rows = _guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, tables=pairs, read=_stop_cells)[1]
     full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, rows)}
     return ConditionalTable(
         joint={setup: table["11"] for setup, table in full.items()},

@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .apparatus import LINE_NAMES, UNMODIFIED, ApparatusConfig, run_trials
+from .apparatus import LINE_NAMES, UNMODIFIED, ApparatusConfig, TrialBatch, run_trials
 from .circle_geometry import normalize
 from .exact_engine import (
     ConditionalTable,
     ConsistencyError,
-    event_probabilities,
+    _guarded,
     line_crossed,
     lines_crossed,
 )
@@ -263,13 +263,21 @@ _CROSSING_EVENTS = [lines_crossed(a, b) for a in ("A", "A'") for b in ("B", "B'"
 ]
 
 
+def _crossing_values(batch: TrialBatch) -> np.ndarray:
+    """The stacked read of _CROSSING_EVENTS from the crossings c (LINE_NAMES
+    order): the pairs A and B, A and B', A' and B, A' and B', which is
+    c[[0, 0, 1, 1]] & c[[2, 3, 2, 3]], then c itself."""
+    c = batch.crossings
+    return np.concatenate(((c[:2, None] & c[2:]).reshape(c.shape), c))
+
+
 def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:
     """Exact probabilities of the four crossings and their four CH pairs.
 
     All eight come from one arc partition, so they refer to the same
     configuration and the same probability space.
     """
-    return ProbabilitySet(*event_probabilities(config, _CROSSING_EVENTS))
+    return ProbabilitySet(*_guarded(config, None, _CROSSING_EVENTS, read=_crossing_values)[1][0])
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,9 @@ from ch_apparatus.apparatus import (
     validate_config,
 )
 from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize, normalize_array
-from ch_apparatus.exact_engine import both_stops_reached, conditional_table, grid_oracle
-from ch_apparatus.inequality_analysis import crossing_probability_set
+from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, both_stops_reached, conditional_table, grid_oracle
+from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, _crossing_values, crossing_probability_set
+from test_exact_engine import budgets, engraved_lines
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -506,8 +507,9 @@ def test_run_setups_takes_the_stops_of_setup_stops(engraving, order):
     stops = [setup_stops(lines, setup) for setup in order]
     assert stops == [parsed_stops(lines, setup) for setup in order]
     [(lefts, rights)] = seen
-    assert [repr(x) for x in lefts] == [repr(stop.left) for stop in stops]
-    assert [repr(x) for x in rights] == [repr(stop.right) for stop in stops]
+    # NaN stands for an absent stop
+    assert [repr(x) for x in lefts] == [repr(math.nan if stop.left is None else stop.left) for stop in stops]
+    assert [repr(x) for x in rights] == [repr(math.nan if stop.right is None else stop.right) for stop in stops]
 
 
 @pytest.mark.parametrize("label", ["ba", "", "ab ", "A", "a'b'b"])
@@ -605,7 +607,9 @@ def read_field(batch, name):
 
 def assert_lazy_matches_eager(batch, eager, names, row=None):
     """Each field of names, read in that order, equals the eager one byte for
-    byte, and a second read returns the same object."""
+    byte, and a second read returns the same object; then the stacked reads
+    of the stop cells and of the crossing set equal their events read one by
+    one and stacked."""
     for name in names:
         got = read_field(batch, name)
         want = eager[name] if row is None else eager[name][row]
@@ -614,11 +618,19 @@ def assert_lazy_matches_eager(batch, eager, names, row=None):
     crossed = batch.crossed
     assert list(crossed) == list(LINE_NAMES) and len(crossed) == len(LINE_NAMES)
     assert dict(**crossed).keys() == set(LINE_NAMES)
+    for read, events in ((_stop_cells, _CELL_EVENTS), (_crossing_values, _CROSSING_EVENTS)):
+        got, want = read(batch), np.array([event.batch(batch) for event in events])
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), read
 
 
 # the examples run the budget-limited crossings near gamma + EPS_ANGLE and the
-# held-body rule on either side
-@given(engravings(), st.permutations(LINE_NAMES), st.integers(min_value=0, max_value=2**32 - 1))
+# held-body rule on either side; the draws are arbitrary engravings and lines
+# a few EPS_ANGLE from the line before or from its budget or half-budget shift
+@given(
+    st.one_of(engravings(), budgets.flatmap(lambda gamma: st.tuples(engraved_lines(gamma), st.just(gamma)))),
+    st.permutations(LINE_NAMES),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
 @settings(max_examples=40)
 @example(engraving=(NEAR_BUDGET_LINES, 4.0), order=list(LINE_NAMES), seed=0)
 @example(engraving=(HELD_LINES, HELD_GAMMA), order=["B'", "A", "B", "A'"], seed=1)

@@ -439,6 +439,23 @@ class TestInputValidation:
         assert captured.err == f"error: apparatus.lines: lines {pair} must be distinct\n"
         assert captured.out == ""
 
+    # standard engravings whose lines of one side lie within 2*EPS_ANGLE: the
+    # exact engine disagreed with the closed form, and exact exited 2
+    @pytest.mark.parametrize(
+        "gamma, theta",
+        [("1.0471975511965976", "1e-12"), ("0.072", "5e-13"), ("4.4111407968578975", "1.0002938623520508e-12")],
+    )
+    def test_theta_below_the_angular_resolution_exits_1(self, gamma, theta, tmp_path, capsys):
+        for command in (["exact"], ["demo", "--trials", "1000"]):
+            assert main([*command, "--gamma", gamma, "--theta", theta]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: theta={theta} is below the angular resolution")
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
+        payload = {"apparatus": {"gamma": float(gamma), "theta": float(theta)}, "campaign": {"trials": 10}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: apparatus.theta: theta={theta} is below")
+
     def test_trials_without_two_stop_setups_name_their_key_exit_1(self, tmp_path, capsys):
         payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": {"a": 5, "ab": 0, "b'": 3}}}
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1

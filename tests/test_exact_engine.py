@@ -27,6 +27,7 @@ from ch_apparatus.apparatus import (
     fig2_config,
     fig2_lines,
     config_for_setup,
+    run_setups,
     run_trials,
     unmodified_config,
     validate_config,
@@ -52,6 +53,7 @@ from ch_apparatus.exact_engine import (
     stop_cell,
     stop_reached,
 )
+from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, ProbabilitySet, _crossing_values, crossing_probability_set
 from ch_apparatus.monte_carlo import _COUNTED
 from test_monte_carlo import NEAR_BUDGET
 
@@ -174,6 +176,19 @@ def fig2_params(draw):
     return gamma, theta
 
 
+def assert_closed_form_matches_arc_measures(gamma, theta):
+    closed = closed_form_fig2(gamma, theta)
+    exact = conditional_table_exact(gamma, theta)
+    for setup in DEMO_JOINT:
+        assert closed.joint[setup] == pytest.approx(exact.joint[setup], abs=1e-12)
+        for cell in CELLS:
+            assert closed.full_tables[setup][cell] == pytest.approx(
+                exact.full_tables[setup][cell], abs=1e-12
+            ), (setup, cell)
+    for setup in ("a", "a'", "b", "b'"):
+        assert closed.singles[setup] == pytest.approx(exact.singles[setup], abs=1e-12)
+
+
 class TestClosedForm:
     @given(fig2_params())
     @settings(max_examples=100, deadline=None)
@@ -181,17 +196,22 @@ class TestClosedForm:
     # rounding band and tripped the constancy guard
     @example(params=(4.115437219104934, 2.057718609552467))
     def test_matches_arc_measures(self, params):
-        gamma, theta = params
-        closed = closed_form_fig2(gamma, theta)
-        exact = conditional_table_exact(gamma, theta)
-        for setup in DEMO_JOINT:
-            assert closed.joint[setup] == pytest.approx(exact.joint[setup], abs=1e-12)
-            for cell in CELLS:
-                assert closed.full_tables[setup][cell] == pytest.approx(
-                    exact.full_tables[setup][cell], abs=1e-12
-                ), (setup, cell)
-        for setup in ("a", "a'", "b", "b'"):
-            assert closed.singles[setup] == pytest.approx(exact.singles[setup], abs=1e-12)
+        assert_closed_form_matches_arc_measures(*params)
+
+    # theta at the angular resolution: the three inputs where the arc
+    # measures disagreed with the closed form, by 0.167, 0.955 and 0.70
+    @given(gammas, st.floats(min_value=0.0, max_value=8.0 * EPS_ANGLE, exclude_min=True))
+    @settings(max_examples=100, deadline=None)
+    @example(gamma=1.0471975511965976, theta=1e-12)
+    @example(gamma=0.072, theta=5e-13)
+    @example(gamma=4.4111407968578975, theta=1.0002938623520508e-12)
+    def test_theta_below_the_angular_resolution_is_a_config_error(self, gamma, theta):
+        # the lines A' = gamma and A = gamma + theta, B' = 0 and B = theta
+        if min((gamma + theta) - gamma, theta) <= 2.0 * EPS_ANGLE:
+            with pytest.raises(ConfigError, match=f"theta={theta!r} is below the angular resolution"):
+                conditional_table_exact(gamma, theta)
+        else:
+            assert_closed_form_matches_arc_measures(gamma, theta)
 
     def test_wide_theta_has_spill(self):
         # theta > gamma/2: in setup a'b a lone body can still reach its stop
@@ -393,8 +413,9 @@ class TestSharedPartition:
         assert str(info.value) == message
 
     def test_stop_tables_must_normalize(self, monkeypatch):
-        # four copies of the 11 cell sum to 4/6 on the demo engraving
-        monkeypatch.setattr(exact_engine, "_CELL_EVENTS", [stop_cell(True, True)] * 4)
+        # four copies of the 11 cell sum to 4/6 on the demo engraving; the
+        # stop tables read the stacked stop cells through _stop_cells
+        monkeypatch.setattr(exact_engine, "_stop_cells", lambda batch: batch.stop_cells[[0, 0, 0, 0]])
         with pytest.raises(ConsistencyError, match=r"stop-reach table does not normalize: \{'11': 0\.1666"):
             conditional_table_exact(GAMMA, THETA)
         with pytest.raises(ConsistencyError, match="does not normalize"):
@@ -518,6 +539,28 @@ engravings = st.one_of(
 @example(engraving=FAILS_IN_A_SINGLE, order=list(ALL_SETUPS))
 def test_setup_rows_read_what_one_config_reads(engraving, order):
     _assert_rows_read_their_own(*engraving, order)
+    _assert_stacked_reads_are_the_event_reads(*engraving, order)
+
+
+def _same_bytes(got, want):
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _assert_stacked_reads_are_the_event_reads(lines, gamma, order):
+    """The stacked reads of the stop cells and of the crossing set equal the
+    events read one by one and stacked, on the guard points of the setup rows
+    and of the unmodified device, and so do the probabilities read from them."""
+    config = config_for_setup(lines, gamma, order[0])
+    rows = run_setups(config, order, exact_engine._partition(config)[2].ravel())
+    _same_bytes(exact_engine._stop_cells(rows), np.array([event.batch(rows) for event in exact_engine._CELL_EVENTS]))
+    honest = unmodified_config(lines, gamma)
+    batch = run_trials(honest, exact_engine._partition(honest)[2].ravel())
+    _same_bytes(_crossing_values(batch), np.array([event.batch(batch) for event in _CROSSING_EVENTS]))
+    _assert_shared_read(
+        lambda: [crossing_probability_set(honest)],
+        [lambda: ProbabilitySet(*event_probabilities(honest, _CROSSING_EVENTS))],
+        _same_repr,
+    )
 
 
 @pytest.mark.parametrize("engraving", [FAILS_IN_A_PAIR, FAILS_IN_A_SINGLE])
