@@ -199,7 +199,7 @@ class TestClosedForm:
         assert_closed_form_matches_arc_measures(*params)
 
     # theta at the angular resolution: the three inputs where the arc
-    # measures disagreed with the closed form, by 0.167, 0.955 and 0.70
+    # measures disagreed with the closed form, by 0.167, 0.011 and 0.70
     @given(gammas, st.floats(min_value=0.0, max_value=8.0 * EPS_ANGLE, exclude_min=True))
     @settings(max_examples=100, deadline=None)
     @example(gamma=1.0471975511965976, theta=1e-12)
