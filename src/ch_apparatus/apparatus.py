@@ -298,6 +298,14 @@ def _stop_columns(lefts: list[float], rights: list[float], ndim: int) -> np.ndar
     return np.array(lefts + rights + spans).reshape((3, len(lefts)) + (1,) * ndim)
 
 
+class _lazy(cached_property):
+    """cached_property without the class-wide lock that Python 3.10 and 3.11
+    take on each first read; the value it stores shadows this descriptor."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class TrialBatch:
     """Struct-of-arrays form of many trial outcomes (run_trials, run_setups).
 
@@ -314,13 +322,13 @@ class TrialBatch:
         self._config, self._phis, self._reached, self._kinematics, self._row = config, phis, reached, kinematics, row
         self.reached_left_stop, self.reached_right_stop = reached[:, row]
 
-    _rotations = cached_property(lambda self: _travel(self))
-    r1 = cached_property(lambda self: self._rotations[0][0, self._row])
-    r2 = cached_property(lambda self: self._rotations[0][1, self._row])
-    crossings = cached_property(lambda self: _crossings(self)[:, self._row])
-    crossed = cached_property(lambda self: dict(zip(LINE_NAMES, self.crossings)))
+    _rotations = _lazy(lambda self: _travel(self))
+    r1 = _lazy(lambda self: self._rotations[0][0, self._row])
+    r2 = _lazy(lambda self: self._rotations[0][1, self._row])
+    crossings = _lazy(lambda self: _crossings(self)[:, self._row])
+    crossed = _lazy(lambda self: dict(zip(LINE_NAMES, self.crossings)))
 
-    @cached_property
+    @_lazy
     def stop_cells(self) -> np.ndarray:
         left, right = self.reached_left_stop, self.reached_right_stop
         return np.array([left & right, left > right, left < right, ~(left | right)])

@@ -9,6 +9,7 @@ because boundaries have measure zero.
 from __future__ import annotations
 
 import math
+from math import fmod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,11 +24,11 @@ __all__ = [
     "EPS_ANGLE",
     "Arc",
     "normalize",
-    "normalize_array",
     "ccw_delta",
     "arc_contains",
     "partition_circle",
     "partition_arrays",
+    "guarded_partition",
 ]
 
 
@@ -37,21 +38,13 @@ def normalize(x: float) -> float:
         return x  # what fmod returns for it, with no call
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {x!r}")
-    r = math.fmod(x, TWO_PI)
+    r = fmod(x, TWO_PI)
     if r < 0.0:
         r += TWO_PI
     if r >= TWO_PI:
         # fmod of a tiny negative rounds up to exactly 2*pi
         r = 0.0
     return r
-
-
-def normalize_array(x: np.ndarray) -> np.ndarray:
-    """normalize over an array of finite angles, bit for bit: np.fmod is the
-    exact C fmod, and it returns an angle already in [0, 2*pi) unchanged."""
-    r = np.fmod(x, TWO_PI)
-    r = np.where(r < 0.0, r + TWO_PI, r)
-    return np.where(r >= TWO_PI, 0.0, r)
 
 
 def ccw_delta(start: float, end: float) -> float:
@@ -89,23 +82,32 @@ def arc_contains(arc: Arc, x: float) -> bool:
 
 
 def partition_arrays(points: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and extents of the arcs bounded by a flat array of normalized angles.
+    """Starts and extents of guarded_partition for a flat array of normalized
+    angles; no angles yield one full-circle arc starting at 0."""
+    return guarded_partition(np.asarray(points, dtype=np.float64).tolist(), 0.0)[:2]
 
-    The starts are the sorted distinct points; each extent runs to the next
-    start, and the last one wraps around to the first.  The extents sum to a
-    full turn.  No points yield one full-circle arc starting at 0.
-    """
-    starts = np.sort(np.asarray(points, dtype=np.float64))
-    if starts.size == 0:
-        return np.array([0.0]), np.array([TWO_PI])
-    # what np.unique does, without the first call's import of numpy.ma
-    starts = starts[np.concatenate(([True], starts[1:] != starts[:-1]))]
-    extents = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=extents[:-1])
+
+def guarded_partition(points: list[float], margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs bounded by a list of normalized angles, over Python floats:
+    the sorted distinct points (of 0.0 and -0.0, the first given), each one's
+    extent to the next, the last wrapping around, and its guard points, the
+    midpoint and the points one margin inside its ends (the midpoint thrice
+    if narrower than two margins), as rows of an (arcs, 3) array."""
+    ordered = sorted(points)
+    starts = ordered[:1] + [q for p, q in zip(ordered, ordered[1:]) if q != p] or [0.0]
+    extents = [q - p for p, q in zip(starts, starts[1:])]
     # not ccw_delta: for a sliver span it would round up to a full turn and
     # then collapse to zero, losing the whole circle
-    extents[-1] = TWO_PI - (starts[-1] - starts[0])
-    return starts, extents
+    extents.append(TWO_PI - (starts[-1] - starts[0]))
+    guard: list[float] = []
+    # each point is its arc's start plus an offset of at least 0: fmod alone normalizes it
+    for s, e in zip(starts, extents):
+        mid = fmod(s + e * 0.5, TWO_PI)
+        if e < 2.0 * margin:
+            guard += (mid, mid, mid)
+        else:
+            guard += (mid, fmod(s + margin, TWO_PI), fmod(s + (e - margin), TWO_PI))
+    return np.array(starts), np.array(extents), np.array(guard).reshape(-1, 3)
 
 
 def partition_circle(critical: Iterable[float]) -> list[Arc]:

@@ -371,9 +371,13 @@ def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
 
 
 def render_report(report: dict[str, Any], out_format: str = "json") -> str:
-    _assert_finite(report)
     if out_format == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:  # the encoder rejects NaN and infinities; the walk then names the path
+            return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            _assert_finite(report)
+            raise
+    _assert_finite(report)
     if out_format == "csv":
         return report_to_csv(report)
     raise ConfigError(f"unknown report format {out_format!r}")

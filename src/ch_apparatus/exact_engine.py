@@ -16,20 +16,21 @@ than two bands by their midpoint alone, so each probability is off by at
 most (number of arcs) * 8*EPS_ANGLE / 2*pi, about 4e-11 for 30 arcs, well
 below TABLE_TOL.
 
-The partition is array-native: sorted distinct breakpoints, arc extents and
-a (arcs x 3) array of guard points.  The guarded arcs and their event values
-form an OutcomeMap.  The exact probabilities are read from it, and the Monte
-Carlo counts look sampled angles up in it, handing only the angles inside a
-guard band to run_trials.  One function, _guarded, reads every map and
-table: it partitions once, runs one kinematics call, then guards and sums
-every row.  In the modified device the stops sit on the engraved lines, so
-every setup of one engraving has the same breakpoints: conditional_table and
-outcome_maps read their setups as rows of one run_setups call, and the
+The partition is built over Python floats, a few dozen at most, where numpy
+calls cost more than their arithmetic, and handed on as arrays: breakpoints,
+arc extents and (arcs x 3) guard points.  The guarded arcs and their event
+values form an OutcomeMap.  The exact probabilities are read from it, and
+the Monte Carlo counts look sampled angles up in it, handing only the angles
+inside a guard band to run_trials.  One function, _guarded, reads every map
+and table: it partitions once, runs one kinematics call, then guards and
+sums every row.  In the modified device the stops sit on the engraved lines,
+so every setup of one engraving has the same breakpoints: conditional_table
+and outcome_maps read their setups as rows of one run_setups call, and the
 other readers take a configuration's own stops through run_trials.  Every
 call reads all its events as one stacked boolean array: conditional_table
 and joint_probability_table take a batch's stop-cell stack as it is,
-crossing_probability_set one expression over its crossings (all four lines
-at once), and the readers of arbitrary events stack each event's read.  So
+crossing_probability_set one expression over its four lines' crossings, and
+the readers of arbitrary events stack each event's read.  So
 conditional_table, which reads stop cells, computes no crossing or rotation.
 """
 
@@ -55,7 +56,7 @@ from .apparatus import (
     run_setups,
     run_trials,
 )
-from .circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_arrays
+from .circle_geometry import EPS_ANGLE, TWO_PI, guarded_partition, normalize
 
 CELLS = ("11", "10", "01", "00")
 
@@ -149,7 +150,7 @@ def complement(event: EventPredicate) -> EventPredicate:
     return EventPredicate(name=f"not({event.name})", batch=lambda b: ~event.batch(b))
 
 
-def _critical_angles(config: ApparatusConfig) -> np.ndarray:
+def _critical_angles(config: ApparatusConfig) -> list[float]:
     lines, stops = config.lines, config.stops
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
     # a stop that sits exactly on a line adds only repeats
@@ -162,26 +163,11 @@ def _critical_angles(config: ApparatusConfig) -> np.ndarray:
         g1 = config.gamma1
         shifts += (g1, -g1)
     # normalize(-2*pi) is -0.0, and -0.0 + 0.0 is 0.0: no arc starts at -0.0
-    return np.array([normalize(a + s) for a in anchors for s in shifts]) + 0.0
+    return [normalize(a + s) + 0.0 for a in anchors for s in shifts]
 
 
 def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arc starts and extents of the configuration's partition, and its guard
-    points: one row per arc, the midpoint, then the points one margin inside
-    the arc ends.  An arc narrower than two margins repeats its midpoint, so
-    it is classified by the midpoint alone."""
-    starts, extents = partition_arrays(_critical_angles(config))
-    guard = np.empty((starts.size, 3))
-    np.multiply(extents, 0.5, out=guard[:, 0])
-    guard[:, 1] = _GUARD_MARGIN
-    np.subtract(extents, _GUARD_MARGIN, out=guard[:, 2])
-    # start plus an offset of at least 0, for which fmod alone is normalize;
-    # the exception, the far point of an arc under one margin, is replaced
-    guard = np.fmod(np.add(starts[:, None], guard, out=guard), TWO_PI, out=guard)
-    if extents.min() < 2.0 * _GUARD_MARGIN:
-        narrow = extents < 2.0 * _GUARD_MARGIN
-        guard[narrow, 1:] = guard[narrow, :1]
-    return starts, extents, guard
+    return guarded_partition(_critical_angles(config), _GUARD_MARGIN)
 
 
 class OutcomeMap(NamedTuple):

@@ -27,6 +27,7 @@ from ch_apparatus.apparatus import (
     ConfigError,
     EngravedLines,
     StopPlacement,
+    TrialBatch,
     _fits_budget,
     config_for_setup,
     crossed_events,
@@ -39,7 +40,7 @@ from ch_apparatus.apparatus import (
     unmodified_config,
     validate_config,
 )
-from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize, normalize_array
+from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize
 from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, both_stops_reached, conditional_table, grid_oracle
 from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, _crossing_values, crossing_probability_set
 from test_exact_engine import budgets, engraved_lines
@@ -404,17 +405,22 @@ def engravings(draw):
     return EngravedLines(a, ap, b, bp), gamma
 
 
+def normalized(angles):
+    """normalize over a flat array of angles."""
+    return np.array([normalize(x) for x in angles.tolist()])
+
+
 def probe_angles(lines, gamma, seed):
     """Random angles, plus every breakpoint candidate and its neighbouring floats."""
     anchors = np.array([lines.by_name(name) for name in LINE_NAMES])
     shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
-    near = normalize_array((anchors[:, None] + shifts).ravel())
+    near = normalized((anchors[:, None] + shifts).ravel())
     return np.concatenate(
         [
             np.random.default_rng(seed).uniform(0.0, TWO_PI, 64),
             near,
-            normalize_array(np.nextafter(near, -1.0)),
-            normalize_array(np.nextafter(near, 7.0)),
+            normalized(np.nextafter(near, -1.0)),
+            normalized(np.nextafter(near, 7.0)),
         ]
     )
 
@@ -456,9 +462,9 @@ def test_held_body_batch_matches_scalar(engraving, line, sign, ulps, seed):
     assume(angles[0] != angles[1] and angles[2] != angles[3])
     lines = EngravedLines(*angles)
     shifts = np.array([0.0, gamma, -gamma, 0.5 * gamma, -0.5 * gamma])
-    near = normalize_array((np.array(angles)[:, None] + shifts).ravel())
+    near = normalized((np.array(angles)[:, None] + shifts).ravel())
     phis = np.concatenate([np.random.default_rng(seed).uniform(0.0, TWO_PI, 16), near,
-                           normalize_array(np.nextafter(near, -1.0)), normalize_array(np.nextafter(near, 7.0))])
+                           normalized(np.nextafter(near, -1.0)), normalized(np.nextafter(near, 7.0))])
     for setup in ALL_SETUPS:
         config = config_for_setup(lines, gamma, setup)
         batch = run_trials(config, phis)
@@ -680,6 +686,28 @@ def test_stop_events_compute_no_crossing(monkeypatch):
     crossing_probability_set(unmodified_config(SQUARE_LINES, 1.0))
     [stack] = crossings
     assert stack.shape[0] == len(LINE_NAMES) and stack.dtype == bool
+
+
+def test_lazy_fields_are_computed_once_per_batch(monkeypatch):
+    crossings, travel = spy_on(monkeypatch, "_crossings"), spy_on(monkeypatch, "_travel")
+    lines = fig2_lines(GAMMA, THETA)
+    phis = probe_angles(lines, GAMMA, 0)
+    fields = ("stop_cells", "crossed", "crossings", "r2", "r1")
+    batches = [
+        run_setups(demo_config(), ALL_SETUPS, phis),
+        run_trials(demo_config("a'b"), phis),
+        run_trials(unmodified_config(lines, GAMMA), phis),
+    ]
+    for k, batch in enumerate(batches, start=1):
+        for name in fields:
+            first = getattr(batch, name)
+            assert getattr(batch, name) is first, f"{name} is computed again on a second read"
+        # one rotation pass and one crossing pass per batch, whatever it reads
+        assert (len(travel), len(crossings)) == (k, k)
+    for name in fields:
+        # read on the class, a field is its descriptor, not a computed value
+        assert getattr(TrialBatch, name) is vars(TrialBatch)[name]
+        assert hasattr(vars(TrialBatch)[name], "__get__") and not hasattr(vars(TrialBatch)[name], "__set__")
 
 
 def frozen_engravings():

@@ -18,14 +18,32 @@ from ch_apparatus.circle_geometry import (
     Arc,
     arc_contains,
     ccw_delta,
+    guarded_partition,
     normalize,
-    normalize_array,
     partition_arrays,
     partition_circle,
 )
+from ch_apparatus.exact_engine import _GUARD_MARGIN as GUARD_MARGIN
 
 raw_angles = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
 unit_angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True, allow_nan=False)
+
+# The largest angle below 2*pi, and a tiny negative that normalizes by rounding
+# onto 2*pi: the ends of arcs near them round onto 2*pi as well
+_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+_EDGES = [0.0, -0.0, _BELOW_TWO_PI, normalize(-1e-18), math.nextafter(0.0, 1.0), math.pi]
+
+
+@st.composite
+def breakpoint_lists(draw):
+    """Normalized angles with repeats, neighbours one ulp apart, angles next
+    to 0 and 2*pi, and 0.0 with -0.0, in any order."""
+    points = draw(st.lists(unit_angles, max_size=10)) + draw(st.lists(st.sampled_from(_EDGES), max_size=4))
+    for p in draw(st.lists(st.sampled_from(points), max_size=6)) if points else []:
+        step = draw(st.sampled_from([0.0, TWO_PI, -1.0]))
+        near = p if step == 0.0 else math.nextafter(p, step)
+        points.append(near if 0.0 <= near < TWO_PI else p)
+    return draw(st.permutations(points))
 
 
 class TestNormalize:
@@ -164,11 +182,47 @@ class TestPartitionCircle:
         assert extents.tolist() == [arc.extent for arc in reference]
         assert partition_circle(points) == reference
 
-    @given(st.lists(st.floats(min_value=-20.0, max_value=20.0), max_size=30))
-    @example(values=[-1e-18, TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0), 4.0 * math.pi - 1e-15])
-    def test_normalize_array_matches_normalize(self, values):
-        out = normalize_array(np.array(values, dtype=np.float64))
-        assert out.tobytes() == np.array([normalize(v) for v in values], dtype=np.float64).tobytes()
+    @given(breakpoint_lists(), st.booleans())
+    @example(points=[], as_array=False)
+    @example(points=[], as_array=True)
+    @example(points=[1.0, 1.0000000000000002, 1.0, _BELOW_TWO_PI], as_array=False)
+    @example(points=[1.9769467204986113, 6.283185307179585], as_array=True)
+    @example(points=[-0.0, 0.0, 2.0], as_array=False)
+    @example(points=[0.0, -0.0, 2.0], as_array=True)
+    @example(points=[-0.0], as_array=True)
+    # the breakpoints of the standard engraving at gamma = 2 * theta =
+    # 4.115437219104934, with slivers of 4.4e-16 and 8.9e-16
+    @example(
+        points=[
+            0.0, 1.9476891310302822, 2.057718609552467, 2.0577186095524675, 2.167748088074652,
+            4.005407740582751, 4.115437219104934, 4.115437219104935, 4.22546669762712, 6.173155828657402,
+        ],
+        as_array=False,
+    )
+    def test_builders_match_the_numpy_reference(self, points, as_array):
+        # np.sort leaves the order of 0.0 and -0.0 open; the builders keep the
+        # first zero in input order
+        want_starts, want_extents = numpy_partition(points)
+        zeros = [p for p in points if p == 0.0]
+        if zeros:
+            want_starts[0] = zeros[0]
+        starts, extents = partition_arrays(np.array(points, dtype=np.float64) if as_array else points)
+        for got, want in ((starts, want_starts), (extents, want_extents)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        arcs = partition_circle(np.array(points) if as_array else points)
+        assert [(math.copysign(1.0, a.start), a) for a in arcs] == [
+            (math.copysign(1.0, s), Arc(s, e)) for s, e in zip(want_starts.tolist(), want_extents.tolist())
+        ]
+        got = guarded_partition(points, GUARD_MARGIN)
+        want = (want_starts, want_extents, numpy_guard(want_starts, want_extents, GUARD_MARGIN))
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def test_first_zero_in_input_order_survives(self):
+        for points, sign in (([-0.0, 1.0, 0.0], -1.0), ([0.0, 1.0, -0.0], 1.0)):
+            assert math.copysign(1.0, partition_arrays(points)[0][0]) == sign
+            assert math.copysign(1.0, partition_circle(points)[0].start) == sign
+            assert math.copysign(1.0, guarded_partition(points, GUARD_MARGIN)[0][0]) == sign
 
     def test_boundary_tolerance_is_tiny(self):
         # EPS_ANGLE guards boundary membership only; it must stay far below
@@ -184,3 +238,29 @@ def _list_partition(points):
         return [Arc(0.0, TWO_PI)]
     arcs = [Arc(p, q - p) for p, q in zip(points, points[1:])]
     return arcs + [Arc(points[-1], TWO_PI - (points[-1] - points[0]))]
+
+
+def numpy_partition(points):
+    """Reference for the partition builders: partition_arrays as numpy array
+    formulas, which leave the order of 0.0 and -0.0 to np.sort."""
+    starts = np.sort(np.asarray(points, dtype=np.float64))
+    if starts.size == 0:
+        return np.array([0.0]), np.array([TWO_PI])
+    starts = starts[np.concatenate(([True], starts[1:] != starts[:-1]))]
+    extents = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=extents[:-1])
+    extents[-1] = TWO_PI - (starts[-1] - starts[0])
+    return starts, extents
+
+
+def numpy_guard(starts, extents, margin):
+    """Reference for guarded_partition's guard points as array formulas: every
+    arc's three points computed, then the narrow arcs' outer two replaced."""
+    guard = np.empty((starts.size, 3))
+    np.multiply(extents, 0.5, out=guard[:, 0])
+    guard[:, 1] = margin
+    np.subtract(extents, margin, out=guard[:, 2])
+    guard = np.fmod(np.add(starts[:, None], guard, out=guard), TWO_PI, out=guard)
+    narrow = extents < 2.0 * margin
+    guard[narrow, 1:] = guard[narrow, :1]
+    return guard

@@ -206,12 +206,23 @@ class TestReports:
                 render_report(report, out_format)
             assert str(info.value) == f"non-finite number at {path}"
 
-    def test_non_finite_report_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "cmd_exact", lambda gamma, theta: {"schema": SCHEMA, "rows": [{"x": [1.0, math.inf]}]})
-        assert main(["exact"]) == 2
+    @pytest.mark.parametrize("out_format", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_report_exits_2(self, monkeypatch, capsys, value, out_format):
+        # JSON finds a non-finite number in its encoder and only then walks
+        # the report for its path; CSV walks first: the same message and code
+        report = {"schema": SCHEMA, "rows": [{"x": [1.0, [0.5, value]]}], "later": [math.nan]}
+        monkeypatch.setattr(cli, "cmd_exact", lambda gamma, theta: report)
+        assert main(["exact", "--format", out_format]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "internal consistency failure: non-finite number at report.rows[0].x[1]\n"
+        assert captured.err == "internal consistency failure: non-finite number at report.rows[0].x[1][1]\n"
         assert captured.out == ""
+
+    def test_encoder_errors_of_finite_reports_pass_through(self):
+        # an integer too long for str() fails in the encoder with every
+        # number finite: the walk finds nothing and the encoder's error stands
+        with pytest.raises(ValueError, match="integer string conversion"):
+            render_report({"schema": SCHEMA, "rows": [1.0, [10**5000]]}, "json")
 
 
 class TestSimulate:

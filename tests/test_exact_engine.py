@@ -32,7 +32,7 @@ from ch_apparatus.apparatus import (
     unmodified_config,
     validate_config,
 )
-from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_arrays, partition_circle
+from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_circle
 from ch_apparatus.exact_engine import (
     CELLS,
     ConditionalTable,
@@ -55,6 +55,7 @@ from ch_apparatus.exact_engine import (
 )
 from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, ProbabilitySet, _crossing_values, crossing_probability_set
 from ch_apparatus.monte_carlo import _COUNTED
+from test_circle_geometry import numpy_partition
 from test_monte_carlo import NEAR_BUDGET
 
 GAMMA = math.pi / 3.0
@@ -277,9 +278,10 @@ class TestConditionalTable:
 
 
 def _list_breakpoints(config, order=None):
-    """The partition as it was built from Python lists: every anchor shifted by
-    every budget, normalized one by one and -0.0 taken as 0.0, then each guard
-    point normalized.  ``order`` rearranges the shifts."""
+    """The partition from independent routes: every anchor shifted by every
+    budget, normalized one by one and -0.0 taken as 0.0, partitioned by the
+    numpy reference of test_circle_geometry, then each guard point
+    normalized.  ``order`` rearranges the shifts."""
     lines = config.lines
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
     anchors += [stop for stop in (config.stops.left, config.stops.right) if stop is not None]
@@ -290,7 +292,7 @@ def _list_breakpoints(config, order=None):
     if config.gamma1 is not None:
         shifts.update((config.gamma1, -config.gamma1))
     shifts = list(shifts) if order is None else order(shifts)
-    starts, extents = partition_arrays([normalize(a + s) or 0.0 for a in anchors for s in shifts])
+    starts, extents = numpy_partition([normalize(a + s) or 0.0 for a in anchors for s in shifts])
     margin = exact_engine._GUARD_MARGIN
     guard = np.array(
         [
