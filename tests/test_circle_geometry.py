@@ -218,12 +218,6 @@ class TestPartitionCircle:
         for g, w in zip(got, want):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
-    def test_first_zero_in_input_order_survives(self):
-        for points, sign in (([-0.0, 1.0, 0.0], -1.0), ([0.0, 1.0, -0.0], 1.0)):
-            assert math.copysign(1.0, partition_arrays(points)[0][0]) == sign
-            assert math.copysign(1.0, partition_circle(points)[0].start) == sign
-            assert math.copysign(1.0, guarded_partition(points, GUARD_MARGIN)[0][0]) == sign
-
     def test_boundary_tolerance_is_tiny(self):
         # EPS_ANGLE guards boundary membership only; it must stay far below
         # any probability tolerance used downstream
