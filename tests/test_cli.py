@@ -608,8 +608,26 @@ LINES_CONFIG = {
 
 
 class TestFrozenReports:
-    """Digests of rendered reports, pinned so that refactors of the demo and
-    simulate pipelines keep every byte."""
+    """Digests of what the commands print, pinned so that refactors of the
+    demo, simulate, sweep and exact pipelines keep every byte."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["sweep"], "c78e68cc0dc2e8ff86303a0b3f1dccf3556e0760cf345a0d280d8bdc2d5b3a35"),
+            (
+                ["sweep", "--steps", "9", "--gamma-min", "0.1", "--gamma-max", "6.2",
+                 "--theta-min", "0.01", "--theta-max", "3.1"],
+                "8faad2114d0e5fd2e766af4b8287670b69b2e3f0eea66a38136aef8b206f21f8",
+            ),
+            (["exact"], "390e0c4864f3a716e6d2bbfe9c68703c5045ab89c4ad7d68d299b9dd26ed185f"),
+            (["exact", "--format", "csv"], "2ea34929f486188d9f6792a61b7ec1150fc763b07138a31dc455d5ee7cc6e1e0"),
+        ],
+        ids=["sweep-default", "sweep-wide", "exact-json", "exact-csv"],
+    )
+    def test_stdout(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert sha256(capsys.readouterr().out) == digest
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
