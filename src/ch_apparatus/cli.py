@@ -35,27 +35,22 @@ from .exact_engine import (
     CLOSED_FORM_TOL,
     ConditionalTable,
     ConsistencyError,
+    _LONE,
     both_stops_reached,
     closed_form_fig2,
     conditional_table,
     conditional_table_exact,
     grid_oracle,
-    stop_reached,
 )
 from .inequality_analysis import (
     AnalysisReport,
     SettingFrequencies,
     _fixed_lambda_checks,
     analyze,
-    bayes_conditionals,
     ch_primed_value,
-    ch_sum_value,
     ch_value,
     ch_violated,
     crossing_probability_set,
-    naive_plug,
-    reduced_ch_value,
-    reduced_identity_residual,
 )
 from .lhv_feasibility import (
     BehaviorTable,
@@ -173,11 +168,9 @@ def parse_config(path: str) -> ExperimentConfig:
     lines = None
     if has_theta:
         theta = _expect_number(app["theta"], "apparatus.theta")
-        if not (0.0 < theta < gamma and gamma + theta < TWO_PI):
-            _fail("apparatus.theta", f"need 0 < theta < gamma and gamma + theta < 2*pi, got {theta!r}")
         try:
             lines = fig2_lines(gamma, theta)
-        except ConfigError as exc:  # lines within the angular resolution
+        except ConfigError as exc:  # out of range, or lines within the angular resolution
             _fail("apparatus.theta", str(exc))
     else:
         block = _expect_mapping(app["lines"], "apparatus.lines", set(LINE_NAMES))
@@ -358,12 +351,13 @@ def _feasibility_json(table: ConditionalTable) -> dict[str, Any]:
     }
 
 
+def _entries(table: ConditionalTable) -> list[float | None]:
+    """The eight entries of a table in ALL_SETUPS order."""
+    return [table.joint[s] for s in TWO_STOP_SETUPS] + [table.singles[s] for s in SINGLE_STOP_SETUPS]
+
+
 def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
-    diffs = [abs(left.joint[s] - right.joint[s]) for s in TWO_STOP_SETUPS]
-    for s in SINGLE_STOP_SETUPS:
-        lv, rv = left.singles[s], right.singles[s]
-        if lv is not None and rv is not None:
-            diffs.append(abs(lv - rv))
+    diffs = [abs(lv - rv) for lv, rv in zip(_entries(left), _entries(right)) if lv is not None and rv is not None]
     for s in TWO_STOP_SETUPS:
         for cell, value in left.full_tables[s].items():
             diffs.append(abs(value - right.full_tables[s][cell]))
@@ -511,8 +505,11 @@ def cmd_sweep(
 ) -> SweepStats:
     """Scan the closed forms over a (gamma, theta) grid and write CSV rows.
 
-    Grid points violating 0 < theta < gamma (or gamma + theta < 2*pi) are
-    skipped and counted in a trailing '#' comment.
+    Each row formats analyze() of the closed-form table at uniform
+    frequencies: ch, ch_primed, ch_sum, the largest Bayes conditional and
+    reduced_ch, then whether ch, ch_primed or ch_sum is flagged, and whether
+    reduced_ch leaves [-1, 0].  Grid points violating 0 < theta < gamma (or
+    gamma + theta < 2*pi) are skipped and counted in a trailing '#' comment.
     """
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
@@ -520,38 +517,21 @@ def cmd_sweep(
         raise ConfigError(f"sweep bounds must be finite, got gamma {gamma_range!r}, theta {theta_range!r}")
     gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
     thetas = np.linspace(theta_range[0], theta_range[1], steps)
-    uniform = SettingFrequencies.uniform()
     rows = 0
     skipped = 0
     out.write(SWEEP_HEADER + "\n")
-    for g in gammas:
-        for t in thetas:
+    for g in gammas.tolist():
+        for t in thetas.tolist():
             try:
-                closed = closed_form_fig2(float(g), float(t))
+                closed = closed_form_fig2(g, t)
             except ConfigError:
                 skipped += 1
                 continue
-            naive = naive_plug(closed)
-            ch = ch_value(naive)
-            chp = ch_primed_value(naive)
-            chs = ch_sum_value(naive)
-            bayes = bayes_conditionals(naive)
-            bayes_max = max(c.value for c in bayes.values() if c.value is not None)
-            corrected = reduced_ch_value(closed, uniform)
-            naive_violated = ch_violated(ch) or ch_violated(chp) or chs > 1e-9
-            corrected_violated = ch_violated(corrected)
-            cells = [
-                repr(float(g)),
-                repr(float(t)),
-                repr(ch),
-                repr(chp),
-                repr(chs),
-                repr(bayes_max),
-                repr(corrected),
-                "true" if naive_violated else "false",
-                "true" if corrected_violated else "false",
-            ]
-            out.write(",".join(cells) + "\n")
+            r = analyze(closed, SettingFrequencies.uniform())
+            bayes_max = max(c.value for c in r.bayes.values() if c.value is not None)
+            naive_violated = r.ch_flagged or r.ch_primed_flagged or r.ch_sum_positive
+            cells = [g, t, r.ch, r.ch_primed, r.ch_sum, bayes_max, r.reduced_ch, naive_violated, ch_violated(r.reduced_ch)]
+            out.write(",".join(map(_csv_value, cells)) + "\n")
             rows += 1
     out.write(f"# skipped {skipped} invalid grid points\n")
     return SweepStats(rows=rows, skipped=skipped)
@@ -582,7 +562,8 @@ def _random_unmodified(rng: np.random.Generator):
 
 def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     """Internal cross-validation suite; the fault-injection knob perturbs the
-    closed form so the surrounding machinery can prove it would notice."""
+    closed form so the surrounding machinery can prove it would notice.  CH
+    values are read from analyze, the function behind every report."""
     demo_gamma, demo_theta = math.pi / 3.0, math.pi / 6.0
     results: list[CheckResult] = []
     started = [time.perf_counter()]
@@ -613,39 +594,29 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     record("closed-form-vs-exact-random", worst <= CLOSED_FORM_TOL, f"max|diff|={worst:.3e} over 100 pairs")
 
     # arc engine against the brute-force grid oracle on the demo setups
-    worst = 0.0
+    demo_lines = fig2_lines(demo_gamma, demo_theta)
     exact = conditional_table_exact(demo_gamma, demo_theta)
-    for setup in TWO_STOP_SETUPS:
-        config = config_for_setup(fig2_lines(demo_gamma, demo_theta), demo_gamma, setup)
-        oracle = grid_oracle(config, both_stops_reached(), 10**6)
-        worst = max(worst, abs(oracle - exact.joint[setup]))
-    for setup in SINGLE_STOP_SETUPS:
-        config = config_for_setup(fig2_lines(demo_gamma, demo_theta), demo_gamma, setup)
-        side = "left" if setup.startswith("a") else "right"
-        oracle = grid_oracle(config, stop_reached(side), 10**6)
-        worst = max(worst, abs(oracle - exact.singles[setup]))
+    events = [both_stops_reached()] * len(TWO_STOP_SETUPS) + [event for event, _ in _LONE]
+    worst = 0.0
+    for setup, event, p in zip(ALL_SETUPS, events, _entries(exact)):
+        oracle = grid_oracle(config_for_setup(demo_lines, demo_gamma, setup), event, 10**6)
+        worst = max(worst, abs(oracle - p))
     record("exact-vs-grid-oracle", worst <= 1e-5, f"max|diff|={worst:.3e} at 1e6 grid points")
 
     # arc engine against a seeded campaign, 5 sigma per entry
     plan = CampaignPlan.from_params(demo_gamma, theta=demo_theta, n_trials=10**5, master_seed=20260816)
     campaign = run_campaign(plan)
     worst_sigma = 0.0
-    for setup in TWO_STOP_SETUPS:
-        p = exact.joint[setup]
+    for p, sampled in zip(_entries(exact), _entries(campaign.table)):
         sigma = math.sqrt(p * (1.0 - p) / 10**5)
-        gap = abs(campaign.table.joint[setup] - p)
-        worst_sigma = max(worst_sigma, gap / sigma if sigma > 0.0 else (math.inf if gap > 0 else 0.0))
-    for setup in SINGLE_STOP_SETUPS:
-        p = exact.singles[setup]
-        sigma = math.sqrt(p * (1.0 - p) / 10**5)
-        gap = abs(campaign.table.singles[setup] - p)
+        gap = abs(sampled - p)
         worst_sigma = max(worst_sigma, gap / sigma if sigma > 0.0 else (math.inf if gap > 0 else 0.0))
     # campaigns count through outcome maps: the first chunk of every sequence
     # must count the same when each trial runs through the kinematics
     chunk = 1 << 16
     mismatched = []
     for spec in plan.sequences:
-        config = config_for_setup(fig2_lines(demo_gamma, demo_theta), demo_gamma, spec.setup)
+        config = config_for_setup(demo_lines, demo_gamma, spec.setup)
         mapped = run_sequence(config, SequenceSpec(spec.setup, chunk, spec.seed)).counts
         if list(mapped.values()) != kinematic_counts(config, phi_samples(spec.seed, 0, chunk)).tolist():
             mismatched.append(spec.setup)
@@ -664,11 +635,10 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         g, t = _random_fig2_pair(rng)
         table = closed_form_fig2(g, t)
         f = rng.dirichlet(np.ones(4))
-        freqs = SettingFrequencies(*map(float, f))
-        worst = max(worst, reduced_identity_residual(table, freqs))
-        value = reduced_ch_value(table, freqs)
-        low = min(low, value)
-        high = max(high, value)
+        r = analyze(table, SettingFrequencies(*map(float, f)))
+        worst = max(worst, r.identity_residual)
+        low = min(low, r.reduced_ch)
+        high = max(high, r.reduced_ch)
     ok = worst <= 1e-12 and low >= -1.0 - 1e-9 and high <= 1e-9
     record("reduced-identity-random", ok, f"max residual={worst:.3e}, range [{low:.4f}, {high:.4f}]")
 
@@ -677,11 +647,11 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     worst = 0.0
     for _ in range(1000):
         g, t = _random_fig2_pair(rng)
-        naive = naive_plug(closed_form_fig2(g, t))
-        worst = max(worst, abs(ch_value(naive) - (2.0 * g - t) / TWO_PI))
-        worst = max(worst, abs(ch_primed_value(naive) - t / TWO_PI))
-        worst = max(worst, abs(ch_sum_value(naive) - 2.0 * g / TWO_PI))
-        for cond in bayes_conditionals(naive).values():
+        r = analyze(closed_form_fig2(g, t), SettingFrequencies.uniform())
+        worst = max(worst, abs(r.ch - (2.0 * g - t) / TWO_PI))
+        worst = max(worst, abs(r.ch_primed - t / TWO_PI))
+        worst = max(worst, abs(r.ch_sum - 2.0 * g / TWO_PI))
+        for cond in r.bayes.values():
             worst = max(worst, abs(cond.value - 2.0))
     record("naive-closed-values", worst <= 1e-12, f"max|diff|={worst:.3e} over 1000 pairs")
 
@@ -744,12 +714,21 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     ok = low >= -1.0 - 1e-9 and high <= 1e-9
     record("honest-ch-sweep", ok, f"value range [{low:.4f}, {high:.4f}] over 2000 configs")
 
-    # campaigns must not depend on the worker split
-    plan = CampaignPlan.from_params(demo_gamma, theta=demo_theta, n_trials=20000, master_seed=7)
-    reports = [
-        render_report(_estimates_json(run_campaign(plan, workers=w))) for w in (1, 4)
-    ]
-    record("mc-worker-reproducibility", reports[0] == reports[1], "campaign bytes identical for 1 and 4 workers")
+    # counts must not depend on how the index range is cut: a sequence over
+    # three chunks, the last one short, counts as the kinematics do on the
+    # same trials sampled in pieces cut at seeded points
+    n = 2 * chunk + 17
+    plan = CampaignPlan.from_params(demo_gamma, theta=demo_theta, n_trials=n, master_seed=7)
+    rng = np.random.default_rng(808)
+    mismatched = []
+    for spec in plan.sequences:
+        config = config_for_setup(demo_lines, demo_gamma, spec.setup)
+        cuts = [0, *sorted(rng.integers(1, n, 3).tolist()), n]
+        pieces = sum(kinematic_counts(config, phi_samples(spec.seed, lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
+        if list(run_sequence(config, spec).counts.values()) != pieces.tolist():
+            mismatched.append(spec.setup)
+    detail = f"counts differ for setups {mismatched}" if mismatched else "map counts equal kinematic counts"
+    record("mc-chunk-split", not mismatched, f"{detail} on {n} trials per setup, cut at 3 seeded points")
 
     # report rendering must be deterministic
     first = render_report(cmd_exact(demo_gamma, demo_theta))

@@ -421,6 +421,20 @@ _TABLE_NAMES = [[event.name for event in _CELL_EVENTS]] * len(TWO_STOP_SETUPS) +
 ]
 
 
+def _table(rows: Sequence[Sequence[float] | None]) -> ConditionalTable:
+    """The validated conditional table of the stop-cell rows (CELLS order)
+    of the eight setups in ALL_SETUPS order, None for a single-stop setup
+    that ran no trials.  A single-stop setup's entry is its lone cell.  The
+    arc-measure and Monte Carlo tables are both built here."""
+    pairs = len(TWO_STOP_SETUPS)
+    full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, rows)}
+    return ConditionalTable(
+        joint={setup: table["11"] for setup, table in full.items()},
+        singles={s: None if row is None else row[k] for s, (_, k), row in zip(SINGLE_STOP_SETUPS, _LONE, rows[pairs:])},
+        full_tables=full,
+    ).validate()
+
+
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     """Arc-measure conditional table for an arbitrary engraving.
 
@@ -431,15 +445,9 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     its errors name its one event.  Errors name the first failing setup in
     TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
     """
-    pairs = len(TWO_STOP_SETUPS)
     config = config_for_setup(lines, gamma, ALL_SETUPS[0])
-    rows = _guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, tables=pairs, read=_stop_cells)[1]
-    full = {setup: dict(zip(CELLS, row)) for setup, row in zip(TWO_STOP_SETUPS, rows)}
-    return ConditionalTable(
-        joint={setup: table["11"] for setup, table in full.items()},
-        singles={setup: row[cell] for setup, (_, cell), row in zip(SINGLE_STOP_SETUPS, _LONE, rows[pairs:])},
-        full_tables=full,
-    ).validate()
+    pairs = len(TWO_STOP_SETUPS)
+    return _table(_guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, tables=pairs, read=_stop_cells)[1])
 
 
 def conditional_table_exact(gamma: float, theta: float) -> ConditionalTable:

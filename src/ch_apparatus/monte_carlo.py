@@ -31,7 +31,6 @@ import numpy as np
 from .apparatus import (
     ALL_SETUPS,
     LINE_NAMES,
-    SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
     ApparatusConfig,
     EngravedLines,
@@ -44,6 +43,7 @@ from .exact_engine import (
     CELLS,
     ConditionalTable,
     OutcomeMap,
+    _table,
     line_crossed,
     outcome_map,
     outcome_maps,
@@ -466,18 +466,8 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> EstimateReport:
 
     table: ConditionalTable | None = None
     if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):
-        joint: dict[str, float] = {}
-        full: dict[str, dict[str, float]] = {}
-        for s in TWO_STOP_SETUPS:
-            r = results[s]
-            full[s] = {cell: r.counts[cell] / r.n_trials for cell in CELLS}
-            joint[s] = full[s]["11"]
-        singles: dict[str, float | None] = {}
-        for s in SINGLE_STOP_SETUPS:
-            r = results[s]
-            key = "left_stop" if s.startswith("a") else "right_stop"
-            singles[s] = r.counts[key] / r.n_trials if r.n_trials > 0 else None
-        table = ConditionalTable(joint=joint, singles=singles, full_tables=full).validate()
+        ordered = [results[s] for s in ALL_SETUPS]
+        table = _table([[r.counts[cell] / r.n_trials for cell in CELLS] if r.n_trials > 0 else None for r in ordered])
     return EstimateReport(
         gamma=plan.gamma,
         master_seed=plan.master_seed,

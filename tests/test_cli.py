@@ -104,6 +104,7 @@ class TestParseConfig:
         "payload, fragment",
         [
             ({"apparatus": {"gamma": GAMMA, "theta": GAMMA}}, "apparatus.theta"),
+            ({"apparatus": {"gamma": 5.0, "theta": 1.5}}, "apparatus.theta"),
             ({"apparatus": {"gamma": GAMMA}}, "exactly one"),
             (
                 {"apparatus": {"gamma": GAMMA, "theta": THETA, "lines": {}}},

@@ -6,6 +6,7 @@ recorded campaign, so a change must be loud.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ch_apparatus.exact_engine import (
     ConsistencyError,
     closed_form_fig2,
     conditional_table,
+    event_probabilities,
     outcome_map,
     outcome_maps,
 )
@@ -180,6 +182,70 @@ class TestEstimate:
         count = n // 3
         e = estimate(count, n)
         assert 0.0 <= e.ci95[0] <= e.p_hat <= e.ci95[1] <= 1.0
+
+
+def wilson_coverage(p, n):
+    """Exact coverage of the 95% Wilson score interval at n trials when the
+    true value is p: the binomial weight of the counts whose interval holds
+    p, 0 < p < 1, with z the normal quantile itself rather than Z95."""
+    k = np.arange(n + 1)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log(n - k[1:] + 1) - np.log(k[1:]))))
+    pmf = np.exp(log_comb + k * math.log(p) + (n - k) * math.log1p(-p))
+    z = NormalDist().inv_cdf(0.975)
+    q = k / n
+    center = (q + z * z / (2 * n)) / (1 + z * z / n)
+    half = z * np.sqrt(q * (1 - q) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+    return float(pmf[(center - half <= p) & (p <= center + half)].sum())
+
+
+class TestWilsonCoverage:
+    """The printed ci95 intervals must hold the exact value at the Wilson
+    interval's own rate, end to end: sequence seeds, sampler, map counting
+    and estimate, against the arc measures of the exact engine.
+
+    An entry is one count of one setup of one engraving, estimated at master
+    seeds 0-999 with 2000 trials per sequence.  The seeds are independent,
+    so the number of seeds whose interval holds the exact value p is
+    Binomial(1000, c), c = wilson_coverage(p, 2000), and it must lie within
+    5 of its standard deviations of 1000 c.  Entries of one sequence are
+    correlated, so each is bounded on its own.  An entry with p = 0 or 1
+    counts 0 or 2000 at every seed, so its coverage is no rate; see
+    test_interval_of_a_zero_count_reaches_zero.
+    """
+
+    SEEDS = 1000
+    TRIALS = 2000
+
+    @pytest.mark.parametrize(
+        "gamma, lines",
+        [(GAMMA, fig2_lines(GAMMA, THETA)), (1.3, EngravedLines(2.3, 0.9, 5.1, 3.7))],
+        ids=["fig2", "arbitrary"],
+    )
+    def test_each_entry_covers_at_its_binomial_rate(self, gamma, lines):
+        exact = np.array([event_probabilities(config_for_setup(lines, gamma, s), _COUNTED) for s in ALL_SETUPS])
+        covered = np.zeros(exact.shape, dtype=np.int64)
+        for seed in range(self.SEEDS):
+            report = run_campaign(CampaignPlan.from_params(gamma, lines=lines, n_trials=self.TRIALS, master_seed=seed))
+            intervals = [[e.ci95 for e in report.results[s].estimates().values()] for s in ALL_SETUPS]
+            covered += [[lo <= p <= hi for p, (lo, hi) in zip(*row)] for row in zip(exact, intervals)]
+        rows, cols = np.nonzero((exact > 0.0) & (exact < 1.0))
+        assert len(rows) >= 40
+        rate = np.array([wilson_coverage(p, self.TRIALS) for p in exact[rows, cols]])
+        expected = self.SEEDS * rate
+        outside = np.abs(covered[rows, cols] - expected) > 5.0 * np.sqrt(expected * (1.0 - rate))
+        assert not outside.any(), [
+            (ALL_SETUPS[i], COUNT_KEYS[j], exact[i, j], int(covered[i, j]), e)
+            for i, j, e in zip(rows[outside], cols[outside], expected[outside])
+        ]
+
+    # Rounding puts the lower end of the interval of a count of 0 just above
+    # 0 (1.08e-19 at n = 2000) and the upper end of a count of n just below
+    # 1, so such an interval misses an exact value of 0 or 1.  Mending it
+    # changes printed ci95 values.
+    @pytest.mark.xfail(strict=True, reason="ci95 of a count of 0 starts above 0 by rounding")
+    def test_interval_of_a_zero_count_reaches_zero(self):
+        assert estimate(0, self.TRIALS).ci95[0] == 0.0
+        assert estimate(self.TRIALS, self.TRIALS).ci95[1] == 1.0
 
 
 class TestRunSequence:
@@ -667,6 +733,16 @@ class TestRunCampaign:
         assert report.table is not None
         assert all(report.table.singles[s] is None for s in ("a", "a'", "b", "b'"))
         assert report.table.joint["ab"] == pytest.approx(1 / 6, abs=0.05)
+
+    def test_single_stop_entries_read_their_lone_cell(self):
+        # a setup never reaches the stop it lacks, so its lone cell counts
+        # the reaches of its one stop
+        report = run_campaign(CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=5000, master_seed=9))
+        for setup in ("a", "a'", "b", "b'"):
+            c = report.results[setup].counts
+            stop, cell, other = ("left_stop", "10", "01") if setup.startswith("a") else ("right_stop", "01", "10")
+            assert c[cell] == c[stop] > 0 and c["11"] == c[other] == 0, setup
+            assert report.table.singles[setup] == c[stop] / 5000, setup
 
     def test_workers_reproduce_bitwise(self):
         plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=30_000, master_seed=11)
