@@ -7,10 +7,12 @@ device a mutual constraint keeps the sum of the two rotations at or below
 gamma, and each side may carry a mechanical stop placed on one of its two
 engraved lines: the left stop at A or A', the right stop at B or B'.
 
-run_trial is the reference kinematics of one trial.  run_trials and
-run_setups give the same outcomes as a TrialBatch, which computes the
-stop-reach flags at once and every other field on first read, in one array
-pass: a read of any line's crossings computes all four lines.
+The kinematics are written once, over arrays: _run_rows computes the
+stop-reach flags, _travel the rotations and _crossings the line crossings.
+run_trials and run_setups return their outcomes as a TrialBatch, which
+computes the stop-reach flags at once and every other field on first read,
+in one array pass: a read of any line's crossings computes all four lines.
+run_trial is the one-row run_trials, as a TrialOutcome.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def _is_line(x: float, candidates: tuple[float, float]) -> bool:
 def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     """Check every configuration constraint, reporting all violations at once.
 
-    Returns the same object, marked so that run_trial will accept it.
+    Returns the same object, marked so that the kinematics will accept it.
     """
     problems: list[str] = []
     if config.mode not in (UNMODIFIED, MODIFIED):
@@ -196,92 +198,6 @@ class TrialOutcome(NamedTuple):
     crossed: frozenset[str]
 
 
-def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
-    """Deterministic kinematics of one trial with start angle phi.
-
-    Rotations are resolved in time order: whichever body meets its stop
-    first is blocked there, the other continues until its own stop or until
-    the mutual budget gamma is exhausted.  Ties between reaching a stop and
-    exhausting the budget resolve in favor of the stop.  A body held at its
-    own stop crosses a line of its side that lies on its path or at most
-    EPS_ANGLE past the stop, a span that is constant along any arc.
-    """
-    if not config._validated:
-        raise ConfigError("configuration must pass validate_config before running trials")
-    phi = normalize(phi)
-    lines = config.lines
-
-    if config.mode == UNMODIFIED:
-        g1 = config.gamma1
-        r1 = r2 = g1
-        blocked1 = blocked2 = FREE_ROTATION_END
-        reached_left = reached_right = False
-    else:
-        g = config.gamma
-        half = 0.5 * g
-        left = config.stops.left
-        right = config.stops.right
-        d1 = ccw_delta(phi, left) if left is not None else math.inf
-        d2 = ccw_delta(right, phi) if right is not None else math.inf
-        partner_fits = (
-            left is not None and right is not None and _fits_budget(g, ccw_delta(right, left), d1 + d2)
-        )
-        if d1 <= d2 and d1 <= half + EPS_ANGLE:
-            r1, blocked1, reached_left = d1, STOP, True
-            if partner_fits:
-                r2, blocked2, reached_right = d2, STOP, True
-            else:
-                r2, blocked2, reached_right = g - d1, MUTUAL_CONSTRAINT, False
-        elif d2 < d1 and d2 <= half + EPS_ANGLE:
-            r2, blocked2, reached_right = d2, STOP, True
-            if partner_fits:
-                r1, blocked1, reached_left = d1, STOP, True
-            else:
-                r1, blocked1, reached_left = g - d2, MUTUAL_CONSTRAINT, False
-        else:
-            r1 = r2 = half
-            blocked1 = blocked2 = MUTUAL_CONSTRAINT
-            reached_left = reached_right = False
-
-    # a body that turned gamma minus its partner's stop distance crosses a
-    # line when the budget spans the arc from the partner's stop to it
-    after_right = blocked1 == MUTUAL_CONSTRAINT and reached_right
-    after_left = blocked2 == MUTUAL_CONSTRAINT and reached_left
-    crossed = []
-    for name in ("A", "A'"):
-        line = lines.by_name(name)
-        d = ccw_delta(phi, line)
-        if after_right:
-            hit = _fits_budget(g, ccw_delta(right, line), d + d2)
-        elif reached_left:
-            hit = d <= r1 or ccw_delta(left, line) <= EPS_ANGLE
-        else:
-            hit = d <= r1 + EPS_ANGLE
-        if hit:
-            crossed.append(name)
-    for name in ("B", "B'"):
-        line = lines.by_name(name)
-        d = ccw_delta(line, phi)
-        if after_left:
-            hit = _fits_budget(g, ccw_delta(line, left), d + d1)
-        elif reached_right:
-            hit = d <= r2 or ccw_delta(line, right) <= EPS_ANGLE
-        else:
-            hit = d <= r2 + EPS_ANGLE
-        if hit:
-            crossed.append(name)
-
-    return TrialOutcome(
-        r1=r1,
-        r2=r2,
-        blocked1=blocked1,
-        blocked2=blocked2,
-        reached_left_stop=reached_left,
-        reached_right_stop=reached_right,
-        crossed=frozenset(crossed),
-    )
-
-
 def _wrap_turn(d: np.ndarray) -> np.ndarray:
     """The scalar ccw_delta's operations in its order on end - start, in place."""
     np.add(d, TWO_PI, out=d, where=d < 0.0)
@@ -339,10 +255,10 @@ def _run_rows(
 ) -> TrialBatch:
     """Kinematics of config over phis with per-row stops: row i of every
     field runs the stops (lefts[i], rights[i]), NaN meaning no stop on that
-    side.  The only vectorized kinematics; each row matches run_trial bit for
-    bit under its stops.  Computes the stop-reach flags of a TrialBatch with
-    fields shaped (rows, *phis.shape), or phis.shape for row=0.  Unmodified
-    configs take one row with no stops."""
+    side.  The one kinematics of the package, with _travel and _crossings;
+    run_trials, run_setups and run_trial all run it.  Computes the stop-reach
+    flags of a TrialBatch with fields shaped (rows, *phis.shape), or
+    phis.shape for row=0.  Unmodified configs take one row with no stops."""
     if not config._validated:
         raise ConfigError("configuration must pass validate_config before running trials")
     # a leading row axis, so that no array below is 0-d
@@ -360,7 +276,7 @@ def _run_rows(
     _wrap_turn(d)
     # a body meets its stop first, body 1 winning ties, unless the other
     # body's stop is nearer: each test is false where a distance is NaN, so
-    # an absent stop counts as infinitely far, as in run_trial
+    # an absent stop counts as infinitely far
     first = np.empty(d.shape, dtype=bool)
     np.less(d[1], d[0], out=first[0])
     np.less_equal(d[0], d[1], out=first[1])
@@ -410,9 +326,9 @@ def _crossings(batch: TrialBatch) -> np.ndarray:
     np.subtract(columns[1::-1, None], lines[1], out=spans[1])
     own, partner = _wrap_turn(spans).swapaxes(0, 1)
     # a body held at its own stop crosses a line on its path or at most
-    # EPS_ANGLE past the stop (run_trial); d <= r + EPS_ANGLE decides the
-    # same unless the span from some row's stop to the line is in
-    # (0, 2 * EPS_ANGLE], so only such a line takes the exact test
+    # EPS_ANGLE past the stop, a span constant along any arc; d <= r +
+    # EPS_ANGLE decides the same unless the span from some row's stop to the
+    # line is in (0, 2 * EPS_ANGLE], so only such a line takes the exact test
     near = ((0.0 < own) & (own <= 2.0 * EPS_ANGLE)).any(axis=2, keepdims=True)
     if near.any():
         held = (d <= r) | (own <= EPS_ANGLE)
@@ -424,15 +340,35 @@ def _crossings(batch: TrialBatch) -> np.ndarray:
 
 
 def run_trials(config: ApparatusConfig, phis: np.ndarray) -> TrialBatch:
-    """Vectorized run_trial over an array of normalized start angles.
+    """Kinematics of config over an array of normalized start angles.
 
     The one-row case of the per-row kinematics that run_setups also uses,
-    so there is one vectorized path.  Bitwise-identical to the scalar
-    run_trial field by field; see TrialBatch for the fields computed when
-    first read.
+    so there is one kinematics path; see TrialBatch for the fields computed
+    when first read.
     """
     left, right = config.stops.left, config.stops.right
     return _run_rows(config, [math.nan if left is None else left], [math.nan if right is None else right], phis, 0)
+
+
+def run_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
+    """Deterministic kinematics of one trial with start angle phi, any finite
+    angle: the one-row run_trials, as a TrialOutcome.
+
+    Rotations are resolved in time order: whichever body meets its stop
+    first is blocked there, the other continues until its own stop or until
+    the mutual budget gamma is exhausted.  Ties between reaching a stop and
+    exhausting the budget resolve in favor of the stop, so in the modified
+    device each body is blocked by its stop if it reached it and by the
+    mutual constraint otherwise.
+    """
+    batch = run_trials(config, normalize(phi))
+    reached = bool(batch.reached_left_stop), bool(batch.reached_right_stop)
+    if config.mode == UNMODIFIED:
+        blocked = (FREE_ROTATION_END, FREE_ROTATION_END)
+    else:
+        blocked = tuple(STOP if flag else MUTUAL_CONSTRAINT for flag in reached)
+    crossed = frozenset(name for name in LINE_NAMES if batch.crossed[name])
+    return TrialOutcome(float(batch.r1), float(batch.r2), *blocked, *reached, crossed)
 
 
 def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray) -> TrialBatch:
@@ -463,7 +399,7 @@ def fig2_lines(gamma: float, theta: float) -> EngravedLines:
 
     Requires 0 < theta < gamma and gamma + theta < 2*pi so the four lines
     keep their cyclic order, and each side's lines more than 2*EPS_ANGLE
-    apart, outside the window where a held body crosses a line (run_trial).
+    apart, outside the window where a held body crosses a line (_crossings).
     """
     if not (math.isfinite(gamma) and math.isfinite(theta)):
         raise ConfigError(f"gamma and theta must be finite, got {gamma!r}, {theta!r}")

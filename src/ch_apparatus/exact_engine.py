@@ -107,9 +107,9 @@ class EventPredicate:
     """Named event on trial outcomes, evaluated over a whole TrialBatch.
 
     ``batch`` maps a TrialBatch to a boolean array with one entry per trial.
-    The exact engine, the grid oracle and the Monte Carlo counts all use it.
-    run_trials matches the scalar run_trial bit for bit, so run_trial stays
-    the reference semantics of a single trial.
+    The exact engine, the grid oracle and the Monte Carlo counts all use it,
+    on batches of the one kinematics of apparatus, whose one-row case is
+    run_trial.
     """
 
     name: str

@@ -1,9 +1,11 @@
 """Trial kinematics of the two-body device.
 
-The scalar path (run_trial) is the reference semantics; the vectorized path
-(run_trials) must agree with it bitwise.  Example traces below were worked
-out by hand on the standard engraving with gamma = pi/3, theta = pi/6:
-lines A = pi/2, A' = pi/3, B = pi/6, B' = 0, stops for setup "ab" at A and B.
+The package has one kinematics, the array code behind run_trials and
+run_setups; run_trial is its one-row case.  The scalar statement of the same
+rules in scalar_reference (scalar_trial) is the reference it must match bit
+for bit.  Example traces below were worked out by hand on the standard
+engraving with gamma = pi/3, theta = pi/6: lines A = pi/2, A' = pi/3,
+B = pi/6, B' = 0, stops for setup "ab" at A and B.
 """
 
 import hashlib
@@ -43,6 +45,7 @@ from ch_apparatus.apparatus import (
 from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize
 from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, both_stops_reached, conditional_table, grid_oracle
 from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, _crossing_values, crossing_probability_set
+from scalar_reference import scalar_trial
 from test_exact_engine import budgets, engraved_lines
 
 GAMMA = math.pi / 3.0
@@ -299,7 +302,7 @@ def test_batch_matches_scalar_bitwise(params, setup, seed):
     sample = rng.uniform(0.0, TWO_PI, size=64)
     batch = run_trials(config, sample)
     for i, phi in enumerate(sample):
-        out = run_trial(config, phi)
+        out = scalar_trial(config, phi)
         assert batch.r1[i] == out.r1, f"r1 differs at phi={phi!r}"
         assert batch.r2[i] == out.r2, f"r2 differs at phi={phi!r}"
         assert bool(batch.reached_left_stop[i]) == out.reached_left_stop
@@ -318,7 +321,7 @@ def test_batch_matches_scalar_unmodified(params, seed):
     sample = rng.uniform(0.0, TWO_PI, size=64)
     batch = run_trials(config, sample)
     for i, phi in enumerate(sample):
-        out = run_trial(config, phi)
+        out = scalar_trial(config, phi)
         assert batch.r1[i] == out.r1 and batch.r2[i] == out.r2
         for name in ("A", "A'", "B", "B'"):
             assert bool(batch.crossed[name][i]) == (name in out.crossed)
@@ -346,14 +349,14 @@ HELD_MIRROR = EngravedLines(
 
 
 def assert_constant_along(config, sample):
-    """Every outcome flag is constant over the sample, and run_trial agrees
-    with run_trials at every 250th angle."""
+    """Every outcome flag is constant over the sample, and scalar_trial
+    agrees with run_trials at every 250th angle."""
     batch = run_trials(config, sample)
     fields = {"left": batch.reached_left_stop, "right": batch.reached_right_stop, **batch.crossed}
     for name, values in fields.items():
         assert values.all() or not values.any(), name
     for i in range(0, len(sample), 250):
-        out = run_trial(config, sample[i])
+        out = scalar_trial(config, sample[i])
         assert (batch.r1[i], batch.r2[i]) == (out.r1, out.r2)
         assert bool(batch.reached_left_stop[i]) == out.reached_left_stop
         assert bool(batch.reached_right_stop[i]) == out.reached_right_stop
@@ -452,7 +455,7 @@ def test_setup_rows_match_run_trials(engraving, seed):
 def test_held_body_batch_matches_scalar(engraving, line, sign, ulps, seed):
     # the other line of one side moved EPS_ANGLE, give or take a few ulps,
     # from this one: run_trials takes the exact held-body test only for
-    # spans near EPS_ANGLE, run_trial always
+    # spans near EPS_ANGLE, scalar_trial always
     lines, gamma = engraving
     angles = [lines.by_name(name) for name in LINE_NAMES]
     moved = normalize(angles[line] + sign * EPS_ANGLE)
@@ -469,7 +472,7 @@ def test_held_body_batch_matches_scalar(engraving, line, sign, ulps, seed):
         config = config_for_setup(lines, gamma, setup)
         batch = run_trials(config, phis)
         for i, phi in enumerate(phis.tolist()):
-            out = run_trial(config, phi)
+            out = scalar_trial(config, phi)
             assert (batch.r1[i], batch.r2[i]) == (out.r1, out.r2), (setup, phi)
             assert {n for n in LINE_NAMES if batch.crossed[n][i]} == out.crossed, (setup, phi)
 
@@ -745,7 +748,49 @@ def test_frozen_exact_tables():
 
 @pytest.mark.parametrize("config", [demo_config("ab"), demo_config("a'"), unmodified_config(SQUARE_LINES, 1.0)])
 def test_run_trials_takes_a_scalar_angle(config):
-    out = run_trial(config, 0.7)
+    out = scalar_trial(config, 0.7)
     batch = run_trials(config, 0.7)
     assert (batch.r1, batch.r2) == (out.r1, out.r2)
     assert {n for n in LINE_NAMES if batch.crossed[n]} == out.crossed
+
+
+# ----------------------------------------------------------------------------
+# run_trial, the one-row batch
+# ----------------------------------------------------------------------------
+
+
+def assert_same_outcome(got, want):
+    """Equal field for field, the floats bit for bit, and of the same types:
+    float, str, bool and frozenset."""
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert (got.r1.hex(), got.r2.hex()) == (want.r1.hex(), want.r2.hex())
+
+
+# a run_trial call is a one-row batch, about 100 us, so few draws run here
+@given(engravings(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=4, deadline=None)
+@example(engraving=(HELD_LINES, HELD_GAMMA), seed=0)
+@example(engraving=(HELD_MIRROR, HELD_GAMMA), seed=1)
+@example(engraving=(NEAR_BUDGET_LINES, 4.0), seed=2)
+def test_run_trial_is_the_scalar_reference(engraving, seed):
+    lines, gamma = engraving
+    phis = probe_angles(lines, gamma, seed).tolist()
+    # the eight setups, then the unmodified device
+    for config in [*(config_for_setup(lines, gamma, setup) for setup in ALL_SETUPS), unmodified_config(lines, gamma)]:
+        for phi in phis:
+            assert_same_outcome(run_trial(config, phi), scalar_trial(config, phi))
+
+
+@given(engravings(), st.sampled_from([*ALL_SETUPS, None]), phis)
+def test_run_trial_normalizes_its_angle(engraving, setup, phi):
+    lines, gamma = engraving
+    config = unmodified_config(lines, gamma) if setup is None else config_for_setup(lines, gamma, setup)
+    assert_same_outcome(run_trial(config, phi), scalar_trial(config, phi))
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config", [demo_config("ab"), demo_config("b'"), unmodified_config(SQUARE_LINES, 1.0)])
+def test_run_trial_rejects_a_non_finite_angle(config, phi):
+    with pytest.raises(ValueError, match="finite"):
+        run_trial(config, phi)

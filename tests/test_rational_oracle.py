@@ -14,7 +14,6 @@ from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -99,12 +98,9 @@ def arc_measures(lines, budget, outcome):
     outcome(phi), a tuple of booleans, holds: each arc between breakpoints
     takes the value at its midpoint."""
     points = breakpoints(lines, budget)
-    totals = None
-    for start, end in zip(points, points[1:] + [points[0] + 1]):
-        values = outcome(((start + end) / 2) % 1)
-        totals = [Fraction(0)] * len(values) if totals is None else totals
-        totals = [t + (end - start) * v for t, v in zip(totals, values)]
-    return totals
+    ends = points[1:] + [points[0] + 1]
+    arcs = [(end - start, outcome(((start + end) / 2) % 1)) for start, end in zip(points, ends)]
+    return [sum((extent for extent, values in arcs if values[i]), Fraction(0)) for i in range(len(arcs[0][1]))]
 
 
 def count_key_measures(lines, gamma, setup):
@@ -140,6 +136,11 @@ def engraving(lines):
 # Half an ulp of an angle in [4, 8): the largest rounding of an angle below
 # 2*pi, and half the largest of one below 4*pi.
 ROUNDING = 2.0**-51
+
+
+def off(x, p):
+    """|x - p| in exact arithmetic, for a float x and a Fraction p."""
+    return abs(Fraction(x) - p)
 
 
 def arc_sum_bound(arcs):
@@ -205,18 +206,16 @@ def test_modified_device_matches_the_oracle(rational):
     table = conditional_table(float_lines, budget)
     for setup in TWO_STOP_SETUPS:
         for cell, p in zip(CELLS, exact[setup]):
-            assert abs(table.full_tables[setup][cell] - p) <= bound, (setup, cell)
-        assert table.joint[setup] == table.full_tables[setup]["11"]
+            assert off(table.full_tables[setup][cell], p) <= bound, (setup, cell)
     for setup in SINGLE_STOP_SETUPS:
         p = exact[setup][COUNT_KEYS.index("left_stop" if "a" in setup else "right_stop")]
-        assert abs(table.singles[setup] - p) <= bound, setup
+        assert off(table.singles[setup], p) <= bound, setup
     # every COUNT_KEYS event of every setup, summed over its outcome map
     maps = outcome_maps(float_lines, budget, ALL_SETUPS, _COUNTED)
     for setup, outcome in zip(ALL_SETUPS, maps):
         assert len(outcome.extents) == arcs
         for key, bits, p in zip(COUNT_KEYS, outcome.bits.T, exact[setup]):
-            measure = sum(outcome.extents[bits].tolist()) / TWO_PI
-            assert abs(measure - p) <= bound, (setup, key)
+            assert off(sum(outcome.extents[bits].tolist()) / TWO_PI, p) <= bound, (setup, key)
 
 
 @given(rational_engravings(), st.booleans())
@@ -230,12 +229,7 @@ def test_unmodified_crossing_set_matches_the_oracle(rational, full_turn):
     config = unmodified_config(engraving(lines), radians(gamma1))
     bound = arc_sum_bound(len(exact_engine._partition(config)[1]))
     got = astuple(crossing_probability_set(config))
-    assert all(abs(x - p) <= bound for x, p in zip(got, exact)), (got, exact)
-
-
-def rotated(lines, turns):
-    """The engraving turned by a rational angle, each line rounded once."""
-    return EngravedLines(*(radians((x + turns) % 1) for x in lines))
+    assert all(off(x, p) <= bound for x, p in zip(got, exact)), (got, exact)
 
 
 def table_entries(table):
@@ -257,7 +251,7 @@ def test_rotation_moves_no_entry(rational, angle):
     budget = radians(gamma)
     bounds = []
     entries = []
-    for engraved in (engraving(lines), rotated(lines, turns)):
+    for engraved in (engraving(lines), engraving([(x + turns) % 1 for x in lines])):
         config = config_for_setup(engraved, budget, "ab")
         bounds.append(arc_sum_bound(len(exact_engine._partition(config)[1])))
         entries.append(table_entries(conditional_table(engraved, budget)))
@@ -265,5 +259,5 @@ def test_rotation_moves_no_entry(rational, angle):
         bounds.append(arc_sum_bound(len(exact_engine._partition(unmodified)[1])))
         entries.append(astuple(crossing_probability_set(unmodified)))
     for i in (0, 1):
-        gap = np.abs(np.array(entries[i]) - np.array(entries[i + 2]))
-        assert np.all(gap <= bounds[i] + bounds[i + 2]), gap.max()
+        gap = max(off(x, Fraction(y)) for x, y in zip(entries[i], entries[i + 2]))
+        assert gap <= bounds[i] + bounds[i + 2], float(gap)
