@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from math import fmod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "ccw_delta",
     "arc_contains",
     "partition_circle",
-    "partition_arrays",
     "guarded_partition",
 ]
 
@@ -81,12 +80,6 @@ def arc_contains(arc: Arc, x: float) -> bool:
     return ccw_delta(arc.start, normalize(x)) <= arc.extent + EPS_ANGLE
 
 
-def partition_arrays(points: Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and extents of guarded_partition for a flat array of normalized
-    angles; no angles yield one full-circle arc starting at 0."""
-    return guarded_partition(np.asarray(points, dtype=np.float64).tolist(), 0.0)[:2]
-
-
 def guarded_partition(points: list[float], margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arcs bounded by a list of normalized angles, over Python floats:
     the sorted distinct points (of 0.0 and -0.0, the first given), each one's
@@ -117,5 +110,5 @@ def partition_circle(critical: Iterable[float]) -> list[Arc]:
     exactly at the sorted critical angles, cover the circle once, and their
     extents sum to a full turn.  An empty input yields one full-circle arc.
     """
-    starts, extents = partition_arrays([normalize(p) for p in critical])
+    starts, extents, _ = guarded_partition([normalize(p) for p in critical], 0.0)
     return [Arc(s, e) for s, e in zip(starts.tolist(), extents.tolist())]

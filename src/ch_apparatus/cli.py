@@ -101,7 +101,6 @@ class ExperimentConfig:
     lines: EngravedLines
     trials: dict[str, int]
     seed: int
-    workers: int
     frequencies: SettingFrequencies | None  # None means: use empirical frequencies
     out_format: str
     out_path: str | None
@@ -186,7 +185,6 @@ def parse_config(path: str) -> ExperimentConfig:
 
     trials = {s: 10**6 for s in ALL_SETUPS}
     seed = 0
-    workers = 1
     if "campaign" in top:
         camp = _expect_mapping(top["campaign"], "campaign", {"trials", "seed", "workers"})
         if "trials" in camp:
@@ -207,8 +205,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 check_seed(seed)
             except PlanError as exc:
                 _fail("campaign.seed", str(exc))
-        if "workers" in camp:
-            workers = _expect_int(camp["workers"], "campaign.workers", minimum=1)
+        if "workers" in camp:  # accepted for compatibility; runs are serial
+            _expect_int(camp["workers"], "campaign.workers", minimum=1)
 
     frequencies: SettingFrequencies | None = SettingFrequencies.uniform()
     if "frequencies" in top:
@@ -248,7 +246,6 @@ def parse_config(path: str) -> ExperimentConfig:
         lines=lines,
         trials=trials,
         seed=seed,
-        workers=workers,
         frequencies=frequencies,
         out_format=out_format,
         out_path=out_path,
@@ -436,7 +433,7 @@ def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], Conditio
     """The simulate report of a config and the arc-measure table it was built from."""
     exact = conditional_table(config.lines, config.gamma)
     plan = CampaignPlan.from_params(config.gamma, lines=config.lines, n_trials=config.trials, master_seed=config.seed)
-    campaign = run_campaign(plan, workers=config.workers)
+    campaign = run_campaign(plan)
     freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
     mc_table = campaign.table
     # the naive analysis needs all eight entries
@@ -468,13 +465,17 @@ def cmd_demo(
     workers: int = 1,
 ) -> dict[str, Any]:
     """The simulate pipeline on the standard engraving, with equal trials per
-    sequence and uniform frequencies, plus the closed-form cross-check."""
+    sequence and uniform frequencies, plus the closed-form cross-check.
+    ``workers`` must be at least 1 and is otherwise accepted for
+    compatibility only: runs are serial."""
     if trials < 1:
         raise ConfigError("demo needs at least one trial per sequence")
     closed = closed_form_fig2(gamma, theta)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     config = ExperimentConfig(
         gamma=gamma, theta=theta, lines=fig2_lines(gamma, theta), trials={s: trials for s in ALL_SETUPS},
-        seed=seed, workers=workers, frequencies=SettingFrequencies.uniform(), out_format="json", out_path=None,
+        seed=seed, frequencies=SettingFrequencies.uniform(), out_format="json", out_path=None,
     )
     report, exact = _campaign_report(config)
     report["command"] = "demo"

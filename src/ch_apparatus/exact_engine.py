@@ -64,7 +64,8 @@ CELLS = ("11", "10", "01", "00")
 # clears the rounding band around a breakpoint (EPS_ANGLE plus a few ulps).
 _GUARD_MARGIN = 4.0 * EPS_ANGLE
 
-# A stop-reach table must sum to 1 within this.
+# A probability table (stop-reach cells, setting frequencies) must sum to 1
+# within this.
 TABLE_TOL = 1e-9
 
 # The closed forms of the standard engraving (closed_form_fig2) and its arc
@@ -84,7 +85,6 @@ __all__ = [
     "lines_crossed",
     "stop_cell",
     "both_stops_reached",
-    "complement",
     "outcome_map",
     "outcome_maps",
     "event_probability",
@@ -144,10 +144,6 @@ _stop_cells = attrgetter("stop_cells")
 
 def both_stops_reached() -> EventPredicate:
     return stop_cell(True, True)
-
-
-def complement(event: EventPredicate) -> EventPredicate:
-    return EventPredicate(name=f"not({event.name})", batch=lambda b: ~event.batch(b))
 
 
 def _critical_angles(config: ApparatusConfig) -> list[float]:
@@ -354,16 +350,16 @@ class ConditionalTable:
     singles: dict[str, float | None]
     full_tables: dict[str, dict[str, float]]
 
-    def validate(self, tol: float = TABLE_TOL) -> "ConditionalTable":
+    def validate(self) -> "ConditionalTable":
         for setup in TWO_STOP_SETUPS:
             table = self.full_tables[setup]
-            if abs(sum(table.values()) - 1.0) > tol:
+            if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                 raise ConsistencyError(f"table for setup {setup!r} does not normalize: {table!r}")
-            if abs(table["11"] - self.joint[setup]) > tol:
+            if abs(table["11"] - self.joint[setup]) > TABLE_TOL:
                 raise ConsistencyError(f"joint entry for setup {setup!r} disagrees with its table")
         for setup in SINGLE_STOP_SETUPS:
             p = self.singles[setup]
-            if p is not None and not -tol <= p <= 1.0 + tol:
+            if p is not None and not -TABLE_TOL <= p <= 1.0 + TABLE_TOL:
                 raise ConsistencyError(f"single entry for setup {setup!r} out of range: {p!r}")
         return self
 

@@ -18,6 +18,7 @@ import numpy as np
 from .apparatus import LINE_NAMES, UNMODIFIED, ApparatusConfig, TrialBatch, run_trials
 from .circle_geometry import normalize
 from .exact_engine import (
+    TABLE_TOL,
     ConditionalTable,
     ConsistencyError,
     _guarded,
@@ -52,7 +53,6 @@ __all__ = [
     "naive_plug",
     "corrected_probabilities",
     "reduced_ch_value",
-    "reduced_identity_residual",
     "fixed_lambda_check",
     "crossing_probability_set",
     "analyze",
@@ -103,11 +103,11 @@ class SettingFrequencies:
     def uniform(cls) -> "SettingFrequencies":
         return cls(0.25, 0.25, 0.25, 0.25)
 
-    def validate(self, tol: float = 1e-9) -> "SettingFrequencies":
+    def validate(self) -> "SettingFrequencies":
         values = (self.ab, self.abp, self.apb, self.apbp)
-        if any(not math.isfinite(v) or v < -tol for v in values):
+        if any(not math.isfinite(v) or v < -TABLE_TOL for v in values):
             raise ValueError(f"setting frequencies must be nonnegative, got {values!r}")
-        if abs(sum(values) - 1.0) > tol:
+        if abs(sum(values) - 1.0) > TABLE_TOL:
             raise ValueError(f"setting frequencies must sum to 1, got {values!r}")
         return self
 
@@ -130,9 +130,10 @@ def ch_sum_value(s: ProbabilitySet) -> float:
     return 2.0 * s.ab + 2.0 * s.apbp - s.a - s.ap - s.b - s.bp
 
 
-def ch_violated(value: float, tol: float = FLAG_TOL) -> bool:
-    """Whether a CH value leaves the admissible band [-1, 0]."""
-    return value > tol or value < -1.0 - tol
+def ch_violated(value: float) -> bool:
+    """Whether a CH value leaves the admissible band [-1, 0], by more than
+    FLAG_TOL."""
+    return value > FLAG_TOL or value < -1.0 - FLAG_TOL
 
 
 class Conditional(NamedTuple):
@@ -210,21 +211,12 @@ def reduced_ch_value(table: ConditionalTable, freqs: SettingFrequencies) -> floa
     return _checked_reduced_form(table, freqs, ch_value(corrected_probabilities(table, freqs)))[0]
 
 
-def reduced_identity_residual(table: ConditionalTable, freqs: SettingFrequencies) -> float:
-    """|reduced form - corrected expansion|; zero up to rounding by algebra."""
-    return abs(_reduced_form(table, freqs) - ch_value(corrected_probabilities(table, freqs)))
-
-
-def _reduced_form(table: ConditionalTable, freqs: SettingFrequencies) -> float:
-    return -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
-
-
 def _checked_reduced_form(
     table: ConditionalTable, freqs: SettingFrequencies, corrected_ch: float
 ) -> tuple[float, float]:
     """The reduced form and its residual against corrected_ch, the CH value
     of the corrected set; ConsistencyError above IDENTITY_TOL."""
-    reduced = _reduced_form(table, freqs)
+    reduced = -table.joint["ab'"] * freqs.abp - table.joint["a'b"] * freqs.apb
     residual = abs(reduced - corrected_ch)
     if residual > IDENTITY_TOL:
         raise ConsistencyError(f"reduced CH value disagrees with the corrected expansion by {residual!r}")

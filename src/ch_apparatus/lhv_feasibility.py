@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -71,12 +72,12 @@ class BehaviorTable:
 
     tables: dict[str, dict[str, float]]
 
-    def validate(self, tol: float = NORM_TOL) -> "BehaviorTable":
+    def validate(self) -> "BehaviorTable":
         for setting in SETTINGS:
             table = self.tables[setting]
-            if any(not math.isfinite(table[c]) or table[c] < -tol for c in CELLS):
+            if any(not math.isfinite(table[c]) or table[c] < -NORM_TOL for c in CELLS):
                 raise ValueError(f"cells for setting {setting!r} must be nonnegative: {table!r}")
-            if abs(sum(table[c] for c in CELLS) - 1.0) > tol:
+            if abs(sum(table[c] for c in CELLS) - 1.0) > NORM_TOL:
                 raise ValueError(f"cells for setting {setting!r} must sum to 1: {table!r}")
         return self
 
@@ -121,16 +122,9 @@ def mixture_table(weights: Iterable[float]) -> BehaviorTable:
     return BehaviorTable.from_vector(vec).validate()
 
 
-_STRATEGY_MATRIX: np.ndarray | None = None
-
-
+@cache
 def _strategy_matrix() -> np.ndarray:
-    global _STRATEGY_MATRIX
-    if _STRATEGY_MATRIX is None:
-        _STRATEGY_MATRIX = np.column_stack(
-            [strategy_table(s).vector() for s in enumerate_strategies()]
-        )
-    return _STRATEGY_MATRIX
+    return np.column_stack([strategy_table(s).vector() for s in enumerate_strategies()])
 
 
 def no_signaling_deviation(table: BehaviorTable) -> float:
@@ -149,12 +143,12 @@ class FeasibilityResult(NamedTuple):
     weights: tuple[float, ...] | None
 
 
-def feasible_joint(table: BehaviorTable, tol: float = NORM_TOL) -> FeasibilityResult:
+def feasible_joint(table: BehaviorTable) -> FeasibilityResult:
     """Decide membership in the local polytope by linear programming.
 
     Minimizes the largest entry-wise residual between the table and a convex
     mixture of the sixteen strategies; the table is feasible when that
-    minimum is at most ``tol``, and the optimal weights are the witness.
+    minimum is at most NORM_TOL, and the optimal weights are the witness.
     """
     table.validate()
     m = _strategy_matrix()
@@ -172,7 +166,7 @@ def feasible_joint(table: BehaviorTable, tol: float = NORM_TOL) -> FeasibilityRe
         raise ConsistencyError(f"feasibility program ended with status {result.status!r}")
     weights = result.x[:16]
     residual = float(np.abs(m @ weights - v).max())
-    feasible = residual <= tol
+    feasible = residual <= NORM_TOL
     return FeasibilityResult(
         feasible=feasible,
         max_residual=residual,
@@ -186,13 +180,13 @@ class BatteryResult(NamedTuple):
     passes: bool
 
 
-def ch_battery(table: BehaviorTable, tol: float = NORM_TOL) -> BatteryResult:
+def ch_battery(table: BehaviorTable) -> BatteryResult:
     """Evaluate every sign and relabeling image of the CH inequality.
 
     The eight entries are generated from the base combination by swapping
     the primed and unprimed settings on either side and by flipping to the
     lower bound; a table passes when every entry is at most zero (within
-    ``tol``).  For no-signaling tables, passing is equivalent to local
+    NORM_TOL).  For no-signaling tables, passing is equivalent to local
     feasibility.  One-side marginals are averaged over the remote setting,
     which is unambiguous precisely in the no-signaling case.
     """
@@ -233,7 +227,7 @@ def ch_battery(table: BehaviorTable, tol: float = NORM_TOL) -> BatteryResult:
             values[f"{label}:upper"] = value
             values[f"{label}:lower"] = -1.0 - value
     max_value = max(values.values())
-    return BatteryResult(values=values, max_value=max_value, passes=max_value <= tol)
+    return BatteryResult(values=values, max_value=max_value, passes=max_value <= NORM_TOL)
 
 
 def pr_box_table(variant: int = 0) -> BehaviorTable:
@@ -279,37 +273,33 @@ def singlet_table(
     return BehaviorTable(tables=tables).validate()
 
 
-_NS_PROJECTOR: np.ndarray | None = None
-
-
+@cache
 def _ns_projector() -> np.ndarray:
     """Orthogonal projector onto the normalization/no-signaling null space."""
-    global _NS_PROJECTOR
-    if _NS_PROJECTOR is None:
-        def cell_index(setting: str, cell: str) -> int:
-            return SETTINGS.index(setting) * 4 + CELLS.index(cell)
 
-        rows = []
-        for setting in SETTINGS:
-            row = np.zeros(16)
-            for cell in CELLS:
-                row[cell_index(setting, cell)] = 1.0
-            rows.append(row)
-        for pair in (("ab", "ab'"), ("a'b", "a'b'")):
-            row = np.zeros(16)
-            for cell in ("11", "10"):
-                row[cell_index(pair[0], cell)] += 1.0
-                row[cell_index(pair[1], cell)] -= 1.0
-            rows.append(row)
-        for pair in (("ab", "a'b"), ("ab'", "a'b'")):
-            row = np.zeros(16)
-            for cell in ("11", "01"):
-                row[cell_index(pair[0], cell)] += 1.0
-                row[cell_index(pair[1], cell)] -= 1.0
-            rows.append(row)
-        a = np.vstack(rows)
-        _NS_PROJECTOR = np.eye(16) - np.linalg.pinv(a) @ a
-    return _NS_PROJECTOR
+    def cell_index(setting: str, cell: str) -> int:
+        return SETTINGS.index(setting) * 4 + CELLS.index(cell)
+
+    rows = []
+    for setting in SETTINGS:
+        row = np.zeros(16)
+        for cell in CELLS:
+            row[cell_index(setting, cell)] = 1.0
+        rows.append(row)
+    for pair in (("ab", "ab'"), ("a'b", "a'b'")):
+        row = np.zeros(16)
+        for cell in ("11", "10"):
+            row[cell_index(pair[0], cell)] += 1.0
+            row[cell_index(pair[1], cell)] -= 1.0
+        rows.append(row)
+    for pair in (("ab", "a'b"), ("ab'", "a'b'")):
+        row = np.zeros(16)
+        for cell in ("11", "01"):
+            row[cell_index(pair[0], cell)] += 1.0
+            row[cell_index(pair[1], cell)] -= 1.0
+        rows.append(row)
+    a = np.vstack(rows)
+    return np.eye(16) - np.linalg.pinv(a) @ a
 
 
 def random_no_signaling_table(rng: np.random.Generator) -> BehaviorTable:

@@ -16,8 +16,7 @@ those only the ones in a guard band around a breakpoint run through the
 kinematics.  The bins are weighted once per sequence, so memory does not
 grow with the number of trials.  The counts equal those of run_trials on
 every angle (kinematic_counts), which the tests and the check suite verify.
-Chunks run one after another; the ``workers`` arguments are checked but do
-not change how a run executes.
+Chunks run one after another.
 """
 
 from __future__ import annotations
@@ -392,7 +391,7 @@ class _Tally:
 
 
 def run_sequence(
-    config: ApparatusConfig, spec: SequenceSpec, workers: int = 1, *, _shared_lookup: _Lookup | None = None
+    config: ApparatusConfig, spec: SequenceSpec, *, _shared_lookup: _Lookup | None = None
 ) -> SequenceResult:
     """Run one sequence.
 
@@ -401,13 +400,8 @@ def run_sequence(
     The lookup comes from run_campaign, or else from an outcome map built
     before any chunk runs; a ConsistencyError from it means the
     configuration breaks the exact engine's breakpoint assumption.
-    ``workers`` must be at least 1 and is otherwise accepted for
-    compatibility only: runs are serial, and counts do not depend on how
-    the index range is split.
     """
     spec.validate()
-    if workers < 1:
-        raise PlanError(f"workers must be at least 1, got {workers}")
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
@@ -439,7 +433,7 @@ class EstimateReport:
         return {s: r.estimates() for s, r in self.results.items() if r.n_trials > 0}
 
 
-def run_campaign(plan: CampaignPlan, workers: int = 1) -> EstimateReport:
+def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
     plan.validate()
     lines = plan.engraving()
@@ -448,7 +442,7 @@ def run_campaign(plan: CampaignPlan, workers: int = 1) -> EstimateReport:
     results: dict[str, SequenceResult] = {}
     for spec in plan.sequences:
         config = config_for_setup(lines, plan.gamma, spec.setup)
-        results[spec.setup] = run_sequence(config, spec, workers=workers, _shared_lookup=lookups.get(spec.setup))
+        results[spec.setup] = run_sequence(config, spec, _shared_lookup=lookups.get(spec.setup))
     for setup in ALL_SETUPS:
         if setup not in results:
             results[setup] = SequenceResult(setup=setup, n_trials=0, counts={k: 0 for k in COUNT_KEYS})

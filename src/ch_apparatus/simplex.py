@@ -15,6 +15,8 @@ import numpy as np
 
 _PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
+# Pivots per phase before giving up with "iteration-limit".
+_MAX_ITER = 20000
 
 __all__ = ["LpResult", "solve_lp"]
 
@@ -43,9 +45,8 @@ def _iterate(
     basis: list[int],
     cost: np.ndarray,
     allowed: np.ndarray,
-    max_iter: int,
 ) -> str:
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         reduced = cost - cost[basis] @ rows
         reduced[~allowed] = 0.0
         entering = -1
@@ -75,7 +76,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    max_iter: int = 20000,
 ) -> LpResult:
     c = np.asarray(c, dtype=np.float64)
     n = c.size
@@ -122,7 +122,7 @@ def solve_lp(
     cost1[art0:] = 1.0
     allowed = np.ones(n + n_slack + m, dtype=bool)
 
-    status = _iterate(rows, rhs, basis, cost1, allowed, max_iter)
+    status = _iterate(rows, rhs, basis, cost1, allowed)
     if status != "optimal":
         return LpResult(status, None, None)
     if float(cost1[basis] @ rhs) > _FEAS_TOL:
@@ -145,7 +145,7 @@ def solve_lp(
     allowed[art0:] = False
     cost2 = np.zeros(n + n_slack + m)
     cost2[:n] = c
-    status = _iterate(rows, rhs, basis, cost2, allowed, max_iter)
+    status = _iterate(rows, rhs, basis, cost2, allowed)
     if status != "optimal":
         return LpResult(status, None, None)
 

@@ -28,6 +28,7 @@ from ch_apparatus.exact_engine import (
 from ch_apparatus.inequality_analysis import (
     SettingFrequencies,
     _fixed_lambda_checks,
+    analyze,
     bayes_conditionals,
     ch_primed_value,
     ch_sum_value,
@@ -37,7 +38,6 @@ from ch_apparatus.inequality_analysis import (
     fixed_lambda_check,
     naive_plug,
     reduced_ch_value,
-    reduced_identity_residual,
 )
 from ch_apparatus.lhv_feasibility import (
     BehaviorTable,
@@ -107,7 +107,7 @@ def test_criterion_02_demo_single_stop_conditionals():
     for setup in ("a", "a'", "b", "b'"):
         config = fig2_config(GAMMA, THETA, setup)
         spec = SequenceSpec(setup=setup, n_trials=n, seed=sequence_seed(SEED, setup))
-        result = run_sequence(config, spec, workers=2)
+        result = run_sequence(config, spec)
         key = "left_stop" if setup.startswith("a") else "right_stop"
         worst_pull = max(worst_pull, abs(result.counts[key] / n - 1 / 12) / sigma)
     elapsed = time.perf_counter() - started
@@ -204,7 +204,7 @@ def test_criterion_06_corrected_reduction():
             },
         )
         freqs = SettingFrequencies(*rng.dirichlet(np.ones(4)))
-        worst_residual = max(worst_residual, reduced_identity_residual(table, freqs))
+        worst_residual = max(worst_residual, analyze(table, freqs).identity_residual)
         value = reduced_ch_value(table, freqs)
         in_band = in_band and -1.0 <= value <= 0.0
     ok = demo_err <= 1e-12 and worst_residual < 1e-12 and in_band

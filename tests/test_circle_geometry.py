@@ -20,7 +20,6 @@ from ch_apparatus.circle_geometry import (
     ccw_delta,
     guarded_partition,
     normalize,
-    partition_arrays,
     partition_circle,
 )
 from ch_apparatus.exact_engine import _GUARD_MARGIN as GUARD_MARGIN
@@ -176,7 +175,7 @@ class TestPartitionCircle:
     @example(points=[1.0, 1.0000000000000009, 3.2831853071795845, -1e-18])
     def test_arrays_match_the_list_partition(self, points):
         normalized = [normalize(p) for p in points]
-        starts, extents = partition_arrays(normalized)
+        starts, extents = guarded_partition(normalized, 0.0)[:2]
         reference = _list_partition(normalized)
         assert starts.tolist() == [arc.start for arc in reference]
         assert extents.tolist() == [arc.extent for arc in reference]
@@ -206,7 +205,7 @@ class TestPartitionCircle:
         zeros = [p for p in points if p == 0.0]
         if zeros:
             want_starts[0] = zeros[0]
-        starts, extents = partition_arrays(np.array(points, dtype=np.float64) if as_array else points)
+        starts, extents = guarded_partition(points, 0.0)[:2]
         for got, want in ((starts, want_starts), (extents, want_extents)):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         arcs = partition_circle(np.array(points) if as_array else points)
@@ -225,8 +224,9 @@ class TestPartitionCircle:
 
 
 def _list_partition(points):
-    """Reference for partition_arrays, one Arc at a time: sorted distinct
-    points, each arc running to the next, the last one wrapping to the first."""
+    """Reference for the partition's starts and extents, one Arc at a time:
+    sorted distinct points, each arc running to the next, the last one
+    wrapping to the first."""
     points = sorted(set(points))
     if not points:
         return [Arc(0.0, TWO_PI)]
@@ -235,8 +235,9 @@ def _list_partition(points):
 
 
 def numpy_partition(points):
-    """Reference for the partition builders: partition_arrays as numpy array
-    formulas, which leave the order of 0.0 and -0.0 to np.sort."""
+    """Reference for the partition builders: guarded_partition's starts and
+    extents as numpy array formulas, which leave the order of 0.0 and -0.0 to
+    np.sort."""
     starts = np.sort(np.asarray(points, dtype=np.float64))
     if starts.size == 0:
         return np.array([0.0]), np.array([TWO_PI])

@@ -59,7 +59,6 @@ class TestParseConfig:
         config = parse_config(path)
         assert config.trials == {s: 10**6 for s in ALL_SETUPS}
         assert config.seed == 0
-        assert config.workers == 1
         assert config.frequencies == SettingFrequencies.uniform()
         assert config.out_format == "json"
         assert config.out_path is None
@@ -175,6 +174,11 @@ class TestReports:
     def test_demo_rejects_zero_trials(self):
         with pytest.raises(ConfigError):
             cmd_demo(GAMMA, THETA, trials=0)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_demo_rejects_nonpositive_workers(self, workers):
+        with pytest.raises(ConfigError, match=f"^workers must be at least 1, got {workers}$"):
+            cmd_demo(GAMMA, THETA, trials=1000, workers=workers)
 
     def test_csv_rendering(self):
         text = render_report(cmd_exact(GAMMA, THETA), "csv")
@@ -606,6 +610,15 @@ LINES_CONFIG = {
     "apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}},
     "campaign": {"trials": 100000, "seed": 3, "workers": 2},
 }
+README_DIGEST = "7c69a7993bc57e4eeb7e40112338f5dfb64c73c47bc795dcb01f3fcdcc75ce5a"
+
+
+def _with_workers(payload, workers):
+    """payload with campaign.workers set to workers, or removed for None."""
+    campaign = {k: v for k, v in payload["campaign"].items() if k != "workers"}
+    if workers is not None:
+        campaign["workers"] = workers
+    return {**payload, "campaign": campaign}
 
 
 class TestFrozenReports:
@@ -650,10 +663,13 @@ class TestFrozenReports:
     @pytest.mark.parametrize(
         "payload, digest",
         [
-            (README_CONFIG, "7c69a7993bc57e4eeb7e40112338f5dfb64c73c47bc795dcb01f3fcdcc75ce5a"),
+            (README_CONFIG, README_DIGEST),
+            # the workers key is accepted and changes no byte
+            (_with_workers(README_CONFIG, 1), README_DIGEST),
+            (_with_workers(README_CONFIG, None), README_DIGEST),
             (LINES_CONFIG, "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
         ],
-        ids=["readme", "explicit-lines"],
+        ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines"],
     )
     def test_simulate(self, payload, digest, tmp_path):
         report = cmd_simulate(parse_config(write_config(tmp_path, payload)))

@@ -39,7 +39,6 @@ from ch_apparatus.exact_engine import (
     ConsistencyError,
     EventPredicate,
     closed_form_fig2,
-    complement,
     conditional_table,
     conditional_table_exact,
     event_probabilities,
@@ -126,7 +125,7 @@ class TestEventProbability:
         config = fig2_config(GAMMA, THETA, "ab'")
         event = line_crossed("B'")
         p = event_probability(config, event)
-        q = event_probability(config, complement(event))
+        q = event_probability(config, EventPredicate("not(crossed(B'))", lambda b: ~event.batch(b)))
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_below_marginal(self):

@@ -34,7 +34,6 @@ from ch_apparatus.inequality_analysis import (
     fixed_lambda_check,
     naive_plug,
     reduced_ch_value,
-    reduced_identity_residual,
 )
 
 GAMMA = math.pi / 3.0
@@ -169,7 +168,7 @@ class TestReducedForm:
         )
         total = sum(weights)
         freqs = SettingFrequencies(*(w / total for w in weights))
-        assert reduced_identity_residual(table, freqs) < 1e-12
+        assert analyze(table, freqs).identity_residual < 1e-12
         value = reduced_ch_value(table, freqs)
         assert -1.0 <= value <= 0.0
 
@@ -248,8 +247,8 @@ class TestCrossingProbabilitySet:
             bp = (bp + 2.0) % (2.0 * math.pi)
         config = unmodified_config(EngravedLines(A=a, A_prime=ap, B=b, B_prime=bp), gamma1)
         s = crossing_probability_set(config)
-        assert not ch_violated(ch_value(s), tol=1e-9)
-        assert not ch_violated(ch_primed_value(s), tol=1e-9)
+        assert not ch_violated(ch_value(s))
+        assert not ch_violated(ch_primed_value(s))
 
 
 class TestAnalyze:

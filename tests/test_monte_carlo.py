@@ -299,14 +299,6 @@ class TestRunSequence:
         with pytest.raises(EstimateError):
             result.estimates()
 
-    def test_worker_count_does_not_change_counts(self):
-        # three chunks of 2^16 plus a remainder; the reduction is ordered
-        config = fig2_config(GAMMA, THETA, "ab'")
-        spec = SequenceSpec(setup="ab'", n_trials=200_000, seed=77)
-        lone = run_sequence(config, spec, workers=1)
-        pooled = run_sequence(config, spec, workers=3)
-        assert lone == pooled
-
     def test_matches_exact_value_within_5_sigma(self):
         closed = closed_form_fig2(GAMMA, THETA)
         config = fig2_config(GAMMA, THETA, "ab")
@@ -713,14 +705,6 @@ class TestRunCampaign:
         assert report.table is None
         assert "a'b'" not in report.estimates()
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_nonpositive_workers_rejected(self, workers):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1000)
-        with pytest.raises(PlanError, match="workers must be at least 1"):
-            run_campaign(plan, workers=workers)
-        with pytest.raises(PlanError, match="workers must be at least 1"):
-            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec("ab", 1000, seed=0), workers=workers)
-
     def test_all_trials_zero_is_an_error(self):
         plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=0)
         with pytest.raises(PlanError, match="frequencies"):
@@ -743,12 +727,6 @@ class TestRunCampaign:
             stop, cell, other = ("left_stop", "10", "01") if setup.startswith("a") else ("right_stop", "01", "10")
             assert c[cell] == c[stop] > 0 and c["11"] == c[other] == 0, setup
             assert report.table.singles[setup] == c[stop] / 5000, setup
-
-    def test_workers_reproduce_bitwise(self):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=30_000, master_seed=11)
-        lone = run_campaign(plan, workers=1)
-        pooled = run_campaign(plan, workers=4)
-        assert lone == pooled
 
     def test_campaign_tracks_exact_table(self):
         closed = closed_form_fig2(GAMMA, THETA)
