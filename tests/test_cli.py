@@ -611,6 +611,13 @@ LINES_CONFIG = {
     "campaign": {"trials": 100000, "seed": 3, "workers": 2},
 }
 README_DIGEST = "7c69a7993bc57e4eeb7e40112338f5dfb64c73c47bc795dcb01f3fcdcc75ce5a"
+# only two-stop trials, so the Monte Carlo table marks every single-stop
+# entry exact_only
+TWO_STOP_CONFIG = {
+    "apparatus": {"gamma": 2.0, "lines": {"A": 1.0, "A'": 2.5, "B": 0.3, "B'": 4.0}},
+    "campaign": {"trials": {"ab": 30000, "ab'": 30000, "a'b": 30000, "a'b'": 30000}, "seed": 11},
+    "frequencies": {"ab": 0.1, "ab'": 0.2, "a'b": 0.3, "a'b'": 0.4},
+}
 
 
 def _with_workers(payload, workers):
@@ -661,16 +668,18 @@ class TestFrozenReports:
         assert sha256(text) == "e2afbe9aa0bfdedaf61e07e86f5c7da63f1c95279fc8c26adb9433c9e26fb06c"
 
     @pytest.mark.parametrize(
-        "payload, digest",
+        "payload, out_format, digest",
         [
-            (README_CONFIG, README_DIGEST),
+            (README_CONFIG, "json", README_DIGEST),
             # the workers key is accepted and changes no byte
-            (_with_workers(README_CONFIG, 1), README_DIGEST),
-            (_with_workers(README_CONFIG, None), README_DIGEST),
-            (LINES_CONFIG, "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
+            (_with_workers(README_CONFIG, 1), "json", README_DIGEST),
+            (_with_workers(README_CONFIG, None), "json", README_DIGEST),
+            (LINES_CONFIG, "json", "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
+            (TWO_STOP_CONFIG, "json", "d743eadfe94556959efff8870bc416c833eccdedc01cc366ea78c1ec907264de"),
+            (TWO_STOP_CONFIG, "csv", "0d0143b321288655c1ba58fbc874ae052f4541000945acc8c911468e9ffb8e06"),
         ],
-        ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines"],
+        ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines", "two-stop-json", "two-stop-csv"],
     )
-    def test_simulate(self, payload, digest, tmp_path):
+    def test_simulate(self, payload, out_format, digest, tmp_path):
         report = cmd_simulate(parse_config(write_config(tmp_path, payload)))
-        assert sha256(render_report(report)) == digest
+        assert sha256(render_report(report, out_format)) == digest
