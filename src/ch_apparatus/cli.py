@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -263,22 +263,9 @@ def _assert_finite(obj: Any, path: str = "report") -> None:
         raise ConsistencyError(f"non-finite number at {path}")
 
 
-def _lines_json(lines: EngravedLines) -> dict[str, float]:
-    return {
-        "A": lines.A,
-        "A_prime": lines.A_prime,
-        "B": lines.B,
-        "B_prime": lines.B_prime,
-    }
-
-
 def _table_json(table: ConditionalTable) -> dict[str, Any]:
+    out = asdict(table)
     exact_only = [s for s in SINGLE_STOP_SETUPS if table.singles[s] is None]
-    out: dict[str, Any] = {
-        "joint": dict(table.joint),
-        "singles": dict(table.singles),
-        "full_tables": {s: dict(t) for s, t in table.full_tables.items()},
-    }
     if exact_only:
         out["exact_only"] = exact_only
     return out
@@ -316,10 +303,7 @@ def _estimates_json(campaign: EstimateReport) -> dict[str, Any]:
         result = campaign.results[setup]
         entry: dict[str, Any] = {"n_trials": result.n_trials, "counts": dict(result.counts)}
         if result.n_trials > 0:
-            entry["estimates"] = {
-                key: {"p_hat": e.p_hat, "stderr": e.stderr, "ci95": list(e.ci95)}
-                for key, e in result.estimates().items()
-            }
+            entry["estimates"] = {key: e._asdict() for key, e in result.estimates().items()}
         per_setup[setup] = entry
     return {
         "master_seed": campaign.master_seed,
@@ -330,20 +314,10 @@ def _estimates_json(campaign: EstimateReport) -> dict[str, Any]:
 
 def _feasibility_json(table: ConditionalTable) -> dict[str, Any]:
     behavior = BehaviorTable.from_full_tables(table.full_tables)
-    joint = feasible_joint(behavior)
-    battery = ch_battery(behavior)
     return {
         "no_signaling_deviation": no_signaling_deviation(behavior),
-        "joint": {
-            "feasible": joint.feasible,
-            "max_residual": joint.max_residual,
-            "weights": list(joint.weights) if joint.weights is not None else None,
-        },
-        "battery": {
-            "values": dict(battery.values),
-            "max_value": battery.max_value,
-            "passes": battery.passes,
-        },
+        "joint": feasible_joint(behavior)._asdict(),
+        "battery": ch_battery(behavior)._asdict(),
     }
 
 
@@ -403,7 +377,7 @@ def _csv_value(value: Any) -> str:
 
 
 def _base_report(command: str, gamma: float, theta: float | None, lines: EngravedLines) -> dict[str, Any]:
-    apparatus: dict[str, Any] = {"mode": "modified", "gamma": gamma, "lines": _lines_json(lines)}
+    apparatus: dict[str, Any] = {"mode": "modified", "gamma": gamma, "lines": asdict(lines)}
     if theta is not None:
         apparatus["theta"] = theta
     return {"schema": SCHEMA, "command": command, "apparatus": apparatus}
@@ -432,7 +406,7 @@ def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
 def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], ConditionalTable]:
     """The simulate report of a config and the arc-measure table it was built from."""
     exact = conditional_table(config.lines, config.gamma)
-    plan = CampaignPlan.from_params(config.gamma, lines=config.lines, n_trials=config.trials, master_seed=config.seed)
+    plan = CampaignPlan.from_params(config.gamma, config.lines, n_trials=config.trials, master_seed=config.seed)
     campaign = run_campaign(plan)
     freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
     mc_table = campaign.table
@@ -604,7 +578,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     record("exact-vs-grid-oracle", worst <= 1e-5, f"max|diff|={worst:.3e} at 1e6 grid points")
 
     # arc engine against a seeded campaign, 5 sigma per entry
-    plan = CampaignPlan.from_params(demo_gamma, theta=demo_theta, n_trials=10**5, master_seed=20260816)
+    plan = CampaignPlan.from_params(demo_gamma, demo_lines, n_trials=10**5, master_seed=20260816)
     campaign = run_campaign(plan)
     worst_sigma = 0.0
     for p, sampled in zip(_entries(exact), _entries(campaign.table)):
@@ -704,7 +678,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     # three chunks, the last one short, counts as the kinematics do on the
     # same trials sampled in pieces cut at seeded points
     n = 2 * (1 << 16) + 17
-    plan = CampaignPlan.from_params(demo_gamma, theta=demo_theta, n_trials=n, master_seed=7)
+    plan = CampaignPlan.from_params(demo_gamma, demo_lines, n_trials=n, master_seed=7)
     rng = np.random.default_rng(808)
     mismatched = []
     for spec in plan.sequences:

@@ -209,7 +209,6 @@ def _guarded(
     setups: Sequence[str] | None,
     events: Sequence[EventPredicate],
     names: Sequence[Sequence[str]] | None = None,
-    tables: int = 0,
     read: Callable[[TrialBatch], np.ndarray] | None = None,
 ) -> tuple[Iterator[OutcomeMap], list[list[float]]]:
     """Outcome maps and exact probabilities of the same events on rows that
@@ -227,13 +226,11 @@ def _guarded(
     there, so the breakpoint set is incomplete.  The guard ignores the band
     of width _GUARD_MARGIN (4*EPS_ANGLE) at each arc end, where a boundary
     may sit off its breakpoint by rounding; an event that changes value
-    farther inside an arc still trips it.  The first ``tables`` rows are
-    stop-reach tables (the stop cells in CELLS order) that must sum to 1
-    within TABLE_TOL.  Only a failure takes a Python loop: row by row, its
-    guard (ConsistencyError naming the first arc in circle order, then the
-    first event in list order, with the arc, its guard angles and the row's
-    config), then its table's sum.  ``names[s]`` names the events of row s in
-    that message; the default is the events' own names.
+    farther inside an arc still trips it.  A failure raises ConsistencyError
+    for the first failing row, naming the first arc in circle order, then
+    the first event in list order, with the arc, its guard angles and the
+    row's config.  ``names[s]`` names the events of row s in that message;
+    the default is the events' own names.
 
     Each arc takes its midpoint value, and each probability is the extent of
     the arcs where its event holds over 2*pi, added one by one in arc order:
@@ -255,23 +252,18 @@ def _guarded(
     # bits[e, s, k]: event e of row s on arc k
     bits = points[:, 0].reshape(len(events), rows, -1)
     probabilities = (np.add.accumulate(np.where(bits, extents, 0.0), axis=-1)[..., -1] / TWO_PI).T.tolist()
-    if differs.any() or any(abs(sum(row) - 1.0) > TABLE_TOL for row in probabilities[:tables]):
+    if differs.any():
         names = names or [[event.name for event in events]] * rows
         bad = differs.reshape(bits.shape).swapaxes(0, 1)
-        for s, row in enumerate(probabilities):
-            if bad[s].any():
-                k = int(np.flatnonzero(bad[s].any(axis=0))[0])
-                name = names[s][int(np.flatnonzero(bad[s, :, k])[0])]
-                row_config = config if setups is None else config_for_setup(config.lines, config.gamma, setups[s])
-                raise ConsistencyError(
-                    f"event {name} is not constant on the arc starting at "
-                    f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
-                    f"{guard[k].tolist()!r}, config {row_config!r}; breakpoint set incomplete"
-                )
-            if s < tables:
-                table = dict(zip(CELLS, row))
-                if abs(sum(table.values()) - 1.0) > TABLE_TOL:
-                    raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
+        s = int(np.flatnonzero(bad.any(axis=(1, 2)))[0])
+        k = int(np.flatnonzero(bad[s].any(axis=0))[0])
+        name = names[s][int(np.flatnonzero(bad[s, :, k])[0])]
+        row_config = config if setups is None else config_for_setup(config.lines, config.gamma, setups[s])
+        raise ConsistencyError(
+            f"event {name} is not constant on the arc starting at "
+            f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
+            f"{guard[k].tolist()!r}, config {row_config!r}; breakpoint set incomplete"
+        )
     return (OutcomeMap(starts, extents, bits[:, s].T, guard) for s in range(rows)), probabilities
 
 
@@ -313,10 +305,14 @@ def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
 
 
 def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
-    """Full 2x2 stop-reach table for a configuration with both stops active."""
+    """Full 2x2 stop-reach table for a configuration with both stops active,
+    checked to sum to 1 within TABLE_TOL."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    return dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, tables=1, read=_stop_cells)[1][0]))
+    table = dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, read=_stop_cells)[1][0]))
+    if abs(sum(table.values()) - 1.0) > TABLE_TOL:
+        raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
+    return table
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:
@@ -442,8 +438,7 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
     """
     config = config_for_setup(lines, gamma, ALL_SETUPS[0])
-    pairs = len(TWO_STOP_SETUPS)
-    return _table(_guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, tables=pairs, read=_stop_cells)[1])
+    return _table(_guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, read=_stop_cells)[1])
 
 
 def conditional_table_exact(gamma: float, theta: float) -> ConditionalTable:

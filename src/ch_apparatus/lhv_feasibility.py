@@ -16,10 +16,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .apparatus import TWO_STOP_SETUPS
 from .exact_engine import CELLS, ConsistencyError
 from .simplex import solve_lp
 
-SETTINGS = ("ab", "ab'", "a'b", "a'b'")
+SETTINGS = TWO_STOP_SETUPS
 
 NORM_TOL = 1e-9
 
@@ -252,19 +253,14 @@ def pr_box_table(variant: int = 0) -> BehaviorTable:
     return BehaviorTable(tables=tables).validate()
 
 
-def singlet_table(
-    a: float = 0.0,
-    a_prime: float = 0.5 * math.pi,
-    b: float = 0.25 * math.pi,
-    b_prime: float = -0.25 * math.pi,
-) -> BehaviorTable:
+def singlet_table() -> BehaviorTable:
     """Spin-singlet behavior at four analyzer angles (demo plumbing).
 
     Outcome 1 on each side has probability 1/2 and the joint probability is
-    sin((alpha - beta) / 2)^2 / 2; the defaults maximize the CH battery at
-    (sqrt(2) - 1) / 2.
+    sin((alpha - beta) / 2)^2 / 2.  The angles a = 0, a' = pi/2, b = pi/4
+    and b' = -pi/4 maximize the CH battery at (sqrt(2) - 1) / 2.
     """
-    angles = {"a": a, "a'": a_prime, "b": b, "b'": b_prime}
+    angles = {"a": 0.0, "a'": 0.5 * math.pi, "b": 0.25 * math.pi, "b'": -0.25 * math.pi}
     tables = {}
     for x in ("a", "a'"):
         for y in ("b", "b'"):

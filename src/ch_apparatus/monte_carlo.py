@@ -34,7 +34,6 @@ from .apparatus import (
     ApparatusConfig,
     EngravedLines,
     config_for_setup,
-    fig2_lines,
     run_trials,
 )
 from .circle_geometry import TWO_PI
@@ -213,21 +212,19 @@ class CampaignPlan:
     """Eight sequences covering the protocol, plus the apparatus parameters.
 
     Single-stop sequences may have zero trials; the useless trials can be
-    spared.  Exactly one of (theta, lines) describes the engraving.
+    spared.
     """
 
     gamma: float
+    lines: EngravedLines
     sequences: tuple[SequenceSpec, ...]
     master_seed: int
-    theta: float | None = None
-    lines: EngravedLines | None = None
 
     @classmethod
     def from_params(
         cls,
         gamma: float,
-        theta: float | None = None,
-        lines: EngravedLines | None = None,
+        lines: EngravedLines,
         n_trials: int | dict[str, int] = 10**6,
         master_seed: int = 0,
     ) -> "CampaignPlan":
@@ -239,20 +236,10 @@ class CampaignPlan:
             SequenceSpec(setup=s, n_trials=n_per[s], seed=sequence_seed(master_seed, s))
             for s in ALL_SETUPS
         )
-        return cls(
-            gamma=gamma, theta=theta, lines=lines, sequences=sequences, master_seed=master_seed
-        ).validate()
-
-    def engraving(self) -> EngravedLines:
-        if (self.theta is None) == (self.lines is None):
-            raise PlanError("exactly one of theta or explicit lines must be given")
-        if self.lines is not None:
-            return self.lines
-        return fig2_lines(self.gamma, self.theta)
+        return cls(gamma=gamma, lines=lines, sequences=sequences, master_seed=master_seed).validate()
 
     def validate(self) -> "CampaignPlan":
         check_seed(self.master_seed)
-        self.engraving()
         seen: dict[str, SequenceSpec] = {}
         for spec in self.sequences:
             spec.validate()
@@ -436,12 +423,11 @@ class EstimateReport:
 def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
     plan.validate()
-    lines = plan.engraving()
     live = [spec.setup for spec in plan.sequences if spec.n_trials > 0]
-    lookups = dict(zip(live, _lookups(outcome_maps(lines, plan.gamma, live, _COUNTED)))) if live else {}
+    lookups = dict(zip(live, _lookups(outcome_maps(plan.lines, plan.gamma, live, _COUNTED)))) if live else {}
     results: dict[str, SequenceResult] = {}
     for spec in plan.sequences:
-        config = config_for_setup(lines, plan.gamma, spec.setup)
+        config = config_for_setup(plan.lines, plan.gamma, spec.setup)
         results[spec.setup] = run_sequence(config, spec, _shared_lookup=lookups.get(spec.setup))
     for setup in ALL_SETUPS:
         if setup not in results:

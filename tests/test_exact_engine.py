@@ -415,11 +415,13 @@ class TestSharedPartition:
 
     def test_stop_tables_must_normalize(self, monkeypatch):
         # four copies of the 11 cell sum to 4/6 on the demo engraving; the
-        # stop tables read the stacked stop cells through _stop_cells
+        # stop tables read the stacked stop cells through _stop_cells.  The
+        # eight-setup table fails in ConditionalTable.validate, the one-setup
+        # table in joint_probability_table itself
         monkeypatch.setattr(exact_engine, "_stop_cells", lambda batch: batch.stop_cells[[0, 0, 0, 0]])
-        with pytest.raises(ConsistencyError, match=r"stop-reach table does not normalize: \{'11': 0\.1666"):
+        with pytest.raises(ConsistencyError, match=r"^table for setup 'ab' does not normalize: \{'11': 0\.1666"):
             conditional_table_exact(GAMMA, THETA)
-        with pytest.raises(ConsistencyError, match="does not normalize"):
+        with pytest.raises(ConsistencyError, match=r"^stop-reach table does not normalize: \{'11': 0\.1666"):
             joint_probability_table(fig2_config(GAMMA, THETA, "ab"))
 
     @given(

@@ -60,6 +60,7 @@ from ch_apparatus.monte_carlo import (
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
+FIG2 = fig2_lines(GAMMA, THETA)
 TOP = 1 << 53
 MASK64 = (1 << 64) - 1
 
@@ -225,7 +226,7 @@ class TestWilsonCoverage:
         exact = np.array([event_probabilities(config_for_setup(lines, gamma, s), _COUNTED) for s in ALL_SETUPS])
         covered = np.zeros(exact.shape, dtype=np.int64)
         for seed in range(self.SEEDS):
-            report = run_campaign(CampaignPlan.from_params(gamma, lines=lines, n_trials=self.TRIALS, master_seed=seed))
+            report = run_campaign(CampaignPlan.from_params(gamma, lines, n_trials=self.TRIALS, master_seed=seed))
             intervals = [[e.ci95 for e in report.results[s].estimates().values()] for s in ALL_SETUPS]
             covered += [[lo <= p <= hi for p, (lo, hi) in zip(*row)] for row in zip(exact, intervals)]
         rows, cols = np.nonzero((exact > 0.0) & (exact < 1.0))
@@ -509,9 +510,8 @@ def critical_without_half_shifts(config):
 
 def per_sequence_counts(plan):
     """Counts of each sequence of a plan, each run on its own lookup."""
-    lines = plan.engraving()
     return {
-        spec.setup: run_sequence(config_for_setup(lines, plan.gamma, spec.setup), spec).counts
+        spec.setup: run_sequence(config_for_setup(plan.lines, plan.gamma, spec.setup), spec).counts
         for spec in plan.sequences
     }
 
@@ -626,7 +626,7 @@ class TestSharedLookup:
         ids=["fig2", "explicit", "near-budget"],
     )
     def test_campaign_counts_equal_per_sequence_counts(self, lines, gamma, trials):
-        plan = CampaignPlan.from_params(gamma, lines=lines, n_trials=trials, master_seed=99)
+        plan = CampaignPlan.from_params(gamma, lines, n_trials=trials, master_seed=99)
         report = run_campaign(plan)
         assert {s: r.counts for s, r in report.results.items()} == per_sequence_counts(plan)
         assert {s: r.n_trials for s, r in report.results.items()} == {s: trials.get(s, 0) for s in ALL_SETUPS}
@@ -635,40 +635,34 @@ class TestSharedLookup:
     def test_incomplete_breakpoints_name_the_first_live_setup(self, monkeypatch, lines, gamma, trials, message):
         monkeypatch.setattr(exact_engine, "_critical_angles", critical_without_half_shifts)
         with pytest.raises(ConsistencyError) as info:
-            run_campaign(CampaignPlan.from_params(gamma, lines=lines, n_trials=trials, master_seed=1))
+            run_campaign(CampaignPlan.from_params(gamma, lines, n_trials=trials, master_seed=1))
         assert str(info.value) == message
 
 
 class TestCampaignPlan:
     def test_from_params_defaults(self):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=100)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=100)
         assert len(plan.sequences) == 8
         assert {s.setup for s in plan.sequences} == set(ALL_SETUPS)
         assert all(s.n_trials == 100 for s in plan.sequences)
 
     def test_dict_trials_fill_missing_with_zero(self):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials={"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5})
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials={"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5})
         by_setup = {s.setup: s.n_trials for s in plan.sequences}
         assert by_setup["ab"] == 5
         assert by_setup["a"] == 0
-
-    def test_engraving_requires_exactly_one_description(self):
-        with pytest.raises(PlanError):
-            CampaignPlan.from_params(GAMMA, theta=THETA, lines=fig2_lines(GAMMA, THETA), n_trials=1)
-        with pytest.raises(PlanError):
-            CampaignPlan.from_params(GAMMA, n_trials=1)
 
     def test_missing_two_stop_setup_rejected(self):
         sequences = tuple(
             SequenceSpec(setup=s, n_trials=1, seed=0) for s in ALL_SETUPS if s != "a'b"
         )
-        plan = CampaignPlan(gamma=GAMMA, theta=THETA, sequences=sequences, master_seed=0)
+        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
         with pytest.raises(PlanError, match="missing two-stop"):
             plan.validate()
 
     def test_duplicate_setup_rejected(self):
         sequences = tuple(SequenceSpec(setup="ab", n_trials=1, seed=0) for _ in range(2))
-        plan = CampaignPlan(gamma=GAMMA, theta=THETA, sequences=sequences, master_seed=0)
+        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
         with pytest.raises(PlanError, match="duplicate"):
             plan.validate()
 
@@ -684,20 +678,20 @@ class TestCampaignPlan:
     def test_master_seed_outside_64_bits_rejected(self, seed):
         # sequence_seed keeps the low 64 bits: 2**64 + 1 would alias seed 1
         with pytest.raises(PlanError, match="0 <= seed < 2"):
-            CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1, master_seed=seed)
-        assert CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1, master_seed=2**64 - 1)
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=1, master_seed=seed)
+        assert CampaignPlan.from_params(GAMMA, FIG2, n_trials=1, master_seed=2**64 - 1)
 
 
 class TestRunCampaign:
     def test_equal_trials_give_uniform_frequencies(self):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=1000, master_seed=3)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=1000, master_seed=3)
         report = run_campaign(plan)
         f = report.frequencies
         assert (f.ab, f.abp, f.apb, f.apbp) == (0.25, 0.25, 0.25, 0.25)
 
     def test_frequencies_follow_trial_ratios(self):
         trials = {"ab": 2000, "ab'": 1000, "a'b": 1000, "a'b'": 0}
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=trials, master_seed=3)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials, master_seed=3)
         report = run_campaign(plan)
         f = report.frequencies
         assert (f.ab, f.abp, f.apb, f.apbp) == (0.5, 0.25, 0.25, 0.0)
@@ -706,13 +700,13 @@ class TestRunCampaign:
         assert "a'b'" not in report.estimates()
 
     def test_all_trials_zero_is_an_error(self):
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=0)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=0)
         with pytest.raises(PlanError, match="frequencies"):
             run_campaign(plan)
 
     def test_zero_single_stop_sequences_leave_singles_unknown(self):
         trials = {s: 2000 for s in TWO_STOP_SETUPS}
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=trials, master_seed=1)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials, master_seed=1)
         report = run_campaign(plan)
         assert report.table is not None
         assert all(report.table.singles[s] is None for s in ("a", "a'", "b", "b'"))
@@ -721,7 +715,7 @@ class TestRunCampaign:
     def test_single_stop_entries_read_their_lone_cell(self):
         # a setup never reaches the stop it lacks, so its lone cell counts
         # the reaches of its one stop
-        report = run_campaign(CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=5000, master_seed=9))
+        report = run_campaign(CampaignPlan.from_params(GAMMA, FIG2, n_trials=5000, master_seed=9))
         for setup in ("a", "a'", "b", "b'"):
             c = report.results[setup].counts
             stop, cell, other = ("left_stop", "10", "01") if setup.startswith("a") else ("right_stop", "01", "10")
@@ -730,7 +724,7 @@ class TestRunCampaign:
 
     def test_campaign_tracks_exact_table(self):
         closed = closed_form_fig2(GAMMA, THETA)
-        plan = CampaignPlan.from_params(GAMMA, theta=THETA, n_trials=100_000, master_seed=20260816)
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=100_000, master_seed=20260816)
         report = run_campaign(plan)
         for setup in TWO_STOP_SETUPS:
             p = closed.joint[setup]
