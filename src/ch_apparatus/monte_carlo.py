@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -207,6 +208,12 @@ class SequenceSpec:
         return self
 
 
+def _not_a_count(n: object) -> bool:
+    """Whether n cannot be a trial count: a bool is an int to Python, not a
+    count."""
+    return isinstance(n, bool) or not isinstance(n, Integral)
+
+
 @dataclass(frozen=True)
 class CampaignPlan:
     """Eight sequences covering the protocol, plus the apparatus parameters.
@@ -228,10 +235,17 @@ class CampaignPlan:
         n_trials: int | dict[str, int] = 10**6,
         master_seed: int = 0,
     ) -> "CampaignPlan":
-        if isinstance(n_trials, int):
-            n_per = {s: n_trials for s in ALL_SETUPS}
-        else:
-            n_per = {s: int(n_trials.get(s, 0)) for s in ALL_SETUPS}
+        """A plan of one sequence per setup.  ``n_trials`` is one count for
+        every setup, or counts by setup label, 0 for a label left out."""
+        if not isinstance(n_trials, dict):
+            if _not_a_count(n_trials):
+                raise PlanError(f"n_trials: {n_trials!r} is not an integer")
+            n_trials = dict.fromkeys(ALL_SETUPS, n_trials)
+        problems = [f"unknown setup label {s!r}" for s in n_trials if s not in ALL_SETUPS]
+        problems += [f"count {n!r} for setup {s!r} is not an integer" for s, n in n_trials.items() if _not_a_count(n)]
+        if problems:
+            raise PlanError("n_trials: " + "; ".join(problems))
+        n_per = {s: int(n_trials.get(s, 0)) for s in ALL_SETUPS}
         sequences = tuple(
             SequenceSpec(setup=s, n_trials=n_per[s], seed=sequence_seed(master_seed, s))
             for s in ALL_SETUPS

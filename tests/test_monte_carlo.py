@@ -6,6 +6,7 @@ recorded campaign, so a change must be loud.
 """
 
 import math
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -651,6 +652,30 @@ class TestCampaignPlan:
         by_setup = {s.setup: s.n_trials for s in plan.sequences}
         assert by_setup["ab"] == 5
         assert by_setup["a"] == 0
+
+    def test_unknown_labels_and_non_integer_counts_rejected(self):
+        # each is named; neither used to raise ("A" was dropped, 2.9 cut to 2)
+        trials = {"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5, "A": 100, "b": 2.9}
+        message = "n_trials: unknown setup label 'A'; count 2.9 for setup 'b' is not an integer"
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials)
+
+    @pytest.mark.parametrize("count", [True, False, 2.0, 2.5, "5", None])
+    def test_one_count_must_be_an_integer(self, count):
+        with pytest.raises(PlanError, match=f"^n_trials: {re.escape(repr(count))} is not an integer$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=count)
+
+    @pytest.mark.parametrize("count", [True, 1.0, "1"])
+    def test_counts_by_setup_must_be_integers(self, count):
+        trials = {"ab": 1, "ab'": count, "a'b": 1, "a'b'": 1}
+        message = f"n_trials: count {count!r} for setup \"ab'\" is not an integer"
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials)
+
+    def test_numpy_integer_counts_accepted(self):
+        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=np.int64(3))
+        assert [s.n_trials for s in plan.sequences] == [3] * 8
+        assert all(type(s.n_trials) is int for s in plan.sequences)
 
     def test_missing_two_stop_setup_rejected(self):
         sequences = tuple(
