@@ -43,6 +43,7 @@ from .exact_engine import (
     grid_oracle,
 )
 from .inequality_analysis import (
+    FLAG_TOL,
     AnalysisReport,
     SettingFrequencies,
     _fixed_lambda_checks,
@@ -53,6 +54,7 @@ from .inequality_analysis import (
     crossing_probability_set,
 )
 from .lhv_feasibility import (
+    NORM_TOL,
     BehaviorTable,
     ch_battery,
     feasible_joint,
@@ -534,6 +536,16 @@ def _random_unmodified(rng: np.random.Generator):
             return unmodified_config(lines, float(rng.uniform(1e-3, TWO_PI)))
 
 
+# A midpoint grid of n points puts within one point of its share into each
+# arc, so its frequency of an event made of k arcs is within k/n of the arc
+# measure: this allows ten arcs at n = 10**6.
+_GRID_ORACLE_TOL = 1e-5
+
+# Two float expressions of one quantity built from a few probabilities
+# differ by rounding only.
+_ROUNDING_TOL = 1e-12
+
+
 def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     """Internal cross-validation suite; the fault-injection knob perturbs the
     closed form so the surrounding machinery can prove it would notice.  CH
@@ -575,7 +587,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     for setup, event, p in zip(ALL_SETUPS, events, _entries(exact)):
         oracle = grid_oracle(config_for_setup(demo_lines, demo_gamma, setup), event, 10**6)
         worst = max(worst, abs(oracle - p))
-    record("exact-vs-grid-oracle", worst <= 1e-5, f"max|diff|={worst:.3e} at 1e6 grid points")
+    record("exact-vs-grid-oracle", worst <= _GRID_ORACLE_TOL, f"max|diff|={worst:.3e} at 1e6 grid points")
 
     # arc engine against a seeded campaign, 5 sigma per entry
     plan = CampaignPlan.from_params(demo_gamma, demo_lines, n_trials=10**5, master_seed=20260816)
@@ -599,7 +611,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         worst = max(worst, r.identity_residual)
         low = min(low, r.reduced_ch)
         high = max(high, r.reduced_ch)
-    ok = worst <= 1e-12 and low >= -1.0 - 1e-9 and high <= 1e-9
+    ok = worst <= _ROUNDING_TOL and low >= -1.0 - FLAG_TOL and high <= FLAG_TOL
     record("reduced-identity-random", ok, f"max residual={worst:.3e}, range [{low:.4f}, {high:.4f}]")
 
     # naive plug-in values match their closed expressions
@@ -613,7 +625,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         worst = max(worst, abs(r.ch_sum - 2.0 * g / TWO_PI))
         for cond in r.bayes.values():
             worst = max(worst, abs(cond.value - 2.0))
-    record("naive-closed-values", worst <= 1e-12, f"max|diff|={worst:.3e} over 1000 pairs")
+    record("naive-closed-values", worst <= _ROUNDING_TOL, f"max|diff|={worst:.3e} over 1000 pairs")
 
     # strategy mixtures must come back feasible with a faithful witness
     rng = np.random.default_rng(404)
@@ -624,7 +636,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         result = feasible_joint(table)
         all_feasible &= result.feasible
         worst = max(worst, result.max_residual)
-    record("strategy-mixtures-feasible", all_feasible and worst <= 1e-9, f"max residual={worst:.3e}")
+    record("strategy-mixtures-feasible", all_feasible and worst <= NORM_TOL, f"max residual={worst:.3e}")
 
     # LP feasibility and the CH battery must agree on no-signaling tables
     rng = np.random.default_rng(505)
@@ -643,9 +655,9 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     singlet = ch_battery(singlet_table())
     ok = (
         not demo_feasible
-        and demo_dev >= 1.0 / 12.0 - 1e-9
-        and abs(pr.max_value - 0.5) <= 1e-9
-        and abs(singlet.max_value - (math.sqrt(2.0) - 1.0) / 2.0) <= 1e-9
+        and demo_dev >= 1.0 / 12.0 - NORM_TOL
+        and abs(pr.max_value - 0.5) <= NORM_TOL
+        and abs(singlet.max_value - (math.sqrt(2.0) - 1.0) / 2.0) <= NORM_TOL
     )
     record(
         "infeasible-examples",
@@ -671,7 +683,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         for value in (ch_value(s), ch_primed_value(s)):
             low = min(low, value)
             high = max(high, value)
-    ok = low >= -1.0 - 1e-9 and high <= 1e-9
+    ok = low >= -1.0 - FLAG_TOL and high <= FLAG_TOL
     record("honest-ch-sweep", ok, f"value range [{low:.4f}, {high:.4f}] over 2000 configs")
 
     # counts must not depend on how the index range is cut: a sequence over
