@@ -275,7 +275,12 @@ class Estimate(NamedTuple):
 
 
 def estimate(count: int, n: int) -> Estimate:
-    """Binomial estimate from ``count`` hits in ``n`` trials."""
+    """Binomial estimate from ``count`` hits in ``n`` trials.
+
+    The Wilson interval of a count of 0 starts at 0, and that of a count of
+    n ends at 1; both ends are set exactly, where the formula would leave a
+    rounding sliver that misses an exact probability of 0 or 1.
+    """
     if n < 1:
         raise EstimateError(f"no trials to estimate from (n={n})")
     if not 0 <= count <= n:
@@ -286,7 +291,9 @@ def estimate(count: int, n: int) -> Estimate:
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
     half = Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
-    return Estimate(p_hat=p, stderr=stderr, ci95=(max(0.0, center - half), min(1.0, center + half)))
+    lower = 0.0 if count == 0 else max(0.0, center - half)
+    upper = 1.0 if count == n else min(1.0, center + half)
+    return Estimate(p_hat=p, stderr=stderr, ci95=(lower, upper))
 
 
 @dataclass(frozen=True)

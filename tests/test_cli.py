@@ -654,9 +654,9 @@ class TestFrozenReports:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "546f3cd5cd1caad192d3630288a228ca6aa4099f1cde1d3d7984cf90a4999a69"),
-            (7, "4d429d722c99df81bc0f3bd45118ca58c0b118b7c15911f7fcafc118c5feb7e4"),
-            (123, "023c94950c5e90078b28bcfef3a7ec0084958d12d84e5af0383d608fb2b25a0a"),
+            (0, "3759ab3d93eded528e939cdadc6e1c990fb04a7cedbed6f8ed69c09ac246d92b"),
+            (7, "c79849f62fcbc77caaebbbed06fcc06ab5ddeefd18982af44d79f15088d46265"),
+            (123, "03debcb90a9ae12bc26552b591de406f27dcdd396d5a8ae5f7a6bae4033ef6dc"),
         ],
         ids=["seed0", "seed7", "seed123"],
     )
@@ -665,7 +665,7 @@ class TestFrozenReports:
 
     def test_demo_csv(self):
         text = render_report(cmd_demo(GAMMA, THETA, seed=7, trials=10**6, workers=2), "csv")
-        assert sha256(text) == "e2afbe9aa0bfdedaf61e07e86f5c7da63f1c95279fc8c26adb9433c9e26fb06c"
+        assert sha256(text) == "c3e7729d001828aaf81d2581c659a372dc1ff5c7def8b235f021df9b34967d2b"
 
     @pytest.mark.parametrize(
         "payload, out_format, digest",
@@ -675,8 +675,8 @@ class TestFrozenReports:
             (_with_workers(README_CONFIG, 1), "json", README_DIGEST),
             (_with_workers(README_CONFIG, None), "json", README_DIGEST),
             (LINES_CONFIG, "json", "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
-            (TWO_STOP_CONFIG, "json", "d743eadfe94556959efff8870bc416c833eccdedc01cc366ea78c1ec907264de"),
-            (TWO_STOP_CONFIG, "csv", "0d0143b321288655c1ba58fbc874ae052f4541000945acc8c911468e9ffb8e06"),
+            (TWO_STOP_CONFIG, "json", "618514263f42c7f824a8675f9990e7b1eb54d7993079da1076bd5838fdd608dc"),
+            (TWO_STOP_CONFIG, "csv", "45dc2b51a04f2eea9c42274fb47cba1013a9cc212fc8f409b5d6137bf36f63e4"),
         ],
         ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines", "two-stop-json", "two-stop-csv"],
     )

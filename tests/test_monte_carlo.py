@@ -211,8 +211,8 @@ class TestWilsonCoverage:
     Binomial(1000, c), c = wilson_coverage(p, 2000), and it must lie within
     5 of its standard deviations of 1000 c.  Entries of one sequence are
     correlated, so each is bounded on its own.  An entry with p = 0 or 1
-    counts 0 or 2000 at every seed, so its coverage is no rate; see
-    test_interval_of_a_zero_count_reaches_zero.
+    counts 0 or 2000 at every seed, so its coverage is no rate: its interval
+    must hold p at every seed.
     """
 
     SEEDS = 1000
@@ -230,7 +230,12 @@ class TestWilsonCoverage:
             report = run_campaign(CampaignPlan.from_params(gamma, lines, n_trials=self.TRIALS, master_seed=seed))
             intervals = [[e.ci95 for e in report.results[s].estimates().values()] for s in ALL_SETUPS]
             covered += [[lo <= p <= hi for p, (lo, hi) in zip(*row)] for row in zip(exact, intervals)]
-        rows, cols = np.nonzero((exact > 0.0) & (exact < 1.0))
+        inner = (exact > 0.0) & (exact < 1.0)
+        assert np.count_nonzero(~inner) >= 10
+        assert (covered[~inner] == self.SEEDS).all(), [
+            (ALL_SETUPS[i], COUNT_KEYS[j], exact[i, j], int(covered[i, j])) for i, j in zip(*np.nonzero(~inner))
+        ]
+        rows, cols = np.nonzero(inner)
         assert len(rows) >= 40
         rate = np.array([wilson_coverage(p, self.TRIALS) for p in exact[rows, cols]])
         expected = self.SEEDS * rate
@@ -240,14 +245,14 @@ class TestWilsonCoverage:
             for i, j, e in zip(rows[outside], cols[outside], expected[outside])
         ]
 
-    # Rounding puts the lower end of the interval of a count of 0 just above
-    # 0 (1.08e-19 at n = 2000) and the upper end of a count of n just below
-    # 1, so such an interval misses an exact value of 0 or 1.  Mending it
-    # changes printed ci95 values.
-    @pytest.mark.xfail(strict=True, reason="ci95 of a count of 0 starts above 0 by rounding")
-    def test_interval_of_a_zero_count_reaches_zero(self):
-        assert estimate(0, self.TRIALS).ci95[0] == 0.0
-        assert estimate(self.TRIALS, self.TRIALS).ci95[1] == 1.0
+    # Rounding used to put the lower end of the interval of a count of 0 just
+    # above 0 (1.08e-19 at n = 2000, 4.2e-22 at n = 10**6) and the upper end
+    # of a count of n just below 1, so such an interval missed an exact value
+    # of 0 or 1.
+    @pytest.mark.parametrize("n", [1, 7, TRIALS, 10**6])
+    def test_interval_of_a_zero_count_reaches_zero(self, n):
+        assert estimate(0, n).ci95[0] == 0.0
+        assert estimate(n, n).ci95[1] == 1.0
 
 
 class TestRunSequence:
