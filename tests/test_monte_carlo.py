@@ -245,10 +245,9 @@ class TestWilsonCoverage:
             for i, j, e in zip(rows[outside], cols[outside], expected[outside])
         ]
 
-    # Rounding used to put the lower end of the interval of a count of 0 just
-    # above 0 (1.08e-19 at n = 2000, 4.2e-22 at n = 10**6) and the upper end
-    # of a count of n just below 1, so such an interval missed an exact value
-    # of 0 or 1.
+    # The Wilson formula rounds the lower end of a count of 0 to just above 0
+    # (1.08e-19 at n = 2000, 4.2e-22 at n = 10**6) and the upper end of a
+    # count of n to just below 1, which would miss an exact value of 0 or 1.
     @pytest.mark.parametrize("n", [1, 7, TRIALS, 10**6])
     def test_interval_of_a_zero_count_reaches_zero(self, n):
         assert estimate(0, n).ci95[0] == 0.0
@@ -659,7 +658,7 @@ class TestCampaignPlan:
         assert by_setup["a"] == 0
 
     def test_unknown_labels_and_non_integer_counts_rejected(self):
-        # each is named; neither used to raise ("A" was dropped, 2.9 cut to 2)
+        # each is named, not dropped or cut to an integer
         trials = {"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5, "A": 100, "b": 2.9}
         message = "n_trials: unknown setup label 'A'; count 2.9 for setup 'b' is not an integer"
         with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
