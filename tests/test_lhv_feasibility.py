@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ch_apparatus.exact_engine import closed_form_fig2
+from ch_apparatus.inequality_analysis import SettingFrequencies
 from ch_apparatus.lhv_feasibility import (
     BehaviorTable,
     DeterministicStrategy,
@@ -29,6 +30,7 @@ from ch_apparatus.lhv_feasibility import (
     random_no_signaling_table,
     singlet_table,
     strategy_table,
+    _ns_projector,
 )
 from ch_apparatus.simplex import _pivot, solve_lp
 
@@ -255,6 +257,15 @@ def row_loop_pivot(rows, rhs, basis, row, col):
     basis[row] = col
 
 
+def frozen_tables():
+    """300 random no-signaling tables, the eight PR boxes, the singlet and the
+    demo table."""
+    rng = np.random.default_rng(3)
+    tables = [random_no_signaling_table(rng) for _ in range(300)]
+    tables += [pr_box_table(variant) for variant in range(8)]
+    return tables + [singlet_table(), demo_behavior()]
+
+
 class TestPivotPath:
     def test_rank_one_pivot_matches_the_row_loop_bitwise(self):
         rng = np.random.default_rng(5)
@@ -282,11 +293,7 @@ class TestPivotPath:
     def test_frozen_feasibility_witnesses(self):
         # digest of the witnesses printed before the pivot became a rank-1
         # update: the pivot path and every weight must stay bitwise the same
-        rng = np.random.default_rng(3)
-        tables = [random_no_signaling_table(rng) for _ in range(300)]
-        tables += [pr_box_table(variant) for variant in range(8)]
-        tables += [singlet_table(), demo_behavior()]
-        text = "\n".join(repr(feasible_joint(table)) for table in tables)
+        text = "\n".join(repr(feasible_joint(table)) for table in frozen_tables())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "7e4901a7b279cb98a6aabee86aafd9945dca8122d2da4af1e38e20d3ae2d0789"
         )
@@ -301,3 +308,32 @@ def test_strategy_setting_dispatch():
     table = strategy_table(strategy)
     assert table.tables["ab"]["10"] == 1.0
     assert table.tables["a'b'"]["01"] == 1.0
+
+
+class TestFrozenBookkeeping:
+    """Digests of the outputs that read settings and cells by label, frozen
+    before the labels were read from one table: every float operation must
+    keep its order."""
+
+    def test_battery_and_deviation(self):
+        text = "\n".join(repr((ch_battery(t), no_signaling_deviation(t))) for t in frozen_tables())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "430c7ffa40038e0938848a593610c4987c2bffded53da9d95a18fce19f5c6e4f"
+        )
+
+    def test_no_signaling_projector(self):
+        assert hashlib.sha256(_ns_projector().tobytes()).hexdigest() == (
+            "a9e76a34a44a83a387c40ce072f90481c68ab6cceafdb9dce0765afdb167e073"
+        )
+
+    def test_strategy_vectors(self):
+        data = b"".join(strategy_table(s).vector().tobytes() for s in enumerate_strategies())
+        assert hashlib.sha256(data).hexdigest() == (
+            "d4dcf5367775acfd184d42c2da33e5f888e29f0d58177b0c3f15326e764b9536"
+        )
+
+    def test_setting_frequency_keys(self):
+        text = repr(SettingFrequencies(0.1, 0.2, 0.3, 0.4).as_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6f0a78229fc26cb08946088c867614f801cf70615ff90b9129c1acf3bca08b09"
+        )
