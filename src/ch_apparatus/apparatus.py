@@ -13,6 +13,11 @@ run_trials and run_setups return their outcomes as a TrialBatch, which
 computes the stop-reach flags at once and every other field on first read,
 in one array pass: a read of any line's crossings computes all four lines.
 run_trial is the one-row run_trials, as a TrialOutcome.
+
+It owns the bookkeeping the other modules read: the setup labels, whose
+TWO_STOP_SETUPS order is also the order of the settings and their
+frequencies, each setup's stop lines (_SETUP_LINES), and the stop cells
+(CELLS, in the order of TrialBatch.stop_cells).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ SINGLE_STOP_SETUPS = ("a", "a'", "b", "b'")
 ALL_SETUPS = TWO_STOP_SETUPS + SINGLE_STOP_SETUPS
 
 # Each setup's left and right stop as an index into [A, A', B, B', NaN];
-# 4, the NaN, stands for no stop.
+# 4, the NaN, stands for no stop.  The primed lines are 1 and 3.
 _SETUP_LINES = {
     "ab": (0, 2), "ab'": (0, 3), "a'b": (1, 2), "a'b'": (1, 3),
     "a": (0, 4), "a'": (1, 4), "b": (4, 2), "b'": (4, 3),
@@ -60,6 +65,7 @@ __all__ = [
     "TWO_STOP_SETUPS",
     "SINGLE_STOP_SETUPS",
     "ALL_SETUPS",
+    "CELLS",
     "ConfigError",
     "EngravedLines",
     "StopPlacement",
@@ -222,6 +228,11 @@ class _lazy(cached_property):
         return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
 
 
+# The stop cells, each the left then the right stop's reach, in the order
+# TrialBatch.stop_cells stacks them: both stops, left only, right only, neither.
+CELLS = ("11", "10", "01", "00")
+
+
 class TrialBatch:
     """Struct-of-arrays form of many trial outcomes (run_trials, run_setups).
 
@@ -229,8 +240,7 @@ class TrialBatch:
     every other field on first read, in one array pass, then cached: r1 and
     r2; crossings, the crossing flags of the four lines stacked in LINE_NAMES
     order, which crossed maps by line name, so reading any line computes all
-    four; stop_cells, the flags of the stop cells 11, 10, 01 and 00 (both
-    stops, left only, right only, neither: exact_engine.CELLS) stacked.
+    four; stop_cells, the flags of the stop cells stacked in CELLS order.
     """
 
     def __init__(self, config: ApparatusConfig, phis: np.ndarray, reached: np.ndarray, kinematics, row):

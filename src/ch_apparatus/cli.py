@@ -21,7 +21,6 @@ import numpy as np
 
 from .apparatus import (
     ALL_SETUPS,
-    SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
     ConfigError,
     EngravedLines,
@@ -36,6 +35,7 @@ from .exact_engine import (
     ConditionalTable,
     ConsistencyError,
     _LONE,
+    _entries,
     both_stops_reached,
     closed_form_fig2,
     conditional_table,
@@ -174,12 +174,12 @@ def parse_config(path: str) -> ExperimentConfig:
             _fail("apparatus.theta", str(exc))
     else:
         block = _expect_mapping(app["lines"], "apparatus.lines", set(LINE_NAMES))
-        values = {}
+        values = []
         for name in LINE_NAMES:
             if name not in block:
                 _fail(f"apparatus.lines.{name}", "required")
-            values[name] = normalize(_expect_number(block[name], f"apparatus.lines.{name}"))
-        lines = EngravedLines(values["A"], values["A'"], values["B"], values["B'"])
+            values.append(normalize(_expect_number(block[name], f"apparatus.lines.{name}")))
+        lines = EngravedLines(*values)
         try:
             config_for_setup(lines, gamma, "ab")
         except ConfigError as exc:  # coinciding lines on one side
@@ -217,15 +217,13 @@ def parse_config(path: str) -> ExperimentConfig:
             frequencies = None
         else:
             block = _expect_mapping(f, "frequencies", set(TWO_STOP_SETUPS))
-            vals = {}
+            vals = []
             for s in TWO_STOP_SETUPS:
                 if s not in block:
                     _fail(f"frequencies.{s}", "required")
-                vals[s] = _expect_number(block[s], f"frequencies.{s}")
+                vals.append(_expect_number(block[s], f"frequencies.{s}"))
             try:
-                frequencies = SettingFrequencies(
-                    ab=vals["ab"], abp=vals["ab'"], apb=vals["a'b"], apbp=vals["a'b'"]
-                ).validate()
+                frequencies = SettingFrequencies(*vals).validate()
             except ValueError as exc:
                 _fail("frequencies", str(exc))
 
@@ -267,7 +265,7 @@ def _assert_finite(obj: Any, path: str = "report") -> None:
 
 def _table_json(table: ConditionalTable) -> dict[str, Any]:
     out = asdict(table)
-    exact_only = [s for s in SINGLE_STOP_SETUPS if table.singles[s] is None]
+    exact_only = [s for s, p in table.singles.items() if p is None]
     if exact_only:
         out["exact_only"] = exact_only
     return out
@@ -321,11 +319,6 @@ def _feasibility_json(table: ConditionalTable) -> dict[str, Any]:
         "joint": feasible_joint(behavior)._asdict(),
         "battery": ch_battery(behavior)._asdict(),
     }
-
-
-def _entries(table: ConditionalTable) -> list[float | None]:
-    """The eight entries of a table in ALL_SETUPS order."""
-    return [table.joint[s] for s in TWO_STOP_SETUPS] + [table.singles[s] for s in SINGLE_STOP_SETUPS]
 
 
 def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
@@ -413,7 +406,7 @@ def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], Conditio
     freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
     mc_table = campaign.table
     # the naive analysis needs all eight entries
-    mc_complete = mc_table is not None and all(mc_table.singles[s] is not None for s in SINGLE_STOP_SETUPS)
+    mc_complete = mc_table is not None and None not in mc_table.singles.values()
     report = _base_report("simulate", config.gamma, config.theta, config.lines)
     report["frequencies_source"] = "explicit" if config.frequencies is not None else "empirical"
     report["tables"] = {

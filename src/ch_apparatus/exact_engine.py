@@ -37,13 +37,15 @@ conditional_table, which reads stop cells, computes no crossing or rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .apparatus import (
+    _SETUP_LINES,
     ALL_SETUPS,
+    CELLS,
     MODIFIED,
     SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
@@ -57,8 +59,6 @@ from .apparatus import (
     run_trials,
 )
 from .circle_geometry import EPS_ANGLE, TWO_PI, guarded_partition, normalize
-
-CELLS = ("11", "10", "01", "00")
 
 # Distance from each arc end to the outer points of the constancy guard.  It
 # clears the rounding band around a breakpoint (EPS_ANGLE plus a few ulps).
@@ -130,13 +130,13 @@ def lines_crossed(*names: str) -> EventPredicate:
     return EventPredicate(name="crossed(" + ",".join(names) + ")", batch=batch)
 
 
+# The event of each stop cell, in CELLS order
+_CELL_EVENTS = [EventPredicate(f"stops:{cell}", lambda b, k=k: b.stop_cells[k]) for k, cell in enumerate(CELLS)]
+
+
 def stop_cell(left: bool, right: bool) -> EventPredicate:
-    cell = f"{int(left)}{int(right)}"
-    k = CELLS.index(cell)
-    return EventPredicate(name=f"stops:{cell}", batch=lambda b: b.stop_cells[k])
+    return _CELL_EVENTS[CELLS.index(f"{int(left)}{int(right)}")]
 
-
-_CELL_EVENTS = [stop_cell(l, r) for l, r in ((True, True), (True, False), (False, True), (False, False))]
 
 # The stacked read of _CELL_EVENTS
 _stop_cells = attrgetter("stop_cells")
@@ -360,6 +360,14 @@ class ConditionalTable:
         return self
 
 
+_joints, _singles = itemgetter(*TWO_STOP_SETUPS), itemgetter(*SINGLE_STOP_SETUPS)
+
+
+def _entries(table: ConditionalTable) -> tuple[float | None, ...]:
+    """The eight entries of a table in ALL_SETUPS order."""
+    return _joints(table.joint) + _singles(table.singles)
+
+
 def closed_form_fig2(gamma: float, theta: float) -> ConditionalTable:
     """Closed-form conditional table for the standard engraving.
 
@@ -401,10 +409,10 @@ def stop_reached(side: str) -> EventPredicate:
 
 # The one event of each single-stop setup, in SINGLE_STOP_SETUPS order, and
 # the index of the stop cell equal to it: a setup never reaches the stop it
-# lacks.
+# lacks, and one with no left stop (index 4 of _SETUP_LINES) has a right one.
 _LONE = [
-    (stop_reached("left"), CELLS.index("10")) if setup.startswith("a") else (stop_reached("right"), CELLS.index("01"))
-    for setup in SINGLE_STOP_SETUPS
+    (stop_reached("right"), CELLS.index("01")) if _SETUP_LINES[s][0] == 4 else (stop_reached("left"), CELLS.index("10"))
+    for s in SINGLE_STOP_SETUPS
 ]
 
 # The names of conditional_table's events in its errors, row by row

@@ -10,19 +10,19 @@ weighting each conditional entry with the frequency of its own setup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .apparatus import LINE_NAMES, UNMODIFIED, ApparatusConfig, TrialBatch, run_trials
+from .apparatus import LINE_NAMES, TWO_STOP_SETUPS, UNMODIFIED, ApparatusConfig, TrialBatch, run_trials
 from .circle_geometry import normalize
 from .exact_engine import (
     TABLE_TOL,
     ConditionalTable,
     ConsistencyError,
+    _entries,
     _guarded,
-    line_crossed,
     lines_crossed,
 )
 
@@ -78,21 +78,13 @@ class ProbabilitySet:
     bp: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "AB": self.ab,
-            "AB'": self.abp,
-            "A'B": self.apb,
-            "A'B'": self.apbp,
-            "A": self.a,
-            "A'": self.ap,
-            "B": self.b,
-            "B'": self.bp,
-        }
+        """The fields keyed by the lines of their events: "AB" for ab."""
+        return dict(zip(map("".join, _CROSSINGS), astuple(self)))
 
 
 @dataclass(frozen=True)
 class SettingFrequencies:
-    """How often each two-stop setup is run; must sum to one."""
+    """How often each two-stop setup is run, in TWO_STOP_SETUPS order; must sum to one."""
 
     ab: float
     abp: float
@@ -112,7 +104,7 @@ class SettingFrequencies:
         return self
 
     def as_dict(self) -> dict[str, float]:
-        return {"ab": self.ab, "ab'": self.abp, "a'b": self.apb, "a'b'": self.apbp}
+        return dict(zip(TWO_STOP_SETUPS, astuple(self)))
 
 
 def ch_value(s: ProbabilitySet) -> float:
@@ -169,21 +161,13 @@ def naive_plug(table: ConditionalTable) -> ProbabilitySet:
     """Copy the eight conditional entries verbatim into one probability set.
 
     This is the fallacy on display: the entries condition on different,
-    mutually exclusive setups and do not live on a common space.
+    mutually exclusive setups and do not live on a common space.  The fields
+    of a ProbabilitySet name the setups in ALL_SETUPS order.
     """
     missing = [s for s, v in table.singles.items() if v is None]
     if missing:
         raise ValueError(f"single-stop entries missing for setups {missing!r}")
-    return ProbabilitySet(
-        ab=table.joint["ab"],
-        abp=table.joint["ab'"],
-        apb=table.joint["a'b"],
-        apbp=table.joint["a'b'"],
-        a=table.singles["a"],
-        ap=table.singles["a'"],
-        b=table.singles["b"],
-        bp=table.singles["b'"],
-    )
+    return ProbabilitySet(*_entries(table))
 
 
 def corrected_probabilities(table: ConditionalTable, freqs: SettingFrequencies) -> ProbabilitySet:
@@ -249,10 +233,10 @@ def _fixed_lambda_checks(config: ApparatusConfig, phis: np.ndarray) -> tuple[np.
     return np.abs((x & y) - x * y), x * y - x * yp + xp * y + xp * yp - xp - y
 
 
-# The events of a ProbabilitySet, in its field order.
-_CROSSING_EVENTS = [lines_crossed(a, b) for a in ("A", "A'") for b in ("B", "B'")] + [
-    line_crossed(name) for name in LINE_NAMES
-]
+# The lines of the events of a ProbabilitySet, in its field order: each left
+# line with each right one, then each line alone.
+_CROSSINGS = [(a, b) for a in LINE_NAMES[:2] for b in LINE_NAMES[2:]] + [(name,) for name in LINE_NAMES]
+_CROSSING_EVENTS = [lines_crossed(*names) for names in _CROSSINGS]
 
 
 def _crossing_values(batch: TrialBatch) -> np.ndarray:

@@ -5,6 +5,11 @@ setting pairs.  It admits a local model exactly when it is a convex mixture
 of the sixteen deterministic strategies; this module decides that question
 two independent ways, by linear programming over the strategy mixtures and
 by the full battery of CH inequalities, which agree on no-signaling tables.
+
+The settings are the two-stop setups of apparatus in TWO_STOP_SETUPS order,
+with its CELLS.  Which side of a setting is primed is read from the setup's
+stop lines into one table, _PRIMED, and no setting label is parsed or built
+here.
 """
 
 from __future__ import annotations
@@ -16,11 +21,21 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .apparatus import TWO_STOP_SETUPS
-from .exact_engine import CELLS, ConsistencyError
+from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS
+from .exact_engine import ConsistencyError
 from .simplex import solve_lp
 
 SETTINGS = TWO_STOP_SETUPS
+
+# Each setting's (left primed, right primed) flags from its stop lines (A' is
+# line 1, B' line 3), and the setting of each pair of flags.
+_PRIMED = {s: (_SETUP_LINES[s][0], _SETUP_LINES[s][1] - 2) for s in SETTINGS}
+_SETTING = {primed: s for s, primed in _PRIMED.items()}
+
+# The one-side marginals that no-signaling equates, as (their two cells, one
+# setting, the other): left across the right setting, then right across left.
+_NS_PAIRS = [(("11", "10"), _SETTING[x, 0], _SETTING[x, 1]) for x in (0, 1)]
+_NS_PAIRS += [(("11", "01"), _SETTING[0, y], _SETTING[1, y]) for y in (0, 1)]
 
 NORM_TOL = 1e-9
 
@@ -53,10 +68,10 @@ class DeterministicStrategy:
     b_prime: int
 
     def left(self, setting: str) -> int:
-        return self.a_prime if setting.startswith("a'") else self.a
+        return self.a_prime if _PRIMED[setting][0] else self.a
 
     def right(self, setting: str) -> int:
-        return self.b_prime if setting.endswith("b'") else self.b
+        return self.b_prime if _PRIMED[setting][1] else self.b
 
 
 def enumerate_strategies() -> list[DeterministicStrategy]:
@@ -69,7 +84,7 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 @dataclass(frozen=True)
 class BehaviorTable:
-    """Outcome distributions per setting pair, cells keyed '11','10','01','00'."""
+    """Outcome distributions per setting pair, cells keyed by CELLS."""
 
     tables: dict[str, dict[str, float]]
 
@@ -130,12 +145,8 @@ def _strategy_matrix() -> np.ndarray:
 
 def no_signaling_deviation(table: BehaviorTable) -> float:
     """Largest shift of a one-side marginal caused by the remote setting."""
-    return max(
-        abs(table.left_marginal("ab") - table.left_marginal("ab'")),
-        abs(table.left_marginal("a'b") - table.left_marginal("a'b'")),
-        abs(table.right_marginal("ab") - table.right_marginal("a'b")),
-        abs(table.right_marginal("ab'") - table.right_marginal("a'b'")),
-    )
+    t = table.tables
+    return max(abs((t[s][c] + t[s][d]) - (t[u][c] + t[u][d])) for (c, d), s, u in _NS_PAIRS)
 
 
 class FeasibilityResult(NamedTuple):
@@ -192,27 +203,9 @@ def ch_battery(table: BehaviorTable) -> BatteryResult:
     which is unambiguous precisely in the no-signaling case.
     """
     table.validate()
-    joint = {
-        (x, y): table.tables[("a'" if x else "a") + ("b'" if y else "b")]["11"]
-        for x in (0, 1)
-        for y in (0, 1)
-    }
-    m_left = {
-        x: 0.5
-        * (
-            table.left_marginal(("a'" if x else "a") + "b")
-            + table.left_marginal(("a'" if x else "a") + "b'")
-        )
-        for x in (0, 1)
-    }
-    m_right = {
-        y: 0.5
-        * (
-            table.right_marginal("a" + ("b'" if y else "b"))
-            + table.right_marginal("a'" + ("b'" if y else "b"))
-        )
-        for y in (0, 1)
-    }
+    joint = {primed: table.tables[s]["11"] for primed, s in _SETTING.items()}
+    m_left = {x: 0.5 * (table.left_marginal(_SETTING[x, 0]) + table.left_marginal(_SETTING[x, 1])) for x in (0, 1)}
+    m_right = {y: 0.5 * (table.right_marginal(_SETTING[0, y]) + table.right_marginal(_SETTING[1, y])) for y in (0, 1)}
     values: dict[str, float] = {}
     for swap_a in (0, 1):
         for swap_b in (0, 1):
@@ -243,13 +236,11 @@ def pr_box_table(variant: int = 0) -> BehaviorTable:
     beta = (variant >> 1) & 1
     flip = variant & 1
     tables = {}
-    for x in (0, 1):
-        for y in (0, 1):
-            setting = ("a'" if x else "a") + ("b'" if y else "b")
-            target = (x * y + alpha * x + beta * y + flip) % 2
-            tables[setting] = {
-                f"{l}{r}": 0.5 if (l ^ r) == target else 0.0 for l in (1, 0) for r in (1, 0)
-            }
+    for setting, (x, y) in _PRIMED.items():
+        target = (x * y + alpha * x + beta * y + flip) % 2
+        tables[setting] = {
+            f"{l}{r}": 0.5 if (l ^ r) == target else 0.0 for l in (1, 0) for r in (1, 0)
+        }
     return BehaviorTable(tables=tables).validate()
 
 
@@ -260,12 +251,11 @@ def singlet_table() -> BehaviorTable:
     sin((alpha - beta) / 2)^2 / 2.  The angles a = 0, a' = pi/2, b = pi/4
     and b' = -pi/4 maximize the CH battery at (sqrt(2) - 1) / 2.
     """
-    angles = {"a": 0.0, "a'": 0.5 * math.pi, "b": 0.25 * math.pi, "b'": -0.25 * math.pi}
+    left, right = (0.0, 0.5 * math.pi), (0.25 * math.pi, -0.25 * math.pi)
     tables = {}
-    for x in ("a", "a'"):
-        for y in ("b", "b'"):
-            p11 = 0.5 * math.sin(0.5 * (angles[x] - angles[y])) ** 2
-            tables[x + y] = {"11": p11, "10": 0.5 - p11, "01": 0.5 - p11, "00": p11}
+    for setting, (x, y) in _PRIMED.items():
+        p11 = 0.5 * math.sin(0.5 * (left[x] - right[y])) ** 2
+        tables[setting] = {"11": p11, "10": 0.5 - p11, "01": 0.5 - p11, "00": p11}
     return BehaviorTable(tables=tables).validate()
 
 
@@ -273,27 +263,14 @@ def singlet_table() -> BehaviorTable:
 def _ns_projector() -> np.ndarray:
     """Orthogonal projector onto the normalization/no-signaling null space."""
 
-    def cell_index(setting: str, cell: str) -> int:
-        return SETTINGS.index(setting) * 4 + CELLS.index(cell)
-
-    rows = []
-    for setting in SETTINGS:
-        row = np.zeros(16)
-        for cell in CELLS:
-            row[cell_index(setting, cell)] = 1.0
-        rows.append(row)
-    for pair in (("ab", "ab'"), ("a'b", "a'b'")):
-        row = np.zeros(16)
-        for cell in ("11", "10"):
-            row[cell_index(pair[0], cell)] += 1.0
-            row[cell_index(pair[1], cell)] -= 1.0
-        rows.append(row)
-    for pair in (("ab", "a'b"), ("ab'", "a'b'")):
-        row = np.zeros(16)
-        for cell in ("11", "01"):
-            row[cell_index(pair[0], cell)] += 1.0
-            row[cell_index(pair[1], cell)] -= 1.0
-        rows.append(row)
+    # the cells of each setting, four in a row of vector(), sum to one
+    rows = list(np.kron(np.eye(4), np.ones(4)))
+    for cells, first, second in _NS_PAIRS:
+        row = np.zeros((len(SETTINGS), len(CELLS)))
+        columns = [CELLS.index(cell) for cell in cells]
+        row[SETTINGS.index(first), columns] = 1.0
+        row[SETTINGS.index(second), columns] = -1.0
+        rows.append(row.ravel())
     a = np.vstack(rows)
     return np.eye(16) - np.linalg.pinv(a) @ a
 

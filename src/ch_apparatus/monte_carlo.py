@@ -30,6 +30,7 @@ import numpy as np
 
 from .apparatus import (
     ALL_SETUPS,
+    CELLS,
     LINE_NAMES,
     TWO_STOP_SETUPS,
     ApparatusConfig,
@@ -39,14 +40,13 @@ from .apparatus import (
 )
 from .circle_geometry import TWO_PI
 from .exact_engine import (
-    CELLS,
+    _CELL_EVENTS,
     ConditionalTable,
     OutcomeMap,
     _table,
     line_crossed,
     outcome_map,
     outcome_maps,
-    stop_cell,
     stop_reached,
 )
 from .inequality_analysis import SettingFrequencies
@@ -58,12 +58,12 @@ _CHUNK = 1 << 16
 
 # Counts tracked per sequence: stop-reach cells, per-side stop reaches, and
 # the four line crossings.
-COUNT_KEYS = ("11", "10", "01", "00", "left_stop", "right_stop", "A", "A'", "B", "B'")
+COUNT_KEYS = (*CELLS, "left_stop", "right_stop", *LINE_NAMES)
 
 # The events behind COUNT_KEYS, in the same order; the exact engine measures
 # the same predicates on arcs.
 _COUNTED = (
-    *(stop_cell(cell[0] == "1", cell[1] == "1") for cell in CELLS),
+    *_CELL_EVENTS,
     stop_reached("left"),
     stop_reached("right"),
     *(line_crossed(name) for name in LINE_NAMES),
@@ -454,16 +454,11 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
         if setup not in results:
             results[setup] = SequenceResult(setup=setup, n_trials=0, counts={k: 0 for k in COUNT_KEYS})
 
-    two_stop_n = {s: results[s].n_trials for s in TWO_STOP_SETUPS}
-    total = sum(two_stop_n.values())
+    two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
+    total = sum(two_stop_n)
     if total == 0:
         raise PlanError("no two-stop trials: setting frequencies are undefined")
-    freqs = SettingFrequencies(
-        ab=two_stop_n["ab"] / total,
-        abp=two_stop_n["ab'"] / total,
-        apb=two_stop_n["a'b"] / total,
-        apbp=two_stop_n["a'b'"] / total,
-    ).validate()
+    freqs = SettingFrequencies(*(n / total for n in two_stop_n)).validate()
 
     table: ConditionalTable | None = None
     if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):
