@@ -9,7 +9,7 @@ over gamma and theta), check (internal cross-validation suite).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import sys
@@ -466,6 +466,14 @@ class SweepStats(NamedTuple):
     skipped: int
 
 
+def _check_sweep(gamma_range: tuple[float, float], theta_range: tuple[float, float], steps: int) -> None:
+    """Reject a sweep grid that cmd_sweep cannot scan, before it writes."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not all(math.isfinite(x) for x in (*gamma_range, *theta_range)):
+        raise ConfigError(f"sweep bounds must be finite, got gamma {gamma_range!r}, theta {theta_range!r}")
+
+
 def cmd_sweep(
     gamma_range: tuple[float, float],
     theta_range: tuple[float, float],
@@ -479,11 +487,9 @@ def cmd_sweep(
     reduced_ch, then whether ch, ch_primed or ch_sum is flagged, and whether
     reduced_ch leaves [-1, 0].  Grid points violating 0 < theta < gamma (or
     gamma + theta < 2*pi) are skipped and counted in a trailing '#' comment.
+    Rows are written as they are made, after the grid is checked.
     """
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if not all(math.isfinite(x) for x in (*gamma_range, *theta_range)):
-        raise ConfigError(f"sweep bounds must be finite, got gamma {gamma_range!r}, theta {theta_range!r}")
+    _check_sweep(gamma_range, theta_range, steps)
     gammas = np.linspace(gamma_range[0], gamma_range[1], steps)
     thetas = np.linspace(theta_range[0], theta_range[1], steps)
     rows = 0
@@ -728,12 +734,14 @@ def cmd_check(perturb_closed_form: float = 0.0, out=None, err=None) -> int:
     return 0
 
 
+def _output(out_path: str | None):
+    """stdout, or the file at out_path opened for writing, as a context manager."""
+    return contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8", newline="")
+
+
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _output(out_path) as out:
+        out.write(text)
 
 
 def _seed_flag(text: str) -> int:
@@ -804,10 +812,11 @@ def main(argv: list[str] | None = None) -> int:
             out_path = args.out if args.out is not None else config.out_path
             _emit(render_report(report, out_format), out_path)
         elif args.command == "sweep":
-            # rendered in full first, so that a rejected sweep leaves --out untouched
-            text = io.StringIO()
-            cmd_sweep((args.gamma_min, args.gamma_max), (args.theta_min, args.theta_max), args.steps, text)
-            _emit(text.getvalue(), args.out)
+            ranges = (args.gamma_min, args.gamma_max), (args.theta_min, args.theta_max)
+            # checked before --out is opened, so that a rejected sweep leaves it untouched
+            _check_sweep(*ranges, args.steps)
+            with _output(args.out) as out:
+                cmd_sweep(*ranges, args.steps, out)
         elif args.command == "check":
             return cmd_check()
         return 0

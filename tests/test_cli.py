@@ -12,6 +12,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,21 @@ class TestChecksAndExitCodes:
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == SWEEP_HEADER
+
+    def test_sweep_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # rows are written as they are made, so the peak of traced memory
+        # stays put when the grid has 16 times the rows
+        out = str(tmp_path / "scan.csv")
+        assert main(["sweep", "--steps", "2", "--out", out]) == 0  # first-call caches, outside the measure
+        peaks = []
+        for steps in ("20", "80"):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--steps", steps, "--out", out]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
 
     def test_main_bad_parameters_exit_1(self, capsys):
         assert main(["exact", "--gamma", "2.0", "--theta", "3.0"]) == 1
