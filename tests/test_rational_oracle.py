@@ -261,3 +261,61 @@ def test_rotation_moves_no_entry(rational, angle):
     for i in (0, 1):
         gap = max(off(x, Fraction(y)) for x, y in zip(entries[i], entries[i + 2]))
         assert gap <= bounds[i] + bounds[i + 2], float(gap)
+
+
+# Reflecting the start angle, phi -> -phi, turns body 1's counterclockwise
+# path into a clockwise one, so the bodies trade places.  The mirror of an
+# engraving has lines (A, A', B, B') = (-B, -B', -A, -A'); a stop at A becomes
+# a right stop at -A, so each setup maps to the one with the sides swapped,
+# each stop cell to the one with the reaches swapped, and each line's
+# crossing to its image's.
+MIRROR_SETUP = {"ab": "ab", "ab'": "a'b", "a'b": "ab'", "a'b'": "a'b'", "a": "b", "a'": "b'", "b": "a", "b'": "a'"}
+MIRROR_CELL = {"11": "11", "10": "01", "01": "10", "00": "00"}
+# The image of each COUNT_KEYS event (11, 10, 01, 00, left_stop, right_stop,
+# A, A', B, B') and of each ProbabilitySet entry (ab, abp, apb, apbp, a, ap,
+# b, bp), by index
+MIRROR_KEYS = (0, 2, 1, 3, 5, 4, 8, 9, 6, 7)
+MIRROR_CROSSINGS = (0, 2, 1, 3, 6, 7, 4, 5)
+
+
+def mirror(lines):
+    """The engraving reflected by phi -> -phi: k -> q - k on the grid."""
+    a, ap, b, bp = lines
+    return tuple((-x) % 1 for x in (b, bp, a, ap))
+
+
+def mirrored_entries(table):
+    """table_entries of a table, each read at its mirror image."""
+    return [table.full_tables[MIRROR_SETUP[s]][MIRROR_CELL[c]] for s in TWO_STOP_SETUPS for c in CELLS] + [
+        table.singles[MIRROR_SETUP[s]] for s in SINGLE_STOP_SETUPS
+    ]
+
+
+@given(rational_engravings())
+@settings(max_examples=60, deadline=None)
+@example(FIG2_TURNS)
+@example(TIES_TURNS)
+def test_mirror_swaps_the_bodies(rational):
+    # The one asymmetry of the rules, body 1 winning a tie of stop distances,
+    # decides only where the two distances are equal: a midpoint of two lines
+    # or its antipode, which is a breakpoint, so no arc's value depends on it.
+    lines, gamma = rational
+    mirrored = mirror(lines)
+    for setup in ALL_SETUPS:
+        image = count_key_measures(mirrored, gamma, MIRROR_SETUP[setup])
+        assert [image[i] for i in MIRROR_KEYS] == count_key_measures(lines, gamma, setup), setup
+    image = crossing_set_measures(mirrored, gamma)
+    assert [image[i] for i in MIRROR_CROSSINGS] == crossing_set_measures(lines, gamma)
+    # each float entry lies within arc_sum_bound of the exact value, which the
+    # two sides share
+    budget = radians(gamma)
+    entries, bounds = [], []
+    for engraved in (engraving(lines), engraving(mirrored)):
+        modified, unmodified = config_for_setup(engraved, budget, "ab"), unmodified_config(engraved, budget)
+        bounds += [arc_sum_bound(len(exact_engine._partition(config)[1])) for config in (modified, unmodified)]
+        entries.append((conditional_table(engraved, budget), astuple(crossing_probability_set(unmodified))))
+    (table, crossing), (mirror_table, mirror_crossing) = entries
+    gap = max(off(x, Fraction(y)) for x, y in zip(table_entries(table), mirrored_entries(mirror_table)))
+    assert gap <= bounds[0] + bounds[2], float(gap)
+    gap = max(off(crossing[j], Fraction(mirror_crossing[i])) for j, i in enumerate(MIRROR_CROSSINGS))
+    assert gap <= bounds[1] + bounds[3], float(gap)
