@@ -7,9 +7,8 @@ two independent ways, by linear programming over the strategy mixtures and
 by the full battery of CH inequalities, which agree on no-signaling tables.
 
 The settings are the two-stop setups of apparatus in TWO_STOP_SETUPS order,
-with its CELLS.  Which side of a setting is primed is read from the setup's
-stop lines into one table, _PRIMED, and no setting label is parsed or built
-here.
+with its CELLS.  Which side of a setting is primed comes from its stop lines
+through one table, _PRIMED; no setting label is parsed or built here.
 """
 
 from __future__ import annotations
