@@ -131,6 +131,8 @@ def strategy_table(strategy: DeterministicStrategy) -> BehaviorTable:
 def mixture_table(weights: Iterable[float]) -> BehaviorTable:
     """Convex mixture of the sixteen strategies in canonical order."""
     w = np.asarray(list(weights), dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite: {w.tolist()!r}")
     if w.size != 16 or w.min() < -NORM_TOL or abs(w.sum() - 1.0) > NORM_TOL:
         raise ValueError("weights must be 16 nonnegative numbers summing to 1")
     vec = _strategy_matrix() @ w
@@ -162,20 +164,11 @@ def feasible_joint(table: BehaviorTable) -> FeasibilityResult:
     minimum is at most NORM_TOL, and the optimal weights are the witness.
     """
     table.validate()
-    m = _strategy_matrix()
-    v = table.vector()
-    # variables: 16 weights then the residual bound t
-    c = np.zeros(17)
-    c[16] = 1.0
-    ones = np.ones((16, 1))
-    a_ub = np.vstack([np.hstack([m, -ones]), np.hstack([-m, -ones])])
-    b_ub = np.concatenate([v, -v])
-    a_eq = np.zeros((1, 17))
-    a_eq[0, :16] = 1.0
-    result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=[1.0])
+    m, v = _strategy_matrix(), table.vector()
+    result = solve_lp(m, v)
     if result.status != "optimal":
         raise ConsistencyError(f"feasibility program ended with status {result.status!r}")
-    weights = result.x[:16]
+    weights = result.weights
     residual = float(np.abs(m @ weights - v).max())
     feasible = residual <= NORM_TOL
     return FeasibilityResult(

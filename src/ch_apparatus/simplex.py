@@ -1,7 +1,18 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex for the one linear program of the package.
 
-Solves  minimize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
-Bland's rule everywhere, so the method cannot cycle; problems here are tiny
+The program asks whether a vector v is a convex mixture of the columns of a
+matrix M (d rows, k columns): minimize t subject to
+
+    M w - t <= v,   -M w - t <= -v,   sum(w) = 1,   w >= 0,
+
+so its optimum t is the smallest largest residual |M w - v| over the mixture
+weights w.  In standard form the tableau has 2d + 1 rows, the d upper bounds,
+the d lower bounds and the sum, each row negated where its right-hand side is
+negative, and its columns are the k weights, t, one slack per bound row and
+one artificial per row.  Each bound row has its own slack and the sum row is
+nonzero, so no row is ever redundant.
+
+Bland's rule everywhere, so the method cannot cycle; the programs are tiny
 (tens of rows), so a dense tableau recomputing reduced costs per pivot is
 plenty fast and easy to audit.  A pivot is one rank-1 update of the rows
 with a nonzero entry in its column, bitwise equal to eliminating row by row.
@@ -22,9 +33,11 @@ __all__ = ["LpResult", "solve_lp"]
 
 
 class LpResult(NamedTuple):
-    status: str  # "optimal", "infeasible", "unbounded", "iteration-limit"
-    x: np.ndarray | None
-    objective: float | None
+    # "optimal"; any other status ("infeasible", "unbounded",
+    # "iteration-limit") can only come from rounding: every mixture with t
+    # its largest residual is feasible, and t is bounded below by 0.
+    status: str
+    weights: np.ndarray | None
 
 
 def _pivot(rows: np.ndarray, rhs: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -39,16 +52,9 @@ def _pivot(rows: np.ndarray, rhs: np.ndarray, basis: list[int], row: int, col: i
     basis[row] = col
 
 
-def _iterate(
-    rows: np.ndarray,
-    rhs: np.ndarray,
-    basis: list[int],
-    cost: np.ndarray,
-    allowed: np.ndarray,
-) -> str:
+def _iterate(rows: np.ndarray, rhs: np.ndarray, basis: list[int], cost: np.ndarray) -> str:
     for _ in range(_MAX_ITER):
         reduced = cost - cost[basis] @ rows
-        reduced[~allowed] = 0.0
         entering = -1
         for j in np.flatnonzero(reduced < -_PIVOT_TOL):
             entering = int(j)
@@ -70,87 +76,49 @@ def _iterate(
     return "iteration-limit"
 
 
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-) -> LpResult:
-    c = np.asarray(c, dtype=np.float64)
-    n = c.size
-    blocks = []
-    if a_ub is not None:
-        blocks.append((np.atleast_2d(np.asarray(a_ub, dtype=np.float64)), np.atleast_1d(b_ub), True))
-    if a_eq is not None:
-        blocks.append((np.atleast_2d(np.asarray(a_eq, dtype=np.float64)), np.atleast_1d(b_eq), False))
-    if not blocks:
-        if (c < 0.0).any():
-            return LpResult("unbounded", None, None)
-        return LpResult("optimal", np.zeros(n), 0.0)
-
-    body = []
-    rhs_parts = []
-    slack_flags = []
-    for a, b, is_ub in blocks:
-        body.append(a)
-        rhs_parts.append(np.asarray(b, dtype=np.float64))
-        slack_flags.extend([is_ub] * a.shape[0])
-    a_all = np.vstack(body)
-    rhs = np.concatenate(rhs_parts).copy()
-    m = a_all.shape[0]
-
-    n_slack = sum(slack_flags)
-    rows = np.zeros((m, n + n_slack + m))
-    rows[:, :n] = a_all
-    s = 0
-    for i, is_ub in enumerate(slack_flags):
-        if is_ub:
-            rows[i, n + s] = 1.0
-            s += 1
+def solve_lp(matrix: np.ndarray, vector: np.ndarray) -> LpResult:
+    """The mixture weights w >= 0, sum(w) = 1, that minimize the largest
+    entry of |matrix @ w - vector|."""
+    d, k = matrix.shape
+    bounds = 2 * d
+    art0 = k + 1 + bounds
+    rows = np.zeros((bounds + 1, art0 + bounds + 1))
+    rows[:d, :k] = matrix
+    rows[d:bounds, :k] = -matrix
+    rows[:bounds, k] = -1.0
+    rows[bounds, :k] = 1.0
+    rows[:bounds, k + 1 : art0] = np.eye(bounds)
+    rhs = np.concatenate([vector, -vector, [1.0]])
     # sign-normalize so every right-hand side is nonnegative
-    for i in range(m):
-        if rhs[i] < 0.0:
-            rows[i] *= -1.0
-            rhs[i] *= -1.0
-    art0 = n + n_slack
-    for i in range(m):
-        rows[i, art0 + i] = 1.0
+    negative = rhs < 0.0
+    rows[negative] *= -1.0
+    rhs[negative] *= -1.0
+    basis = list(range(art0, art0 + bounds + 1))
+    rows[range(bounds + 1), basis] = 1.0
 
-    basis = [art0 + i for i in range(m)]
-    cost1 = np.zeros(n + n_slack + m)
-    cost1[art0:] = 1.0
-    allowed = np.ones(n + n_slack + m, dtype=bool)
-
-    status = _iterate(rows, rhs, basis, cost1, allowed)
+    cost = np.zeros(rows.shape[1])
+    cost[art0:] = 1.0
+    status = _iterate(rows, rhs, basis, cost)
     if status != "optimal":
-        return LpResult(status, None, None)
-    if float(cost1[basis] @ rhs) > _FEAS_TOL:
-        return LpResult("infeasible", None, None)
-
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
+        return LpResult(status, None)
+    if float(cost[basis] @ rhs) > _FEAS_TOL:
+        return LpResult("infeasible", None)
+    # drive leftover artificials out of the basis; a row with no other entry
+    # would be redundant, which this program's rows never are
+    for i in range(bounds + 1):
         if basis[i] >= art0:
             pivots = np.flatnonzero(np.abs(rows[i, :art0]) > _PIVOT_TOL)
-            if pivots.size:
-                _pivot(rows, rhs, basis, i, int(pivots[0]))
-            else:
-                keep[i] = False
-    if not keep.all():
-        rows = rows[keep]
-        rhs = rhs[keep]
-        basis = [b for b, k in zip(basis, keep) if k]
+            if not pivots.size:
+                return LpResult("infeasible", None)
+            _pivot(rows, rhs, basis, i, int(pivots[0]))
 
-    allowed[art0:] = False
-    cost2 = np.zeros(n + n_slack + m)
-    cost2[:n] = c
-    status = _iterate(rows, rhs, basis, cost2, allowed)
+    cost = np.zeros(art0)
+    cost[k] = 1.0
+    status = _iterate(rows[:, :art0], rhs, basis, cost)
     if status != "optimal":
-        return LpResult(status, None, None)
-
-    x = np.zeros(n)
+        return LpResult(status, None)
+    weights = np.zeros(k)
     for i, b in enumerate(basis):
-        if b < n:
-            x[b] = rhs[i]
-    return LpResult("optimal", x, float(c @ x))
+        if b < k:
+            weights[b] = rhs[i]
+    return LpResult("optimal", weights)

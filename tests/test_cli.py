@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus import cli
+from ch_apparatus import cli, simplex
 from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError
 from ch_apparatus.cli import (
     SCHEMA,
@@ -222,6 +222,15 @@ class TestReports:
         assert main(["exact", "--format", out_format]) == 2
         captured = capsys.readouterr()
         assert captured.err == "internal consistency failure: non-finite number at report.rows[0].x[1][1]\n"
+        assert captured.out == ""
+
+    def test_stopped_simplex_exits_2(self, monkeypatch, capsys):
+        # the feasibility program of the exact report stops after one pivot
+        monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+        assert main(["exact"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal consistency failure: ")
+        assert "'iteration-limit'" in captured.err
         assert captured.out == ""
 
     def test_encoder_errors_of_finite_reports_pass_through(self):

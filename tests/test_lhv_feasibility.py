@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus.exact_engine import closed_form_fig2
+from ch_apparatus.exact_engine import ConsistencyError, closed_form_fig2
 from ch_apparatus.inequality_analysis import SettingFrequencies
 from ch_apparatus.lhv_feasibility import (
     BehaviorTable,
@@ -31,7 +31,9 @@ from ch_apparatus.lhv_feasibility import (
     singlet_table,
     strategy_table,
     _ns_projector,
+    _strategy_matrix,
 )
+from ch_apparatus import simplex
 from ch_apparatus.simplex import _pivot, solve_lp
 
 GAMMA = math.pi / 3.0
@@ -73,6 +75,8 @@ class TestStrategies:
             mixture_table([0.5] * 16)
         with pytest.raises(ValueError):
             mixture_table([1.0, -1.0] + [0.5] * 14)
+        with pytest.raises(ValueError, match="must be finite"):
+            mixture_table([math.nan] * 16)
 
 
 class TestNoSignaling:
@@ -151,6 +155,11 @@ class TestFeasibleJoint:
         with pytest.raises(ValueError, match="sum to 1"):
             feasible_joint(bad)
 
+    def test_stopped_simplex_is_a_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_ITER", 1)
+        with pytest.raises(ConsistencyError, match="'iteration-limit'"):
+            feasible_joint(demo_behavior())
+
 
 class TestChBattery:
     def test_eight_entries(self):
@@ -207,40 +216,52 @@ class TestFineEquivalence:
 
 
 class TestSolveLp:
-    def test_simple_bound(self):
-        # min x subject to x >= 3
-        result = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-3.0]), None, None)
+    """The membership program: the mixture of the columns closest to the
+    vector in the largest entry."""
+
+    def test_point_in_the_hull_has_residual_zero(self):
+        matrix = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        vector = np.array([0.25, 0.5])
+        result = solve_lp(matrix, vector)
         assert result.status == "optimal"
-        assert result.objective == pytest.approx(3.0, abs=1e-9)
+        assert np.abs(matrix @ result.weights - vector).max() == 0.0
+        assert result.weights.tolist() == [0.25, 0.25, 0.5]
 
-    def test_equality_split(self):
-        # min x + 2y subject to x + y = 1: all weight on x
-        result = solve_lp(
-            np.array([1.0, 2.0]), None, None, np.array([[1.0, 1.0]]), np.array([1.0])
-        )
+    def test_point_outside_the_hull_has_its_distance(self):
+        # (1, 1) is half a unit from the segment e1..e2 in both entries
+        vector = np.array([1.0, 1.0])
+        result = solve_lp(np.eye(2), vector)
         assert result.status == "optimal"
-        assert result.objective == pytest.approx(1.0, abs=1e-9)
-        assert result.x[0] == pytest.approx(1.0, abs=1e-9)
+        assert result.weights.tolist() == [0.5, 0.5]
+        assert np.abs(np.eye(2) @ result.weights - vector).max() == 0.5
 
-    def test_infeasible(self):
-        # x <= 1 and x >= 2 cannot both hold
-        a_ub = np.array([[1.0], [-1.0]])
-        b_ub = np.array([1.0, -2.0])
-        assert solve_lp(np.array([1.0]), a_ub, b_ub, None, None).status == "infeasible"
+    def test_duplicated_columns_do_not_cycle(self):
+        # each strategy twice, and a strategy as the vector: a vertex where
+        # many ratios tie at 0, which Bland's rule leaves in finitely many pivots
+        m = _strategy_matrix()
+        doubled = np.hstack([m, m])
+        for j in (0, 5, 15):
+            result = solve_lp(doubled, m[:, j])
+            assert result.status == "optimal", j
+            assert np.abs(doubled @ result.weights - m[:, j]).max() == 0.0, j
+            assert result.weights[j] + result.weights[16 + j] == 1.0, j
 
-    def test_unbounded(self):
-        assert solve_lp(np.array([-1.0]), None, None, None, None).status == "unbounded"
-        # x - y <= 1 leaves min -(x) unbounded along x = y + 1
-        result = solve_lp(np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]), None, None)
-        assert result.status == "unbounded"
-
-    def test_degenerate_vertex(self):
-        # redundant constraints meeting at the optimum must not cycle
-        a_ub = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        b_ub = np.array([1.0, 1.0, 1.0])
-        result = solve_lp(np.array([-1.0, -1.0]), a_ub, b_ub, None, None)
-        assert result.status == "optimal"
-        assert result.objective == pytest.approx(-2.0, abs=1e-9)
+    def test_doubled_rows_stay_independent(self):
+        # every row twice: each bound row has its own slack, so no row is
+        # redundant and the weights are those of the undoubled program
+        matrix = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        vector = np.array([0.25, 0.5])
+        once = solve_lp(matrix, vector)
+        twice = solve_lp(np.vstack([matrix, matrix]), np.concatenate([vector, vector]))
+        assert twice.status == "optimal"
+        assert twice.weights.tolist() == once.weights.tolist()
+        # the demo table's optimal weights are not unique, but its residual is
+        m, table = _strategy_matrix(), demo_behavior().vector()
+        once = solve_lp(m, table)
+        twice = solve_lp(np.vstack([m, m]), np.concatenate([table, table]))
+        assert twice.status == "optimal"
+        residual = np.abs(m @ once.weights - table).max()
+        assert np.abs(m @ twice.weights - table).max() == pytest.approx(residual, abs=1e-12)
 
 
 def row_loop_pivot(rows, rhs, basis, row, col):

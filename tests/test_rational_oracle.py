@@ -189,12 +189,23 @@ def rational_engravings(draw):
 # second, line A lies gamma/2 from stop B' and stops A' and B span gamma.
 FIG2_TURNS = ((Fraction(3, 12), Fraction(2, 12), Fraction(1, 12), Fraction(0)), Fraction(2, 12))
 TIES_TURNS = ((Fraction(50, 360), Fraction(200, 360), Fraction(100, 360), Fraction(0)), Fraction(100, 360))
+# On a grid of 1/10**7 turn, stops A and B span gamma plus one step, about
+# 6.3e-7 rad: finer than any grid that rational_engravings draws, and far
+# above EPS_ANGLE, so the span test of _fits_budget must refuse the pair.
+# arc_sum_bound holds at this q too: each arc that is not degenerate is at
+# least 1/(2q) turn, about 3e-7 rad, still far wider than EPS_ANGLE.
+FINE_Q = 10**7
+FINE_SPAN_TURNS = (
+    (Fraction(1, 10) + Fraction(1666667 + 1, FINE_Q), Fraction(7, 10), Fraction(1, 10), Fraction(4, 10)),
+    Fraction(1666667, FINE_Q),
+)
 
 
 @given(rational_engravings())
 @settings(max_examples=60, deadline=None)
 @example(FIG2_TURNS)
 @example(TIES_TURNS)
+@example(FINE_SPAN_TURNS)
 def test_modified_device_matches_the_oracle(rational):
     lines, gamma = rational
     exact = {setup: count_key_measures(lines, gamma, setup) for setup in ALL_SETUPS}
