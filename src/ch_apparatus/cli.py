@@ -36,11 +36,11 @@ from .exact_engine import (
     ConsistencyError,
     _LONE,
     _entries,
-    both_stops_reached,
     closed_form_fig2,
     conditional_table,
     conditional_table_exact,
     grid_oracle,
+    stop_cell,
 )
 from .inequality_analysis import (
     FLAG_TOL,
@@ -581,7 +581,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     # arc engine against the brute-force grid oracle on the demo setups
     demo_lines = fig2_lines(demo_gamma, demo_theta)
     exact = conditional_table_exact(demo_gamma, demo_theta)
-    events = [both_stops_reached()] * len(TWO_STOP_SETUPS) + [event for event, _ in _LONE]
+    events = [stop_cell(True, True)] * len(TWO_STOP_SETUPS) + [event for event, _ in _LONE]
     worst = 0.0
     for setup, event, p in zip(ALL_SETUPS, events, _entries(exact)):
         oracle = grid_oracle(config_for_setup(demo_lines, demo_gamma, setup), event, 10**6)

@@ -18,17 +18,16 @@ below TABLE_TOL.
 
 The partition is built over Python floats, a few dozen at most, where numpy
 calls cost more than their arithmetic, and handed on as arrays: breakpoints,
-arc extents and (arcs x 3) guard points.  The guarded arcs and their event
-values form an OutcomeMap.  The exact probabilities are read from it, and
-the Monte Carlo counts look sampled angles up in it, handing only the angles
-inside a guard band to run_trials.  One function, _guarded, reads every map
-and table: it partitions once, runs one kinematics call, then guards and
-sums every row.  In the modified device the stops sit on the engraved lines,
-so every setup of one engraving has the same breakpoints: conditional_table
-and outcome_maps read their setups as rows of one run_setups call, and the
-other readers take a configuration's own stops through run_trials.  Every
-call reads all its events as one stacked boolean array: conditional_table
-and joint_probability_table take a batch's stop-cell stack as it is,
+arc extents and (arcs x 3) guard points.  One function, _guarded, reads every
+table: it partitions once, runs one kinematics call, then guards and sums
+every row.  It also returns the extents, guard points and event bits, from
+which the Monte Carlo builds its counting tables (monte_carlo._lookups).  In
+the modified device the stops sit on the engraved lines, so every setup of
+one engraving has the same breakpoints: conditional_table and the Monte
+Carlo read their setups as rows of one run_setups call, and the other
+readers take a configuration's own stops through run_trials.  Every call
+reads all its events as one stacked boolean array: conditional_table and
+joint_probability_table take a batch's stop-cell stack as it is,
 crossing_probability_set one expression over its four lines' crossings, and
 the readers of arbitrary events stack each event's read.  So
 conditional_table, which reads stop cells, computes no crossing or rotation.
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,14 +78,9 @@ __all__ = [
     "CLOSED_FORM_TOL",
     "ConsistencyError",
     "EventPredicate",
-    "OutcomeMap",
     "ConditionalTable",
-    "line_crossed",
     "lines_crossed",
     "stop_cell",
-    "both_stops_reached",
-    "outcome_map",
-    "outcome_maps",
     "event_probability",
     "event_probabilities",
     "joint_probability_table",
@@ -116,10 +110,6 @@ class EventPredicate:
     batch: Callable[[TrialBatch], np.ndarray]
 
 
-def line_crossed(name: str) -> EventPredicate:
-    return EventPredicate(name=f"crossed({name})", batch=lambda b: b.crossed[name])
-
-
 def lines_crossed(*names: str) -> EventPredicate:
     def batch(b: TrialBatch) -> np.ndarray:
         out = b.crossed[names[0]]
@@ -142,10 +132,6 @@ def stop_cell(left: bool, right: bool) -> EventPredicate:
 _stop_cells = attrgetter("stop_cells")
 
 
-def both_stops_reached() -> EventPredicate:
-    return stop_cell(True, True)
-
-
 def _critical_angles(config: ApparatusConfig) -> list[float]:
     lines, stops = config.lines, config.stops
     anchors = [lines.A, lines.A_prime, lines.B, lines.B_prime]
@@ -166,56 +152,21 @@ def _partition(config: ApparatusConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     return guarded_partition(_critical_angles(config), _GUARD_MARGIN)
 
 
-class OutcomeMap(NamedTuple):
-    """Value of every event on every arc of a configuration's partition.
-
-    Arc k starts at ``starts[k]`` and sweeps ``extents[k]``.  ``bits[k, e]``
-    is event e on arc k, checked constant between the outer guard angles
-    ``guard[k, 1]`` and ``guard[k, 2]``; ``guard[k, 0]`` is the midpoint, the
-    only point checked on an arc narrower than two guard margins.
-    """
-
-    starts: np.ndarray
-    extents: np.ndarray
-    bits: np.ndarray
-    guard: np.ndarray
-
-    def interiors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges for counting angles in [0, 2*pi), and the arc of each
-        checked interior.
-
-        ``j = np.searchsorted(edges, phi, side="right")`` is odd when phi lies
-        in the checked interior [guard[k, 1], guard[k, 2]) of the arc
-        k = ``arcs[j // 2]``, and then ``bits[k]`` holds every event at phi.
-        An even j is a guard band around a breakpoint, where the map does not
-        decide the outcome.  Bands are cyclic: an interior that wraps through
-        0 is split at 2*pi.  Both arrays depend only on the partition, so the
-        maps of outcome_maps share them.
-        """
-        pieces = []
-        wide = np.flatnonzero(self.extents >= 2.0 * _GUARD_MARGIN).tolist()
-        for k, lo, hi in zip(wide, self.guard[wide, 1].tolist(), self.guard[wide, 2].tolist()):
-            if lo <= hi:
-                pieces.append((lo, hi, k))
-            else:
-                pieces.extend(((lo, TWO_PI, k), (0.0, hi, k)))
-        pieces.sort()
-        edges = np.array([x for lo, hi, _k in pieces for x in (lo, hi)], dtype=np.float64)
-        return edges, np.array([k for _lo, _hi, k in pieces], dtype=np.intp)
-
-
 def _guarded(
     config: ApparatusConfig,
     setups: Sequence[str] | None,
     events: Sequence[EventPredicate],
     names: Sequence[Sequence[str]] | None = None,
     read: Callable[[TrialBatch], np.ndarray] | None = None,
-) -> tuple[Iterator[OutcomeMap], list[list[float]]]:
-    """Outcome maps and exact probabilities of the same events on rows that
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """Guarded arcs and exact probabilities of the same events on rows that
     share the partition of config: one row per setup label of setups, all in
     one run_setups call, or config's own stops in one run_trials call when
-    setups is None.  The maps are built as they are iterated, so a caller
-    that reads only probabilities builds none.
+    setups is None.
+
+    Returns the arc extents; the guard points, ``guard[k, 0]`` the midpoint
+    of arc k and ``guard[k, 1:]`` its outer guard angles; ``bits[s, k, e]``,
+    event e of row s on arc k; and its probability ``probabilities[s][e]``.
 
     All events are read as one boolean array, axis 0 the event: read(batch)
     when given, which must stack what each event's batch function returns,
@@ -264,39 +215,17 @@ def _guarded(
             f"{float(starts[k])!r} (extent {float(extents[k])!r}), guard angles "
             f"{guard[k].tolist()!r}, config {row_config!r}; breakpoint set incomplete"
         )
-    return (OutcomeMap(starts, extents, bits[:, s].T, guard) for s in range(rows)), probabilities
-
-
-def outcome_map(config: ApparatusConfig, events: Sequence[EventPredicate]) -> OutcomeMap:
-    """Guarded value of each event on each arc of the partition.
-
-    The guard points of every arc go through one run_trials call; see
-    _guarded for the guard and its ConsistencyError.
-    """
-    return next(_guarded(config, None, events)[0])
-
-
-def outcome_maps(
-    lines: EngravedLines, gamma: float, setups: Sequence[str], events: Sequence[EventPredicate]
-) -> list[OutcomeMap]:
-    """outcome_map of each stop setup of one engraving, in setup order.
-
-    As in conditional_table, the setups share one breakpoint set: the circle
-    is partitioned once, the guard points of every setup go through one
-    run_setups call, and the maps share their starts, extents and guard
-    points.  Errors name the first failing setup in the order given.
-    """
-    return list(_guarded(config_for_setup(lines, gamma, setups[0]), setups, events)[0])
+    return extents, guard, bits.transpose(1, 2, 0), probabilities
 
 
 def event_probabilities(
     config: ApparatusConfig, events: Sequence[EventPredicate]
 ) -> list[float]:
-    """Exact probabilities of several events from one outcome map: the
+    """Exact probabilities of several events from one partition: the
     summed extent of the arcs on which each event holds, over 2*pi.  See
     _guarded for their accuracy, the guard and its ConsistencyError.
     """
-    return _guarded(config, None, events)[1][0]
+    return _guarded(config, None, events)[-1][0]
 
 
 def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
@@ -309,7 +238,7 @@ def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
     checked to sum to 1 within TABLE_TOL."""
     if config.stops.left is None or config.stops.right is None:
         raise ConfigError("joint probability table needs both stops active")
-    table = dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, read=_stop_cells)[1][0]))
+    table = dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, read=_stop_cells)[-1][0]))
     if abs(sum(table.values()) - 1.0) > TABLE_TOL:
         raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
     return table
@@ -446,7 +375,7 @@ def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:
     TWO_STOP_SETUPS then SINGLE_STOP_SETUPS order.
     """
     config = config_for_setup(lines, gamma, ALL_SETUPS[0])
-    return _table(_guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, read=_stop_cells)[1])
+    return _table(_guarded(config, ALL_SETUPS, _CELL_EVENTS, _TABLE_NAMES, read=_stop_cells)[-1])
 
 
 def conditional_table_exact(gamma: float, theta: float) -> ConditionalTable:

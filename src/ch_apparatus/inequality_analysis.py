@@ -97,7 +97,9 @@ class SettingFrequencies:
 
     def validate(self) -> "SettingFrequencies":
         values = (self.ab, self.abp, self.apb, self.apbp)
-        if any(not math.isfinite(v) or v < -TABLE_TOL for v in values):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"setting frequencies must be finite, got {values!r}")
+        if any(v < -TABLE_TOL for v in values):
             raise ValueError(f"setting frequencies must be nonnegative, got {values!r}")
         if abs(sum(values) - 1.0) > TABLE_TOL:
             raise ValueError(f"setting frequencies must sum to 1, got {values!r}")
@@ -253,7 +255,7 @@ def crossing_probability_set(config: ApparatusConfig) -> ProbabilitySet:
     All eight come from one arc partition, so they refer to the same
     configuration and the same probability space.
     """
-    return ProbabilitySet(*_guarded(config, None, _CROSSING_EVENTS, read=_crossing_values)[1][0])
+    return ProbabilitySet(*_guarded(config, None, _CROSSING_EVENTS, read=_crossing_values)[-1][0])
 
 
 @dataclass(frozen=True)

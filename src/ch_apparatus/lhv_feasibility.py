@@ -90,7 +90,9 @@ class BehaviorTable:
     def validate(self) -> "BehaviorTable":
         for setting in SETTINGS:
             table = self.tables[setting]
-            if any(not math.isfinite(table[c]) or table[c] < -NORM_TOL for c in CELLS):
+            if not all(math.isfinite(table[c]) for c in CELLS):
+                raise ValueError(f"cells for setting {setting!r} must be finite: {table!r}")
+            if any(table[c] < -NORM_TOL for c in CELLS):
                 raise ValueError(f"cells for setting {setting!r} must be nonnegative: {table!r}")
             if abs(sum(table[c] for c in CELLS) - 1.0) > NORM_TOL:
                 raise ValueError(f"cells for setting {setting!r} must sum to 1: {table!r}")

@@ -6,14 +6,14 @@ index range can be generated on its own and a campaign is bitwise
 reproducible however its index range is cut into chunks.  Its 53-bit output
 m becomes the angle angle(m) = (m * 2**-53) * 2*pi.
 
-Campaigns count on m itself, through OutcomeMaps built from one partition
-for all sequences (outcome_maps).  A chunk locates each m in a grid of equal
-cells by a shift and bins it by cell.  angle(m) is monotone in m, so a cell
-whose outputs all lie on one side of every edge of the map lies in one
-segment; only the m in the few cells where an edge falls between outputs
-become angles, are searched among the edges and binned by segment, and of
-those only the ones in a guard band around a breakpoint run through the
-kinematics.  The bins are weighted once per sequence, so memory does not
+Campaigns count on m itself, through lookups built from the guarded arcs of
+one partition for all sequences (_lookups).  A chunk locates each m in a
+grid of equal cells by a shift and bins it by cell.  angle(m) is monotone in
+m, so a cell whose outputs all lie on one side of every edge of the lookup
+lies in one segment; only the m in the few cells where an edge falls between
+outputs become angles, are searched among the edges and binned by segment,
+and of those only the ones in a guard band around a breakpoint run through
+the kinematics.  The bins are weighted once per sequence, so memory does not
 grow with the number of trials.  The counts equal those of run_trials on
 every angle (kinematic_counts), which the tests and the check suite verify.
 Chunks run one after another.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,18 +35,19 @@ from .apparatus import (
     TWO_STOP_SETUPS,
     ApparatusConfig,
     EngravedLines,
+    _is_line,
     config_for_setup,
     run_trials,
+    setup_stops,
 )
 from .circle_geometry import TWO_PI
 from .exact_engine import (
     _CELL_EVENTS,
+    _GUARD_MARGIN,
     ConditionalTable,
-    OutcomeMap,
+    _guarded,
     _table,
-    line_crossed,
-    outcome_map,
-    outcome_maps,
+    lines_crossed,
     stop_reached,
 )
 from .inequality_analysis import SettingFrequencies
@@ -66,7 +67,7 @@ _COUNTED = (
     *_CELL_EVENTS,
     stop_reached("left"),
     stop_reached("right"),
-    *(line_crossed(name) for name in LINE_NAMES),
+    *(lines_crossed(name) for name in LINE_NAMES),
 )
 
 __all__ = [
@@ -308,7 +309,7 @@ class SequenceResult:
 
 def kinematic_counts(config: ApparatusConfig, phis: np.ndarray) -> np.ndarray:
     """Counts of the COUNT_KEYS events over the start angles, each angle run
-    through run_trials: the route that needs no outcome map."""
+    through run_trials: the route that needs no lookup."""
     batch = run_trials(config, phis)
     return np.array([np.count_nonzero(event.batch(batch)) for event in _COUNTED], dtype=np.int64)
 
@@ -320,17 +321,19 @@ _CELL_SHIFT = 41  # 2**53 outputs over _GRID cells
 
 
 class _Lookup(NamedTuple):
-    """OutcomeMap.interiors() of one setup, plus a grid of _GRID cells of
-    sampler outputs.
+    """The checked arc interiors of one setup's partition and the COUNT_KEYS
+    weights of each, plus a grid of _GRID cells of sampler outputs.
 
-    ``searchsorted(edges, angle(m), "right")`` is the segment of the map,
-    and so the row of ``weights``, that output m falls in.  Each cell holds
-    the outputs m with m >> _CELL_SHIFT equal to its index; angle is
-    monotone in m, so a cell whose outputs all lie on one side of every edge
-    lies in one segment, ``cell_segment``.  Cells that hold the least output
-    reaching some edge (``shared``) map to segment 0, a guard band of zero
-    weights; the angles of their outputs are searched among the edges.  The
-    setups of one engraving share every field but ``weights``.
+    ``searchsorted(edges, angle(m), "right")`` is the segment, and so the row
+    of ``weights``, that output m falls in: an odd segment is the checked
+    interior of an arc, weighted by its event bits, an even one a guard band
+    around a breakpoint, weighted 0.  Each cell holds the outputs m with
+    m >> _CELL_SHIFT equal to its index; angle is monotone in m, so a cell
+    whose outputs all lie on one side of every edge lies in one segment,
+    ``cell_segment``.  Cells that hold the least output reaching some edge
+    (``shared``) map to segment 0; the angles of their outputs are searched
+    among the edges.  The setups of one engraving share every field but
+    ``weights``.
     """
 
     edges: np.ndarray
@@ -357,12 +360,28 @@ def _grid(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell_segment, shared
 
 
-def _lookups(maps: list[OutcomeMap]) -> list[_Lookup]:
-    """The _Lookup of each of a list of maps over one partition."""
-    edges, arcs = maps[0].interiors()
+def _lookups(config: ApparatusConfig, setups: Sequence[str] | None) -> list[_Lookup]:
+    """The _Lookup of each row of _guarded(config, setups, _COUNTED): config's
+    own stops when setups is None, else each setup of config's engraving.
+
+    The edges bound the checked interior [guard[k, 1], guard[k, 2]) of each
+    arc k at least two guard margins wide, in circle order, an interior that
+    wraps through 0 split at 2*pi; narrower arcs lie in guard bands.
+    """
+    extents, guard, bits, _ = _guarded(config, setups, _COUNTED)
+    pieces = []
+    wide = np.flatnonzero(extents >= 2.0 * _GUARD_MARGIN).tolist()
+    for k, lo, hi in zip(wide, guard[wide, 1].tolist(), guard[wide, 2].tolist()):
+        if lo <= hi:
+            pieces.append((lo, hi, k))
+        else:
+            pieces.extend(((lo, TWO_PI, k), (0.0, hi, k)))
+    pieces.sort()
+    edges = np.array([x for lo, hi, _k in pieces for x in (lo, hi)], dtype=np.float64)
+    arcs = np.array([k for _lo, _hi, k in pieces], dtype=np.intp)
     cell_segment, shared = _grid(edges)
-    weights = np.zeros((len(maps), len(edges) + 1, maps[0].bits.shape[1]), dtype=np.int64)
-    weights[:, 1::2] = [outcomes.bits[arcs] for outcomes in maps]
+    weights = np.zeros((len(bits), len(edges) + 1, bits.shape[2]), dtype=np.int64)
+    weights[:, 1::2] = bits[:, arcs]
     return [_Lookup(edges, rows, cell_segment, shared) for rows in weights]
 
 
@@ -405,15 +424,21 @@ def run_sequence(
 
     Trials are binned in fixed-size index chunks, in chunk order, through
     one pair of buffers, into a _Tally of fixed size counted at the end.
-    The lookup comes from run_campaign, or else from an outcome map built
-    before any chunk runs; a ConsistencyError from it means the
-    configuration breaks the exact engine's breakpoint assumption.
+    The lookup comes from run_campaign, or else is built from config's own
+    partition before any chunk runs; a ConsistencyError from it means the
+    configuration breaks the exact engine's breakpoint assumption.  The
+    counts carry spec.setup's label, so config's stops must be the ones it
+    names, within EPS_ANGLE as validate_config allows, or PlanError is raised.
     """
     spec.validate()
+    named = setup_stops(config.lines, spec.setup)
+    pairs = ((config.stops.left, named.left), (config.stops.right, named.right))
+    if not all(x is y or None not in (x, y) and _is_line(x, (y,)) for x, y in pairs):
+        raise PlanError(f"config stops {config.stops!r} are not the stops {named!r} of setup {spec.setup!r}")
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
-        lookup = _lookups([outcome_map(config, _COUNTED)])[0] if _shared_lookup is None else _shared_lookup
+        lookup = _lookups(config, None)[0] if _shared_lookup is None else _shared_lookup
         tally = _Tally(config, lookup)
         steps = _steps(min(n, _CHUNK))
         buffers = np.empty((2, len(steps)), dtype=np.uint64)
@@ -445,7 +470,7 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
     plan.validate()
     live = [spec.setup for spec in plan.sequences if spec.n_trials > 0]
-    lookups = dict(zip(live, _lookups(outcome_maps(plan.lines, plan.gamma, live, _COUNTED)))) if live else {}
+    lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
     results: dict[str, SequenceResult] = {}
     for spec in plan.sequences:
         config = config_for_setup(plan.lines, plan.gamma, spec.setup)

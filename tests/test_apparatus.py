@@ -43,7 +43,7 @@ from ch_apparatus.apparatus import (
     validate_config,
 )
 from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize
-from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, both_stops_reached, conditional_table, grid_oracle
+from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, conditional_table, grid_oracle, stop_cell
 from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, _crossing_values, crossing_probability_set
 from scalar_reference import scalar_trial
 from test_exact_engine import budgets, engraved_lines
@@ -683,7 +683,7 @@ def test_stop_events_compute_no_crossing(monkeypatch):
     conditional_table(NEAR_BUDGET_LINES, 4.0)
     conditional_table(HELD_LINES, HELD_GAMMA)
     # run_trials reads the stop cells of its one row without crossings as well
-    grid_oracle(demo_config("ab"), both_stops_reached(), 1000)
+    grid_oracle(demo_config("ab"), stop_cell(True, True), 1000)
     assert crossings == [] and travel == []
     # the spy does see the lines that an event reads: all four in one call
     crossing_probability_set(unmodified_config(SQUARE_LINES, 1.0))

@@ -45,10 +45,7 @@ from ch_apparatus.exact_engine import (
     event_probability,
     grid_oracle,
     joint_probability_table,
-    line_crossed,
     lines_crossed,
-    outcome_map,
-    outcome_maps,
     stop_cell,
     stop_reached,
 )
@@ -103,9 +100,9 @@ class TestEventProbability:
         # body 1 sweeps gamma1, so it crosses A from an approach arc of the
         # same width: p = gamma1/2pi = 1/4 for a quarter turn
         config = unmodified_config(SQUARE_LINES, math.pi / 2.0)
-        p = event_probability(config, line_crossed("A"))
+        p = event_probability(config, lines_crossed("A"))
         assert p == pytest.approx(0.25, abs=1e-12)
-        assert grid_oracle(config, line_crossed("A"), 100_000) == pytest.approx(p, abs=1e-4)
+        assert grid_oracle(config, lines_crossed("A"), 100_000) == pytest.approx(p, abs=1e-4)
 
     def test_unmodified_joint_crossing(self):
         # on the square engraving with a quarter turn the approach arcs of
@@ -116,14 +113,14 @@ class TestEventProbability:
 
     def test_batch_events_match_single_calls(self):
         config = fig2_config(GAMMA, THETA, "ab")
-        events = [stop_cell(True, True), line_crossed("A'"), lines_crossed("A", "B")]
+        events = [stop_cell(True, True), lines_crossed("A'"), lines_crossed("A", "B")]
         combined = event_probabilities(config, events)
         for event, p in zip(events, combined):
             assert event_probability(config, event) == p
 
     def test_complement_sums_to_one(self):
         config = fig2_config(GAMMA, THETA, "ab'")
-        event = line_crossed("B'")
+        event = lines_crossed("B'")
         p = event_probability(config, event)
         q = event_probability(config, EventPredicate("not(crossed(B'))", lambda b: ~event.batch(b)))
         assert p + q == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +128,7 @@ class TestEventProbability:
     def test_joint_below_marginal(self):
         config = fig2_config(GAMMA, THETA, "a'b")
         p_joint = event_probability(config, lines_crossed("A'", "B"))
-        p_single = event_probability(config, line_crossed("A'"))
+        p_single = event_probability(config, lines_crossed("A'"))
         assert p_joint <= p_single + 1e-15
 
     def test_non_constant_event_is_rejected(self):
@@ -160,7 +157,7 @@ class TestGridOracle:
     def test_rejects_empty_grid(self):
         config = fig2_config(GAMMA, THETA, "ab")
         with pytest.raises(ValueError):
-            grid_oracle(config, line_crossed("A"), 0)
+            grid_oracle(config, lines_crossed("A"), 0)
 
 
 gammas = st.floats(min_value=0.2, max_value=5.5, allow_nan=False)
@@ -490,7 +487,7 @@ def _assert_shared_read(shared_call, own_calls, same):
     return None
 
 
-def _same_map(got, want):
+def _same_rows(got, want):
     for g, w in zip(got, want):
         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
@@ -516,16 +513,22 @@ def _own_table_calls(lines, gamma):
     return [lambda setup=setup: own(setup) for setup in ALL_SETUPS]
 
 
+def _guarded_rows(config, setups):
+    """The arc extents, guard points and event bits of each row of _guarded."""
+    extents, guard, bits, _ = exact_engine._guarded(config, setups, _COUNTED)
+    return [(extents, guard, row) for row in bits]
+
+
 def _assert_rows_read_their_own(lines, gamma, order):
     """Every row of a shared partition reads what the setup's own partition
     reads, bits of arcs under two guard margins included; returns the
     messages both routes raised (None where they raised nothing)."""
-    maps = _assert_shared_read(
-        lambda: outcome_maps(lines, gamma, order, _COUNTED),
-        [lambda setup=setup: outcome_map(config_for_setup(lines, gamma, setup), _COUNTED) for setup in order],
-        _same_map,
+    rows = _assert_shared_read(
+        lambda: _guarded_rows(config_for_setup(lines, gamma, order[0]), order),
+        [lambda setup=setup: _guarded_rows(config_for_setup(lines, gamma, setup), None)[0] for setup in order],
+        _same_rows,
     )
-    return maps, _assert_shared_read(lambda: _shared_table(lines, gamma), _own_table_calls(lines, gamma), _same_repr)
+    return rows, _assert_shared_read(lambda: _shared_table(lines, gamma), _own_table_calls(lines, gamma), _same_repr)
 
 
 # Arbitrary and near-coincident engravings, and those where per-phi sums of
@@ -570,8 +573,8 @@ def _assert_stacked_reads_are_the_event_reads(lines, gamma, order):
 @pytest.mark.parametrize("order", [ALL_SETUPS, ALL_SETUPS[::-1]])
 def test_setup_rows_raise_what_one_config_raises(monkeypatch, engraving, order):
     monkeypatch.setattr(exact_engine, "_critical_angles", _critical_without_half_shifts)
-    maps, table = _assert_rows_read_their_own(*engraving, list(order))
-    assert maps is not None and table is not None
+    rows, table = _assert_rows_read_their_own(*engraving, list(order))
+    assert rows is not None and table is not None
 
 
 def test_grid_oracle_whole_table():

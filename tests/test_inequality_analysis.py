@@ -145,6 +145,12 @@ class TestCorrected:
         with pytest.raises(ValueError, match="nonnegative"):
             corrected_probabilities(demo_table(), SettingFrequencies(1.5, -0.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_frequencies(self, bad):
+        # a non-finite frequency used to be reported as a negative one
+        with pytest.raises(ValueError, match="^setting frequencies must be finite, got"):
+            corrected_probabilities(demo_table(), SettingFrequencies(bad, 0.5, 0.5, 0.0))
+
 
 class TestReducedForm:
     def test_demo_value(self):

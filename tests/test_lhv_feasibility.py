@@ -145,6 +145,12 @@ class TestFeasibleJoint:
         )
         assert feasible_joint(blend).feasible
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_cell(self, bad):
+        # a non-finite cell used to be reported as a negative one
+        with pytest.raises(ValueError, match="^cells for setting \"a'b'\" must be finite: "):
+            feasible_joint(BehaviorTable.from_vector([0.25] * 15 + [bad]))
+
     def test_rejects_unnormalized_table(self):
         bad = BehaviorTable(
             tables={

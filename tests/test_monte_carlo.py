@@ -17,13 +17,18 @@ from hypothesis import strategies as st
 from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
+    MODIFIED,
     TWO_STOP_SETUPS,
+    ApparatusConfig,
     ConfigError,
     EngravedLines,
+    StopPlacement,
     config_for_setup,
     fig2_config,
     fig2_lines,
     run_trials,
+    unmodified_config,
+    validate_config,
 )
 from ch_apparatus.circle_geometry import TWO_PI, normalize
 from ch_apparatus.exact_engine import (
@@ -33,8 +38,6 @@ from ch_apparatus.exact_engine import (
     closed_form_fig2,
     conditional_table,
     event_probabilities,
-    outcome_map,
-    outcome_maps,
 )
 from ch_apparatus.monte_carlo import (
     _CELL_SHIFT,
@@ -293,6 +296,25 @@ class TestRunSequence:
         expected = kinematic_reference(config, angle(oracle_outputs(2**64 - 5, 0, 200_003)))
         assert list(result.counts.values()) == expected
 
+    @pytest.mark.parametrize(
+        "stops, setup", [("ab", "a'b'"), ("ab", "a"), ("a", "ab"), ("a", "a'"), ("b'", "a"), (None, "ab")]
+    )
+    def test_config_must_have_the_stops_of_the_setup(self, stops, setup):
+        # the counts of config's stops used to be labelled with any setup;
+        # None is the unmodified device, which has no stops
+        lines = fig2_lines(GAMMA, THETA)
+        config = unmodified_config(lines, GAMMA) if stops is None else config_for_setup(lines, GAMMA, stops)
+        with pytest.raises(PlanError, match=rf"^config stops .* are not the stops .* of setup {re.escape(repr(setup))}$"):
+            run_sequence(config, SequenceSpec(setup=setup, n_trials=10_000, seed=5))
+
+    def test_stop_within_eps_angle_of_its_line_has_the_setup(self):
+        # validate_config accepts a stop within EPS_ANGLE of its line
+        config = fig2_config(GAMMA, THETA, "ab")
+        stops = StopPlacement(config.stops.left + 1e-13, config.stops.right)
+        moved = validate_config(ApparatusConfig(mode=MODIFIED, lines=config.lines, gamma=GAMMA, stops=stops))
+        spec = SequenceSpec(setup="ab", n_trials=10_000, seed=5)
+        assert run_sequence(moved, spec) == run_sequence(config, spec)
+
     def test_single_trial(self):
         config = fig2_config(GAMMA, THETA, "a'b")
         result = run_sequence(config, SequenceSpec(setup="a'b", n_trials=1, seed=9))
@@ -328,7 +350,7 @@ class TestRunSequence:
 
 def own_lookup(config):
     """The lookup that run_sequence builds for a configuration on its own."""
-    return _lookups([outcome_map(config, _COUNTED)])[0]
+    return _lookups(config, None)[0]
 
 
 def near_breakpoints(config, ulps=3):
@@ -501,7 +523,7 @@ def assert_lookups_equal(shared, own):
 
 
 def shared_lookups(lines, gamma, setups):
-    return dict(zip(setups, _lookups(outcome_maps(lines, gamma, setups, _COUNTED))))
+    return dict(zip(setups, _lookups(config_for_setup(lines, gamma, setups[0]), setups)))
 
 
 def critical_without_half_shifts(config):
@@ -585,7 +607,7 @@ class TestSharedLookup:
            st.integers(1, len(ALL_SETUPS)))
     @settings(max_examples=40, deadline=None)
     @example(angles=[1.0, 2.5, 4.0, 1e-13], gamma=2.0, order=list(ALL_SETUPS), live=8)
-    # A 1e-12 past A': the maps of a'b' and a'b, where body 1 is held at A',
+    # A 1e-12 past A': the lookups of a'b' and a'b, where body 1 is held at A',
     # build, since crossed(A) is decided from that span
     @example(
         angles=[1e-12, 1.175494351e-38, 6.070388223748898, 5.998185184663431],
