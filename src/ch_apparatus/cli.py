@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -252,17 +252,6 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
 
-def _assert_finite(obj: Any, path: str = "report") -> None:
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _assert_finite(v, f"{path}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _assert_finite(v, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ConsistencyError(f"non-finite number at {path}")
-
-
 def _table_json(table: ConditionalTable) -> dict[str, Any]:
     out = asdict(table)
     exact_only = [s for s, p in table.singles.items() if p is None]
@@ -329,14 +318,30 @@ def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
     return max(diffs)
 
 
+def _leaves(obj: Any, path: str = "") -> Iterator[tuple[str, Any]]:
+    """Yield (dotted path, value) for each scalar of a report, keys sorted and
+    list items by index, as the sorted JSON encoder meets them.  The first
+    non-finite float raises ConsistencyError naming its path."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _leaves(obj[k], f"{path}.{k}" if path else str(k))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise ConsistencyError(f"non-finite number at report.{path}")
+    else:
+        yield path, obj
+
+
 def render_report(report: dict[str, Any], out_format: str = "json") -> str:
     if out_format == "json":
         try:  # the encoder rejects NaN and infinities; the walk then names the path
             return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError:
-            _assert_finite(report)
+            for _ in _leaves(report):
+                pass
             raise
-    _assert_finite(report)
     if out_format == "csv":
         return report_to_csv(report)
     raise ConfigError(f"unknown report format {out_format!r}")
@@ -344,21 +349,8 @@ def render_report(report: dict[str, Any], out_format: str = "json") -> str:
 
 def report_to_csv(report: dict[str, Any]) -> str:
     """Flatten a report to sorted dotted-path key,value rows."""
-    rows: list[tuple[str, str]] = []
-
-    def walk(obj: Any, path: str) -> None:
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                walk(obj[k], f"{path}.{k}" if path else str(k))
-        elif isinstance(obj, (list, tuple)):
-            for i, v in enumerate(obj):
-                walk(v, f"{path}[{i}]")
-        else:
-            rows.append((path, _csv_value(obj)))
-
-    walk(report, "")
-    lines = ["key,value"] + [f"{key},{value}" for key, value in rows]
-    return "\n".join(lines) + "\n"
+    rows = [f"{key},{_csv_value(value)}" for key, value in _leaves(report)]
+    return "\n".join(["key,value", *rows]) + "\n"
 
 
 def _csv_value(value: Any) -> str:

@@ -174,11 +174,13 @@ def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def check_seed(seed: int) -> int:
-    """Return a master seed after checking 0 <= seed < 2**64.
+    """Return a seed after checking it is an integer, 0 <= seed < 2**64.
 
-    sequence_seed keeps only the low 64 bits, so a seed outside that range
-    would print as itself and sample another seed's streams.
+    sequence_seed and the counter stream keep only the low 64 bits, so a
+    seed outside that range would print as itself and sample another's.
     """
+    if _not_a_count(seed):
+        raise PlanError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed <= _MASK64:
         raise PlanError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
     return seed
@@ -204,14 +206,14 @@ class SequenceSpec:
     def validate(self) -> "SequenceSpec":
         if self.setup not in ALL_SETUPS:
             raise PlanError(f"unknown setup label {self.setup!r}")
-        if self.n_trials < 0:
-            raise PlanError(f"n_trials must be nonnegative, got {self.n_trials}")
+        if _not_a_count(self.n_trials) or self.n_trials < 0:
+            raise PlanError(f"n_trials must be a nonnegative integer, got {self.n_trials!r}")
+        check_seed(self.seed)
         return self
 
 
 def _not_a_count(n: object) -> bool:
-    """Whether n cannot be a trial count: a bool is an int to Python, not a
-    count."""
+    """Whether n cannot be a count or a seed: a bool is an int to Python."""
     return isinstance(n, bool) or not isinstance(n, Integral)
 
 
@@ -246,6 +248,7 @@ class CampaignPlan:
         problems += [f"count {n!r} for setup {s!r} is not an integer" for s, n in n_trials.items() if _not_a_count(n)]
         if problems:
             raise PlanError("n_trials: " + "; ".join(problems))
+        check_seed(master_seed)
         n_per = {s: int(n_trials.get(s, 0)) for s in ALL_SETUPS}
         sequences = tuple(
             SequenceSpec(setup=s, n_trials=n_per[s], seed=sequence_seed(master_seed, s))
@@ -282,6 +285,8 @@ def estimate(count: int, n: int) -> Estimate:
     n ends at 1; both ends are set exactly, where the formula would leave a
     rounding sliver that misses an exact probability of 0 or 1.
     """
+    if _not_a_count(count) or _not_a_count(n):
+        raise ValueError(f"count and n must be integers, got count={count!r}, n={n!r}")
     if n < 1:
         raise EstimateError(f"no trials to estimate from (n={n})")
     if not 0 <= count <= n:

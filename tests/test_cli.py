@@ -216,12 +216,14 @@ class TestReports:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_report_exits_2(self, monkeypatch, capsys, value, out_format):
         # JSON finds a non-finite number in its encoder and only then walks
-        # the report for its path; CSV walks first: the same message and code
+        # the report for its path; CSV walks as it writes rows.  Both name the
+        # first one in sorted key order, the one the encoder rejected:
+        # "later" sorts before "rows"
         report = {"schema": SCHEMA, "rows": [{"x": [1.0, [0.5, value]]}], "later": [math.nan]}
         monkeypatch.setattr(cli, "cmd_exact", lambda gamma, theta: report)
         assert main(["exact", "--format", out_format]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "internal consistency failure: non-finite number at report.rows[0].x[1][1]\n"
+        assert captured.err == "internal consistency failure: non-finite number at report.later[0]\n"
         assert captured.out == ""
 
     def test_stopped_simplex_exits_2(self, monkeypatch, capsys):

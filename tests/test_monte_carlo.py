@@ -178,8 +178,21 @@ class TestEstimate:
     def test_rejects_empty_and_overfull(self):
         with pytest.raises(EstimateError):
             estimate(0, 0)
+        with pytest.raises(EstimateError):
+            estimate(0, -3)
         with pytest.raises(ValueError):
             estimate(11, 10)
+
+    @pytest.mark.parametrize("count, n", [(1.5, 3), (1, 2.5), (True, 2), (1, True), (2.0, 4), (1, 4.0), ("1", 2)])
+    def test_rejects_non_integer_count_or_n(self, count, n):
+        # estimate(1.5, 3) used to give p_hat 0.5, and estimate(1, 2.5) 0.4
+        message = f"count and n must be integers, got count={count!r}, n={n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            estimate(count, n)
+        assert not isinstance(info.value, EstimateError)
+
+    def test_numpy_integers_accepted(self):
+        assert estimate(np.int64(1), np.uint32(4)) == estimate(1, 4)
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=50)
@@ -319,6 +332,31 @@ class TestRunSequence:
         config = fig2_config(GAMMA, THETA, "a'b")
         result = run_sequence(config, SequenceSpec(setup="a'b", n_trials=1, seed=9))
         assert all(v in (0, 1) for v in result.counts.values())
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 2**64 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the counter stream keeps the low 64 bits: 2**64 used to return
+        # exactly the counts of seed 0, and -1 those of 2**64 - 1
+        with pytest.raises(PlanError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
+            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=50_000, seed=seed))
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 5.0, "5", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=10, seed=seed))
+
+    @pytest.mark.parametrize("count", [1000.0, True, False, 2.5, "10"])
+    def test_trial_count_must_be_an_integer(self, count):
+        # 1000.0 used to fail in range() with a TypeError, and True ran one
+        # trial reported as n_trials True
+        message = f"n_trials must be a nonnegative integer, got {count!r}"
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=count, seed=3))
+
+    def test_numpy_integer_count_and_seed_accepted(self):
+        config = fig2_config(GAMMA, THETA, "ab")
+        spec = SequenceSpec(setup="ab", n_trials=np.int64(1000), seed=np.uint64(3))
+        assert run_sequence(config, spec).counts == run_sequence(config, SequenceSpec("ab", 1000, 3)).counts
 
     def test_zero_trials(self):
         config = fig2_config(GAMMA, THETA, "ab")
@@ -731,6 +769,19 @@ class TestCampaignPlan:
         with pytest.raises(PlanError, match="0 <= seed < 2"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials=1, master_seed=seed)
         assert CampaignPlan.from_params(GAMMA, FIG2, n_trials=1, master_seed=2**64 - 1)
+
+    @pytest.mark.parametrize("seed", [1.5, True, 1.0, "1", None])
+    def test_master_seed_must_be_an_integer(self, seed):
+        # 1.5 used to end in a TypeError from sequence_seed, and True ran as
+        # seed 1
+        with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=10, master_seed=seed)
+
+    def test_hand_built_plan_checks_its_sequences(self):
+        sequences = tuple(SequenceSpec(setup=s, n_trials=1, seed=2**64 if s == "a'b" else 0) for s in ALL_SETUPS)
+        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
+        with pytest.raises(PlanError, match="0 <= seed < 2"):
+            run_campaign(plan)
 
 
 class TestRunCampaign:
