@@ -68,6 +68,7 @@ from .monte_carlo import (
     CampaignPlan,
     EstimateReport,
     PlanError,
+    _not_a_count,
     check_seed,
     kinematic_counts,
     phi_samples,
@@ -128,9 +129,13 @@ def _expect_number(obj: Any, path: str) -> float:
     return float(obj)
 
 
-def _expect_int(obj: Any, path: str, minimum: int = 0) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
+def _check_int(obj: Any, path: str) -> None:
+    if _not_a_count(obj):
         _fail(path, f"expected an integer, got {obj!r}")
+
+
+def _expect_int(obj: Any, path: str, minimum: int = 0) -> int:
+    _check_int(obj, path)
     if obj < minimum:
         _fail(path, f"must be >= {minimum}, got {obj}")
     return obj
@@ -429,6 +434,8 @@ def cmd_demo(
     sequence and uniform frequencies, plus the closed-form cross-check.
     ``workers`` must be at least 1 and is otherwise accepted for
     compatibility only: runs are serial."""
+    _check_int(trials, "trials")
+    _check_int(workers, "workers")
     if trials < 1:
         raise ConfigError("demo needs at least one trial per sequence")
     closed = closed_form_fig2(gamma, theta)
@@ -460,6 +467,7 @@ class SweepStats(NamedTuple):
 
 def _check_sweep(gamma_range: tuple[float, float], theta_range: tuple[float, float], steps: int) -> None:
     """Reject a sweep grid that cmd_sweep cannot scan, before it writes."""
+    _check_int(steps, "steps")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if not all(math.isfinite(x) for x in (*gamma_range, *theta_range)):

@@ -189,7 +189,7 @@ def check_seed(seed: int) -> int:
 def sequence_seed(master_seed: int, setup: str) -> int:
     """Per-sequence seed derived from the master seed and the setup's slot."""
     slot = ALL_SETUPS.index(setup)
-    z = np.array([master_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    z = np.array([master_seed & _MASK64], dtype=np.uint64)
     z *= _GOLDEN
     z += np.uint64(slot + 1)
     return int(_mix64(z, np.empty_like(z))[0])
@@ -219,16 +219,23 @@ def _not_a_count(n: object) -> bool:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """Eight sequences covering the protocol, plus the apparatus parameters.
+    """One count of trials per setup, in ALL_SETUPS order, plus the
+    apparatus parameters and the master seed.
 
-    Single-stop sequences may have zero trials; the useless trials can be
-    spared.
+    Each sequence's seed is derived from the master seed and its setup, so
+    the master seed alone reproduces the plan.  Single-stop setups may have
+    zero trials; the useless trials can be spared.
     """
 
     gamma: float
     lines: EngravedLines
-    sequences: tuple[SequenceSpec, ...]
+    trials: tuple[int, ...]
     master_seed: int
+
+    @property
+    def sequences(self) -> tuple[SequenceSpec, ...]:
+        """One sequence per setup, in ALL_SETUPS order."""
+        return tuple(SequenceSpec(s, n, sequence_seed(self.master_seed, s)) for s, n in zip(ALL_SETUPS, self.trials))
 
     @classmethod
     def from_params(
@@ -248,25 +255,13 @@ class CampaignPlan:
         problems += [f"count {n!r} for setup {s!r} is not an integer" for s, n in n_trials.items() if _not_a_count(n)]
         if problems:
             raise PlanError("n_trials: " + "; ".join(problems))
-        check_seed(master_seed)
-        n_per = {s: int(n_trials.get(s, 0)) for s in ALL_SETUPS}
-        sequences = tuple(
-            SequenceSpec(setup=s, n_trials=n_per[s], seed=sequence_seed(master_seed, s))
-            for s in ALL_SETUPS
-        )
-        return cls(gamma=gamma, lines=lines, sequences=sequences, master_seed=master_seed).validate()
+        return cls(gamma, lines, tuple(int(n_trials.get(s, 0)) for s in ALL_SETUPS), master_seed).validate()
 
     def validate(self) -> "CampaignPlan":
         check_seed(self.master_seed)
-        seen: dict[str, SequenceSpec] = {}
-        for spec in self.sequences:
-            spec.validate()
-            if spec.setup in seen:
-                raise PlanError(f"duplicate sequence for setup {spec.setup!r}")
-            seen[spec.setup] = spec
-        missing = [s for s in TWO_STOP_SETUPS if s not in seen]
-        if missing:
-            raise PlanError(f"plan is missing two-stop setups {missing!r}")
+        counts = self.trials if isinstance(self.trials, tuple) else ()
+        if len(counts) != len(ALL_SETUPS) or any(_not_a_count(n) or n < 0 for n in counts):
+            raise PlanError(f"trials must be one nonnegative integer per setup of {ALL_SETUPS}, got {self.trials!r}")
         return self
 
 
@@ -462,6 +457,7 @@ class EstimateReport:
 
     gamma: float
     master_seed: int
+    #: Every setup, in ALL_SETUPS order.
     results: dict[str, SequenceResult]
     frequencies: SettingFrequencies
     #: None when some two-stop sequence ran zero trials.
@@ -474,15 +470,13 @@ class EstimateReport:
 def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
     plan.validate()
-    live = [spec.setup for spec in plan.sequences if spec.n_trials > 0]
+    sequences = plan.sequences
+    live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
     results: dict[str, SequenceResult] = {}
-    for spec in plan.sequences:
+    for spec in sequences:
         config = config_for_setup(plan.lines, plan.gamma, spec.setup)
         results[spec.setup] = run_sequence(config, spec, _shared_lookup=lookups.get(spec.setup))
-    for setup in ALL_SETUPS:
-        if setup not in results:
-            results[setup] = SequenceResult(setup=setup, n_trials=0, counts={k: 0 for k in COUNT_KEYS})
 
     two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
     total = sum(two_stop_n)
@@ -492,12 +486,6 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
 
     table: ConditionalTable | None = None
     if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):
-        ordered = [results[s] for s in ALL_SETUPS]
-        table = _table([[r.counts[cell] / r.n_trials for cell in CELLS] if r.n_trials > 0 else None for r in ordered])
-    return EstimateReport(
-        gamma=plan.gamma,
-        master_seed=plan.master_seed,
-        results=results,
-        frequencies=freqs,
-        table=table,
-    )
+        rows = [[r.counts[cell] / r.n_trials for cell in CELLS] if r.n_trials > 0 else None for r in results.values()]
+        table = _table(rows)
+    return EstimateReport(plan.gamma, plan.master_seed, results, freqs, table)

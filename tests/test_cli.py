@@ -15,6 +15,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,19 @@ class TestReports:
         with pytest.raises(ConfigError, match=f"^workers must be at least 1, got {workers}$"):
             cmd_demo(GAMMA, THETA, trials=1000, workers=workers)
 
+    @pytest.mark.parametrize("name", ["trials", "workers"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 2.0, "2", None])
+    def test_demo_rejects_non_integer_counts(self, name, value):
+        # as parse_config does: True used to run as 1 worker, and as a trial
+        # count it ended in a PlanError naming it once per setup
+        counts = {"trials": 1000, "workers": 1, name: value}
+        with pytest.raises(ConfigError, match=f"^{name}: expected an integer, got {re.escape(repr(value))}$"):
+            cmd_demo(GAMMA, THETA, **counts)
+
+    def test_demo_accepts_numpy_integer_counts(self):
+        numpy_counts = cmd_demo(GAMMA, THETA, trials=np.int64(1000), workers=np.int64(2))
+        assert render_report(numpy_counts) == render_report(cmd_demo(GAMMA, THETA, trials=1000))
+
     def test_csv_rendering(self):
         text = render_report(cmd_exact(GAMMA, THETA), "csv")
         lines = text.splitlines()
@@ -340,6 +354,15 @@ class TestSweep:
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ConfigError):
             cmd_sweep((0.5, 1.5), (0.1, 0.4), 0, io.StringIO())
+
+    @pytest.mark.parametrize("steps", [True, 2.5, 3.0, "3", None])
+    def test_rejects_non_integer_steps(self, steps):
+        # True used to write a one-point grid, and 2.5 ended in a TypeError
+        # from np.linspace
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match=f"^steps: expected an integer, got {re.escape(repr(steps))}$"):
+            cmd_sweep((0.5, 1.5), (0.1, 0.4), steps, out)
+        assert out.getvalue() == ""
 
 
 class TestChecksAndExitCodes:

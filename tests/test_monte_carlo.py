@@ -738,22 +738,40 @@ class TestCampaignPlan:
 
     def test_numpy_integer_counts_accepted(self):
         plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=np.int64(3))
+        assert plan.trials == (3,) * 8
         assert [s.n_trials for s in plan.sequences] == [3] * 8
         assert all(type(s.n_trials) is int for s in plan.sequences)
 
-    def test_missing_two_stop_setup_rejected(self):
-        sequences = tuple(
-            SequenceSpec(setup=s, n_trials=1, seed=0) for s in ALL_SETUPS if s != "a'b"
-        )
-        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
-        with pytest.raises(PlanError, match="missing two-stop"):
-            plan.validate()
+    def test_hand_built_plan_equals_from_params(self):
+        # every sequence seed derives from the printed master seed, so a
+        # hand-built plan reproduces the report of from_params
+        plan = CampaignPlan(GAMMA, FIG2, (10_000,) * 8, 0)
+        reference = CampaignPlan.from_params(GAMMA, FIG2, n_trials=10_000, master_seed=0)
+        assert plan == reference
+        assert plan.sequences == reference.sequences
+        assert [(s.setup, s.seed) for s in plan.sequences] == [(s, sequence_seed(0, s)) for s in ALL_SETUPS]
+        report, expected = run_campaign(plan), run_campaign(reference)
+        assert list(report.results) == list(expected.results) == list(ALL_SETUPS)
+        assert report.results == expected.results
+        assert report.master_seed == 0
 
-    def test_duplicate_setup_rejected(self):
-        sequences = tuple(SequenceSpec(setup="ab", n_trials=1, seed=0) for _ in range(2))
-        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
-        with pytest.raises(PlanError, match="duplicate"):
+    @pytest.mark.parametrize(
+        "trials",
+        [(1,) * 7, (1,) * 9, (1, 1, 1, -1, 1, 1, 1, 1), (1, True, 1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1, 2.0),
+         [1] * 8, 8, None],
+        ids=["seven", "nine", "negative", "bool", "float", "list", "int", "none"],
+    )
+    def test_validate_rejects_bad_counts(self, trials):
+        plan = CampaignPlan(GAMMA, FIG2, trials, 0)
+        message = f"trials must be one nonnegative integer per setup of {ALL_SETUPS!r}, got {trials!r}"
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
             plan.validate()
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            run_campaign(plan)
+
+    def test_negative_count_by_setup_rejected(self):
+        with pytest.raises(PlanError, match="nonnegative"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials={"ab": 1, "ab'": 1, "a'b": 1, "a'b'": -1})
 
     def test_negative_trials_rejected(self):
         with pytest.raises(PlanError, match="nonnegative"):
@@ -777,10 +795,10 @@ class TestCampaignPlan:
         with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials=10, master_seed=seed)
 
-    def test_hand_built_plan_checks_its_sequences(self):
-        sequences = tuple(SequenceSpec(setup=s, n_trials=1, seed=2**64 if s == "a'b" else 0) for s in ALL_SETUPS)
-        plan = CampaignPlan(gamma=GAMMA, lines=FIG2, sequences=sequences, master_seed=0)
-        with pytest.raises(PlanError, match="0 <= seed < 2"):
+    @pytest.mark.parametrize("seed", [2**64, -1, True])
+    def test_hand_built_plan_checks_its_master_seed(self, seed):
+        plan = CampaignPlan(GAMMA, FIG2, (1,) * 8, seed)
+        with pytest.raises(PlanError, match="^seed must"):
             run_campaign(plan)
 
 
@@ -797,8 +815,11 @@ class TestRunCampaign:
         report = run_campaign(plan)
         f = report.frequencies
         assert (f.ab, f.abp, f.apb, f.apbp) == (0.5, 0.25, 0.25, 0.0)
-        # a setup that never ran yields no conditional table at all
+        # a setup that never ran yields no conditional table at all, but
+        # keeps its place in the results
         assert report.table is None
+        assert list(report.results) == list(ALL_SETUPS)
+        assert report.results["a'b'"].n_trials == 0
         assert "a'b'" not in report.estimates()
 
     def test_all_trials_zero_is_an_error(self):
