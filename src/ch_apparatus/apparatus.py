@@ -16,8 +16,9 @@ run_trial is the one-row run_trials, as a TrialOutcome.
 
 It owns the bookkeeping the other modules read: the setup labels, whose
 TWO_STOP_SETUPS order is also the order of the settings and their
-frequencies, each setup's stop lines (_SETUP_LINES), and the stop cells
-(CELLS, in the order of TrialBatch.stop_cells).
+frequencies, each setup's stop lines (_SETUP_LINES), the stop cells
+(CELLS, in the order of TrialBatch.stop_cells), and the integer rule for
+counts and seeds (_not_a_count).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -123,6 +125,12 @@ class ApparatusConfig:
     gamma: float | None = None
     stops: StopPlacement = StopPlacement()
     _validated: bool = field(default=False, compare=False, repr=False)
+
+
+def _not_a_count(n: object) -> bool:
+    """Whether n cannot be a count, an index or a seed: a bool is an int to
+    Python."""
+    return isinstance(n, bool) or not isinstance(n, Integral)
 
 
 def _on_circle(x: float) -> bool:

@@ -4,6 +4,9 @@ Subcommands: demo (full pipeline on one configuration), exact (no Monte
 Carlo), simulate (campaign driven by a JSON config file), sweep (CSV scan
 over gamma and theta), check (internal cross-validation suite).  Exit codes:
 0 success, 1 usage or configuration error, 2 internal consistency failure.
+
+A simulate config parses to an ExperimentConfig that holds its CampaignPlan;
+demo builds the same from its flags, and both reports run that plan.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .apparatus import (
     ConfigError,
     EngravedLines,
     LINE_NAMES,
+    _not_a_count,
     config_for_setup,
     fig2_lines,
     unmodified_config,
@@ -68,7 +72,6 @@ from .monte_carlo import (
     CampaignPlan,
     EstimateReport,
     PlanError,
-    _not_a_count,
     check_seed,
     kinematic_counts,
     phi_samples,
@@ -97,13 +100,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated contents of a JSON experiment description."""
+    """Validated contents of a JSON experiment description: the campaign
+    plan, and how to analyse and report it."""
 
-    gamma: float
+    plan: CampaignPlan
     theta: float | None
-    lines: EngravedLines
-    trials: dict[str, int]
-    seed: int
     frequencies: SettingFrequencies | None  # None means: use empirical frequencies
     out_format: str
     out_path: str | None
@@ -245,16 +246,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 _fail("output.path", f"expected a string, got {out['path']!r}")
             out_path = out["path"]
 
-    return ExperimentConfig(
-        gamma=gamma,
-        theta=theta,
-        lines=lines,
-        trials=trials,
-        seed=seed,
-        frequencies=frequencies,
-        out_format=out_format,
-        out_path=out_path,
-    )
+    plan = CampaignPlan(gamma, lines, tuple(trials[s] for s in ALL_SETUPS), seed)
+    return ExperimentConfig(plan, theta, frequencies, out_format, out_path)
 
 
 def _table_json(table: ConditionalTable) -> dict[str, Any]:
@@ -300,7 +293,7 @@ def _estimates_json(campaign: EstimateReport) -> dict[str, Any]:
             entry["estimates"] = {key: e._asdict() for key, e in result.estimates().items()}
         per_setup[setup] = entry
     return {
-        "master_seed": campaign.master_seed,
+        "master_seed": campaign.plan.master_seed,
         "empirical_frequencies": campaign.frequencies.as_dict(),
         "per_setup": per_setup,
     }
@@ -397,21 +390,21 @@ def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
 
 def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], ConditionalTable]:
     """The simulate report of a config and the arc-measure table it was built from."""
-    exact = conditional_table(config.lines, config.gamma)
-    plan = CampaignPlan.from_params(config.gamma, config.lines, n_trials=config.trials, master_seed=config.seed)
+    plan = config.plan
+    exact = conditional_table(plan.lines, plan.gamma)
     campaign = run_campaign(plan)
     freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
     mc_table = campaign.table
     # the naive analysis needs all eight entries
     mc_complete = mc_table is not None and None not in mc_table.singles.values()
-    report = _base_report("simulate", config.gamma, config.theta, config.lines)
+    report = _base_report("simulate", plan.gamma, config.theta, plan.lines)
     report["frequencies_source"] = "explicit" if config.frequencies is not None else "empirical"
     report["tables"] = {
         "exact": _table_json(exact),
         "monte_carlo": _table_json(mc_table) if mc_table is not None else None,
     }
     if config.theta is not None:
-        report["tables"]["closed_form"] = _table_json(closed_form_fig2(config.gamma, config.theta))
+        report["tables"]["closed_form"] = _table_json(closed_form_fig2(plan.gamma, config.theta))
     report["estimates"] = _estimates_json(campaign)
     report["analysis"] = {
         "exact": _analysis_json(analyze(exact, freqs)),
@@ -441,11 +434,8 @@ def cmd_demo(
     closed = closed_form_fig2(gamma, theta)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    config = ExperimentConfig(
-        gamma=gamma, theta=theta, lines=fig2_lines(gamma, theta), trials={s: trials for s in ALL_SETUPS},
-        seed=seed, frequencies=SettingFrequencies.uniform(), out_format="json", out_path=None,
-    )
-    report, exact = _campaign_report(config)
+    plan = CampaignPlan.from_params(gamma, fig2_lines(gamma, theta), n_trials=trials, master_seed=seed)
+    report, exact = _campaign_report(ExperimentConfig(plan, theta, SettingFrequencies.uniform(), "json", None))
     report["command"] = "demo"
     del report["frequencies_source"]
     report["consistency"]["closed_vs_exact_max_abs"] = _closed_vs_exact(closed, exact)
@@ -696,7 +686,7 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
         config = config_for_setup(demo_lines, demo_gamma, spec.setup)
         cuts = [0, *sorted(rng.integers(1, n, 3).tolist()), n]
         pieces = sum(kinematic_counts(config, phi_samples(spec.seed, lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-        if list(run_sequence(config, spec).counts.values()) != pieces.tolist():
+        if list(run_sequence(demo_lines, demo_gamma, spec).counts.values()) != pieces.tolist():
             mismatched.append(spec.setup)
     detail = f"counts differ for setups {mismatched}" if mismatched else "map counts equal kinematic counts"
     record("mc-chunk-split", not mismatched, f"{detail} on {n} trials per setup, cut at 3 seeded points")

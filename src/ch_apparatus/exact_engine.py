@@ -52,6 +52,7 @@ from .apparatus import (
     ConfigError,
     EngravedLines,
     TrialBatch,
+    _not_a_count,
     config_for_setup,
     fig2_lines,
     run_setups,
@@ -250,8 +251,8 @@ def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -
     The grid phi_k = 2*pi*(k + 1/2)/n avoids the breakpoint angles, so the
     frequency converges to the arc measure at rate 1/n.
     """
-    if n_points < 1:
-        raise ValueError(f"need at least one grid point, got {n_points}")
+    if _not_a_count(n_points) or n_points < 1:
+        raise ValueError(f"need an integer number of grid points >= 1, got {n_points!r}")
     hits = 0
     chunk = 1 << 20
     for start in range(0, n_points, chunk):

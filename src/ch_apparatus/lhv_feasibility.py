@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS
+from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS, _not_a_count
 from .exact_engine import ConsistencyError
 from .simplex import solve_lp
 
@@ -224,8 +224,8 @@ def pr_box_table(variant: int = 0) -> BehaviorTable:
     Demo plumbing for the feasibility routines.  The eight variants add the
     affine terms alpha.x, beta.y and a global flip.
     """
-    if not 0 <= variant < 8:
-        raise ValueError(f"variant must be in 0..7, got {variant}")
+    if _not_a_count(variant) or not 0 <= variant < 8:
+        raise ValueError(f"variant must be an integer in 0..7, got {variant!r}")
     alpha = (variant >> 2) & 1
     beta = (variant >> 1) & 1
     flip = variant & 1

@@ -1,5 +1,9 @@
 """Seeded trial campaigns over the eight stop setups.
 
+A campaign is stated once, as a CampaignPlan: engraving, gamma, trials per
+setup and the master seed every sequence seed derives from.  A sequence runs
+with the stops its setup label names, and a report holds the plan it ran.
+
 Start angles come from a counter-based generator, SplitMix64 (Steele, Lea &
 Flood 2014): trial i of a sequence is a pure function of (seed, i), so any
 index range can be generated on its own and a campaign is bitwise
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,10 +38,9 @@ from .apparatus import (
     TWO_STOP_SETUPS,
     ApparatusConfig,
     EngravedLines,
-    _is_line,
+    _not_a_count,
     config_for_setup,
     run_trials,
-    setup_stops,
 )
 from .circle_geometry import TWO_PI
 from .exact_engine import (
@@ -115,7 +117,7 @@ def _steps(n: int) -> np.ndarray:
 def _states(seed: int, start: int, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Unmixed generator states of trial indices start, start + 1, ... (one
     per entry of steps) into out: (index + 1) * golden gamma + seed."""
-    offset = ((start + 1) * int(_GOLDEN) + seed) & _MASK64
+    offset = ((int(start) + 1) * int(_GOLDEN) + int(seed)) & _MASK64
     return np.add(steps, np.uint64(offset), out=out)
 
 
@@ -162,10 +164,12 @@ def phi_samples(seed: int, start: int, stop: int) -> np.ndarray:
     """Uniform start angles for trial indices [start, stop).
 
     Pure function of (seed, index): the counter stream can be cut at any
-    point without changing a single value.
+    point without changing a single value.  The seed follows check_seed, and
+    start and stop are integers.
     """
-    if not 0 <= start <= stop:
-        raise ValueError(f"bad index range [{start}, {stop})")
+    check_seed(seed)
+    if _not_a_count(start) or _not_a_count(stop) or not 0 <= start <= stop:
+        raise ValueError(f"bad index range [{start!r}, {stop!r})")
     z = _states(seed, start, _steps(stop - start), np.empty(stop - start, dtype=np.uint64))
     tmp = np.empty_like(z)
     _mix64(z, tmp)
@@ -187,11 +191,14 @@ def check_seed(seed: int) -> int:
 
 
 def sequence_seed(master_seed: int, setup: str) -> int:
-    """Per-sequence seed derived from the master seed and the setup's slot."""
-    slot = ALL_SETUPS.index(setup)
-    z = np.array([master_seed & _MASK64], dtype=np.uint64)
+    """Per-sequence seed derived from the master seed, which follows
+    check_seed, and the setup's slot."""
+    check_seed(master_seed)
+    if setup not in ALL_SETUPS:
+        raise PlanError(f"unknown setup label {setup!r}")
+    z = np.array([master_seed], dtype=np.uint64)
     z *= _GOLDEN
-    z += np.uint64(slot + 1)
+    z += np.uint64(ALL_SETUPS.index(setup) + 1)
     return int(_mix64(z, np.empty_like(z))[0])
 
 
@@ -210,11 +217,6 @@ class SequenceSpec:
             raise PlanError(f"n_trials must be a nonnegative integer, got {self.n_trials!r}")
         check_seed(self.seed)
         return self
-
-
-def _not_a_count(n: object) -> bool:
-    """Whether n cannot be a count or a seed: a bool is an int to Python."""
-    return isinstance(n, bool) or not isinstance(n, Integral)
 
 
 @dataclass(frozen=True)
@@ -418,23 +420,18 @@ class _Tally:
 
 
 def run_sequence(
-    config: ApparatusConfig, spec: SequenceSpec, *, _shared_lookup: _Lookup | None = None
+    lines: EngravedLines, gamma: float, spec: SequenceSpec, *, _shared_lookup: _Lookup | None = None
 ) -> SequenceResult:
-    """Run one sequence.
+    """Run one sequence on the engraving, with the stops spec.setup names.
 
     Trials are binned in fixed-size index chunks, in chunk order, through
     one pair of buffers, into a _Tally of fixed size counted at the end.
-    The lookup comes from run_campaign, or else is built from config's own
-    partition before any chunk runs; a ConsistencyError from it means the
-    configuration breaks the exact engine's breakpoint assumption.  The
-    counts carry spec.setup's label, so config's stops must be the ones it
-    names, within EPS_ANGLE as validate_config allows, or PlanError is raised.
+    The lookup comes from run_campaign, or else is built from the setup's
+    own partition before any chunk runs; a ConsistencyError from it means
+    the configuration breaks the exact engine's breakpoint assumption.
     """
     spec.validate()
-    named = setup_stops(config.lines, spec.setup)
-    pairs = ((config.stops.left, named.left), (config.stops.right, named.right))
-    if not all(x is y or None not in (x, y) and _is_line(x, (y,)) for x, y in pairs):
-        raise PlanError(f"config stops {config.stops!r} are not the stops {named!r} of setup {spec.setup!r}")
+    config = config_for_setup(lines, gamma, spec.setup)
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
@@ -453,10 +450,10 @@ def run_sequence(
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Campaign summary: per-setup counts and estimates, plus derived tables."""
+    """Campaign summary: the plan it ran, per-setup counts and estimates,
+    plus derived tables."""
 
-    gamma: float
-    master_seed: int
+    plan: CampaignPlan
     #: Every setup, in ALL_SETUPS order.
     results: dict[str, SequenceResult]
     frequencies: SettingFrequencies
@@ -473,10 +470,10 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
-    results: dict[str, SequenceResult] = {}
-    for spec in sequences:
-        config = config_for_setup(plan.lines, plan.gamma, spec.setup)
-        results[spec.setup] = run_sequence(config, spec, _shared_lookup=lookups.get(spec.setup))
+    results = {
+        spec.setup: run_sequence(plan.lines, plan.gamma, spec, _shared_lookup=lookups.get(spec.setup))
+        for spec in sequences
+    }
 
     two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
     total = sum(two_stop_n)
@@ -488,4 +485,4 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
     if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):
         rows = [[r.counts[cell] / r.n_trials for cell in CELLS] if r.n_trials > 0 else None for r in results.values()]
         table = _table(rows)
-    return EstimateReport(plan.gamma, plan.master_seed, results, freqs, table)
+    return EstimateReport(plan, results, freqs, table)

@@ -15,6 +15,7 @@ import numpy as np
 from ch_apparatus.apparatus import (
     EngravedLines,
     fig2_config,
+    fig2_lines,
     unmodified_config,
 )
 from ch_apparatus.circle_geometry import TWO_PI
@@ -105,9 +106,8 @@ def test_criterion_02_demo_single_stop_conditionals():
     sigma = math.sqrt((1 / 12) * (11 / 12) / n)
     worst_pull = 0.0
     for setup in ("a", "a'", "b", "b'"):
-        config = fig2_config(GAMMA, THETA, setup)
         spec = SequenceSpec(setup=setup, n_trials=n, seed=sequence_seed(SEED, setup))
-        result = run_sequence(config, spec)
+        result = run_sequence(fig2_lines(GAMMA, THETA), GAMMA, spec)
         key = "left_stop" if setup.startswith("a") else "right_stop"
         worst_pull = max(worst_pull, abs(result.counts[key] / n - 1 / 12) / sigma)
     elapsed = time.perf_counter() - started

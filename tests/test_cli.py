@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ch_apparatus import cli, simplex
-from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError
+from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError, EngravedLines, fig2_lines
 from ch_apparatus.cli import (
     SCHEMA,
     SWEEP_HEADER,
@@ -36,6 +36,7 @@ from ch_apparatus.cli import (
 )
 from ch_apparatus.exact_engine import ConsistencyError
 from ch_apparatus.inequality_analysis import SettingFrequencies
+from ch_apparatus.monte_carlo import CampaignPlan
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -51,16 +52,16 @@ class TestParseConfig:
     def test_shorthand_expands_to_lines(self, tmp_path):
         path = write_config(tmp_path, {"apparatus": {"gamma": GAMMA, "theta": THETA}})
         config = parse_config(path)
-        assert config.gamma == GAMMA
+        assert config.plan.gamma == GAMMA
         assert config.theta == THETA
-        assert config.lines.A == pytest.approx(GAMMA + THETA, abs=1e-12)
-        assert config.lines.B_prime == 0.0
+        assert config.plan.lines.A == pytest.approx(GAMMA + THETA, abs=1e-12)
+        assert config.plan.lines.B_prime == 0.0
 
     def test_defaults(self, tmp_path):
         path = write_config(tmp_path, {"apparatus": {"gamma": GAMMA, "theta": THETA}})
         config = parse_config(path)
-        assert config.trials == {s: 10**6 for s in ALL_SETUPS}
-        assert config.seed == 0
+        assert config.plan.trials == (10**6,) * len(ALL_SETUPS)
+        assert config.plan.master_seed == 0
         assert config.frequencies == SettingFrequencies.uniform()
         assert config.out_format == "json"
         assert config.out_path is None
@@ -74,7 +75,7 @@ class TestParseConfig:
         }
         config = parse_config(write_config(tmp_path, payload))
         assert config.theta is None
-        assert config.lines.A == 1.5
+        assert config.plan.lines.A == 1.5
 
     def test_empirical_frequencies(self, tmp_path):
         payload = {
@@ -97,9 +98,27 @@ class TestParseConfig:
             "campaign": {"trials": {"ab": 10, "ab'": 10, "a'b": 10, "a'b'": 10}, "seed": 5},
         }
         config = parse_config(write_config(tmp_path, payload))
-        assert config.trials["ab"] == 10
-        assert config.trials["a"] == 0
-        assert config.seed == 5
+        assert config.plan.trials == (10, 10, 10, 10, 0, 0, 0, 0)
+        assert config.plan.master_seed == 5
+
+    @pytest.mark.parametrize(
+        "campaign, n_trials, seed",
+        [
+            ({}, 10**6, 0),
+            ({"trials": 7, "seed": 3}, 7, 3),
+            ({"trials": {"ab": 2, "a'b'": 1, "b": 4}, "seed": 2**64 - 1}, {"ab": 2, "a'b'": 1, "b": 4}, 2**64 - 1),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "apparatus, lines",
+        [({"theta": THETA}, fig2_lines(GAMMA, THETA)),
+         ({"lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}}, EngravedLines(1.5, 1.0, 0.5, 0.0))],
+        ids=["theta", "lines"],
+    )
+    def test_plan_equals_from_params(self, tmp_path, apparatus, lines, campaign, n_trials, seed):
+        payload = {"apparatus": {"gamma": GAMMA, **apparatus}, "campaign": campaign}
+        config = parse_config(write_config(tmp_path, payload))
+        assert config.plan == CampaignPlan.from_params(GAMMA, lines, n_trials=n_trials, master_seed=seed)
 
     @pytest.mark.parametrize(
         "payload, fragment",
@@ -460,7 +479,7 @@ class TestInputValidation:
 
     def test_largest_seed_is_accepted(self, tmp_path):
         payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 1000, "seed": 2**64 - 1}}
-        assert parse_config(write_config(tmp_path, payload)).seed == 2**64 - 1
+        assert parse_config(write_config(tmp_path, payload)).plan.master_seed == 2**64 - 1
 
     @pytest.mark.parametrize("flag", ["--gamma-min", "--gamma-max", "--theta-min", "--theta-max"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -159,6 +159,19 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             grid_oracle(config, lines_crossed("A"), 0)
 
+    @pytest.mark.parametrize("n_points", [True, False, 2.0, 1.5, "10", None])
+    def test_rejects_non_integer_grid(self, n_points):
+        # True used to return 0.0 from one grid point, and a float ended in a
+        # TypeError from range()
+        config = fig2_config(GAMMA, THETA, "ab")
+        message = f"need an integer number of grid points >= 1, got {n_points!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            grid_oracle(config, lines_crossed("A"), n_points)
+
+    def test_numpy_integer_grid_accepted(self):
+        config = fig2_config(GAMMA, THETA, "ab")
+        assert grid_oracle(config, lines_crossed("A"), np.int64(1000)) == grid_oracle(config, lines_crossed("A"), 1000)
+
 
 gammas = st.floats(min_value=0.2, max_value=5.5, allow_nan=False)
 ratios = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)

@@ -10,6 +10,7 @@ Reference points used throughout:
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestNoSignaling:
     def test_pr_box_does_not_signal(self):
         for variant in range(8):
             assert no_signaling_deviation(pr_box_table(variant)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", [True, False, 1.0, 1.5, "1", None, -1, 8])
+    def test_pr_box_variant_must_be_an_integer_in_range(self, variant):
+        # True used to build variant 1, and a float ended in a TypeError
+        message = f"variant must be an integer in 0..7, got {variant!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pr_box_table(variant)
+
+    def test_pr_box_numpy_integer_variant_accepted(self):
+        assert pr_box_table(np.int64(5)) == pr_box_table(5)
 
     def test_random_generator_respects_no_signaling(self):
         rng = np.random.default_rng(5)

@@ -17,18 +17,13 @@ from hypothesis import strategies as st
 from ch_apparatus import exact_engine
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
-    MODIFIED,
     TWO_STOP_SETUPS,
-    ApparatusConfig,
     ConfigError,
     EngravedLines,
-    StopPlacement,
     config_for_setup,
     fig2_config,
     fig2_lines,
     run_trials,
-    unmodified_config,
-    validate_config,
 )
 from ch_apparatus.circle_geometry import TWO_PI, normalize
 from ch_apparatus.exact_engine import (
@@ -130,6 +125,30 @@ class TestPhiSamples:
         with pytest.raises(ValueError):
             phi_samples(0, 5, 3)
 
+    @pytest.mark.parametrize("start, stop", [(0, 3.0), (0.0, 3), (1.5, 3), (True, 3), (0, True), ("0", 3), (0, None)])
+    def test_bounds_must_be_integers(self, start, stop):
+        # a float used to end in a numpy TypeError, and True ran as index 1
+        message = f"bad index range [{start!r}, {stop!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            phi_samples(0, start, stop)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 2**64 + 3])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 used to sample the angles of seed 0, and -1 those of 2**64 - 1
+        with pytest.raises(PlanError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
+            phi_samples(seed, 0, 3)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # True used to run as seed 1
+        with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            phi_samples(seed, 0, 3)
+
+    def test_numpy_integer_seed_and_bounds_accepted(self):
+        # numpy bounds past the first chunk used to overflow in the counter offset
+        got = phi_samples(np.uint64(42), np.int64(70_000), np.int64(70_004))
+        assert np.array_equal(got, phi_samples(42, 70_000, 70_004))
+
     def test_matches_pure_python_splitmix64(self):
         seed = sequence_seed(3, "a'b")
         expected = angle(oracle_outputs(seed, 5, 200_003))
@@ -156,6 +175,27 @@ class TestPhiSamples:
         seeds = {sequence_seed(0, s) for s in ALL_SETUPS}
         assert len(seeds) == len(ALL_SETUPS)
         assert sequence_seed(0, "ab") == 6238072747940578789
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_sequence_seed_rejects_master_seed_outside_64_bits(self, seed):
+        # 2**64 used to give the sequence seed of master seed 0
+        with pytest.raises(PlanError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
+            sequence_seed(seed, "ab")
+
+    @pytest.mark.parametrize("seed", [1.5, True, 1.0, None])
+    def test_sequence_seed_master_seed_must_be_an_integer(self, seed):
+        # 1.5 used to end in a TypeError from &, and True ran as seed 1
+        with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            sequence_seed(seed, "ab")
+
+    @pytest.mark.parametrize("setup", ["xy", "A", ""])
+    def test_sequence_seed_rejects_unknown_setup(self, setup):
+        # used to end in a bare ValueError from tuple.index
+        with pytest.raises(PlanError, match=f"^unknown setup label {re.escape(repr(setup))}$"):
+            sequence_seed(0, setup)
+
+    def test_sequence_seed_numpy_integer_accepted(self):
+        assert sequence_seed(np.uint64(2**64 - 1), "b'") == sequence_seed(2**64 - 1, "b'")
 
 
 class TestEstimate:
@@ -272,9 +312,8 @@ class TestWilsonCoverage:
 
 class TestRunSequence:
     def test_counts_are_consistent(self):
-        config = fig2_config(GAMMA, THETA, "ab")
         spec = SequenceSpec(setup="ab", n_trials=50_000, seed=123)
-        result = run_sequence(config, spec)
+        result = run_sequence(FIG2, GAMMA, spec)
         c = result.counts
         assert set(c) == set(COUNT_KEYS)
         assert c["11"] + c["10"] + c["01"] + c["00"] == 50_000
@@ -287,8 +326,7 @@ class TestRunSequence:
     def test_frozen_counts(self):
         # pins which event feeds which key: a swap of the 10 and 01 cells
         # still passes test_counts_are_consistent
-        config = fig2_config(GAMMA, THETA, "ab'")
-        result = run_sequence(config, SequenceSpec(setup="ab'", n_trials=200_000, seed=77))
+        result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab'", n_trials=200_000, seed=77))
         assert result.counts == {
             "11": 0,
             "10": 16689,
@@ -305,32 +343,12 @@ class TestRunSequence:
     def test_chunks_count_the_oracle_stream(self):
         # three whole chunks and a tail, each from its own counter offset
         config = fig2_config(GAMMA, THETA, "a'b'")
-        result = run_sequence(config, SequenceSpec(setup="a'b'", n_trials=200_003, seed=2**64 - 5))
+        result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="a'b'", n_trials=200_003, seed=2**64 - 5))
         expected = kinematic_reference(config, angle(oracle_outputs(2**64 - 5, 0, 200_003)))
         assert list(result.counts.values()) == expected
 
-    @pytest.mark.parametrize(
-        "stops, setup", [("ab", "a'b'"), ("ab", "a"), ("a", "ab"), ("a", "a'"), ("b'", "a"), (None, "ab")]
-    )
-    def test_config_must_have_the_stops_of_the_setup(self, stops, setup):
-        # the counts of config's stops used to be labelled with any setup;
-        # None is the unmodified device, which has no stops
-        lines = fig2_lines(GAMMA, THETA)
-        config = unmodified_config(lines, GAMMA) if stops is None else config_for_setup(lines, GAMMA, stops)
-        with pytest.raises(PlanError, match=rf"^config stops .* are not the stops .* of setup {re.escape(repr(setup))}$"):
-            run_sequence(config, SequenceSpec(setup=setup, n_trials=10_000, seed=5))
-
-    def test_stop_within_eps_angle_of_its_line_has_the_setup(self):
-        # validate_config accepts a stop within EPS_ANGLE of its line
-        config = fig2_config(GAMMA, THETA, "ab")
-        stops = StopPlacement(config.stops.left + 1e-13, config.stops.right)
-        moved = validate_config(ApparatusConfig(mode=MODIFIED, lines=config.lines, gamma=GAMMA, stops=stops))
-        spec = SequenceSpec(setup="ab", n_trials=10_000, seed=5)
-        assert run_sequence(moved, spec) == run_sequence(config, spec)
-
     def test_single_trial(self):
-        config = fig2_config(GAMMA, THETA, "a'b")
-        result = run_sequence(config, SequenceSpec(setup="a'b", n_trials=1, seed=9))
+        result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="a'b", n_trials=1, seed=9))
         assert all(v in (0, 1) for v in result.counts.values())
 
     @pytest.mark.parametrize("seed", [2**64, -1, 2**64 + 7])
@@ -338,12 +356,12 @@ class TestRunSequence:
         # the counter stream keeps the low 64 bits: 2**64 used to return
         # exactly the counts of seed 0, and -1 those of 2**64 - 1
         with pytest.raises(PlanError, match=rf"^seed must satisfy 0 <= seed < 2\*\*64, got {seed}$"):
-            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=50_000, seed=seed))
+            run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=50_000, seed=seed))
 
     @pytest.mark.parametrize("seed", [True, 1.5, 5.0, "5", None])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(PlanError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
-            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=10, seed=seed))
+            run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=10, seed=seed))
 
     @pytest.mark.parametrize("count", [1000.0, True, False, 2.5, "10"])
     def test_trial_count_must_be_an_integer(self, count):
@@ -351,36 +369,35 @@ class TestRunSequence:
         # trial reported as n_trials True
         message = f"n_trials must be a nonnegative integer, got {count!r}"
         with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
-            run_sequence(fig2_config(GAMMA, THETA, "ab"), SequenceSpec(setup="ab", n_trials=count, seed=3))
+            run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=count, seed=3))
 
-    def test_numpy_integer_count_and_seed_accepted(self):
-        config = fig2_config(GAMMA, THETA, "ab")
-        spec = SequenceSpec(setup="ab", n_trials=np.int64(1000), seed=np.uint64(3))
-        assert run_sequence(config, spec).counts == run_sequence(config, SequenceSpec("ab", 1000, 3)).counts
+    @pytest.mark.parametrize("n", [1000, _CHUNK + 1])
+    def test_numpy_integer_count_and_seed_accepted(self, n):
+        # a numpy seed used to overflow in the counter offset of every chunk
+        # but the first
+        spec = SequenceSpec(setup="ab", n_trials=np.int64(n), seed=np.uint64(3))
+        assert run_sequence(FIG2, GAMMA, spec).counts == run_sequence(FIG2, GAMMA, SequenceSpec("ab", n, 3)).counts
 
     def test_zero_trials(self):
-        config = fig2_config(GAMMA, THETA, "ab")
-        result = run_sequence(config, SequenceSpec(setup="ab", n_trials=0, seed=0))
+        result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=0, seed=0))
         assert all(v == 0 for v in result.counts.values())
         with pytest.raises(EstimateError):
             result.estimates()
 
     def test_matches_exact_value_within_5_sigma(self):
         closed = closed_form_fig2(GAMMA, THETA)
-        config = fig2_config(GAMMA, THETA, "ab")
-        result = run_sequence(config, SequenceSpec(setup="ab", n_trials=100_000, seed=20260816))
+        result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=100_000, seed=20260816))
         e = result.estimates()["11"]
         assert abs(e.p_hat - closed.joint["ab"]) <= 5.0 * max(e.stderr, 1e-9)
 
     def test_5_sigma_budget_over_many_seeds(self):
         closed = closed_form_fig2(GAMMA, THETA)
         p = closed.joint["ab"]
-        config = fig2_config(GAMMA, THETA, "ab")
         n = 20_000
         sigma = math.sqrt(p * (1.0 - p) / n)
         outliers = 0
         for seed in range(40):
-            result = run_sequence(config, SequenceSpec(setup="ab", n_trials=n, seed=seed))
+            result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=n, seed=seed))
             if abs(result.counts["11"] / n - p) > 5.0 * sigma:
                 outliers += 1
         assert outliers <= 1, f"{outliers} of 40 seeds outside 5 sigma"
@@ -549,7 +566,7 @@ class TestOutcomeMapCounts:
         assert table.joint["ab'"] == pytest.approx(4.0 / TWO_PI, abs=1e-9)
         for setup in ALL_SETUPS:
             config = config_for_setup(lines, gamma, setup)
-            result = run_sequence(config, SequenceSpec(setup=setup, n_trials=5000, seed=4))
+            result = run_sequence(lines, gamma, SequenceSpec(setup=setup, n_trials=5000, seed=4))
             phis = phi_samples(4, 0, 5000)
             assert list(result.counts.values()) == kinematic_reference(config, phis), setup
 
@@ -575,10 +592,7 @@ def critical_without_half_shifts(config):
 
 def per_sequence_counts(plan):
     """Counts of each sequence of a plan, each run on its own lookup."""
-    return {
-        spec.setup: run_sequence(config_for_setup(plan.lines, plan.gamma, spec.setup), spec).counts
-        for spec in plan.sequences
-    }
+    return {spec.setup: run_sequence(plan.lines, plan.gamma, spec).counts for spec in plan.sequences}
 
 
 # Configurations frozen from the campaign that built one outcome map per
@@ -753,7 +767,7 @@ class TestCampaignPlan:
         report, expected = run_campaign(plan), run_campaign(reference)
         assert list(report.results) == list(expected.results) == list(ALL_SETUPS)
         assert report.results == expected.results
-        assert report.master_seed == 0
+        assert report.plan is plan and expected.plan is reference
 
     @pytest.mark.parametrize(
         "trials",
