@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -813,6 +814,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed early (`sweep | head`), which is not an error; the
+        # rest of stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ConfigError, PlanError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for the one linear program of the package.
+"""Dense one-phase simplex for the one linear program of the package.
 
 The program asks whether a vector v is a convex mixture of the columns of a
 matrix M (d rows, k columns): minimize t subject to
@@ -7,10 +7,17 @@ matrix M (d rows, k columns): minimize t subject to
 
 so its optimum t is the smallest largest residual |M w - v| over the mixture
 weights w.  In standard form the tableau has 2d + 1 rows, the d upper bounds,
-the d lower bounds and the sum, each row negated where its right-hand side is
-negative, and its columns are the k weights, t, one slack per bound row and
-one artificial per row.  Each bound row has its own slack and the sum row is
-nonzero, so no row is ever redundant.
+the d lower bounds and the sum, and its columns are the k weights, t and one
+slack per bound row; there are no artificial columns.
+
+The program is feasible by construction, so the start is built rather than
+searched for.  The slacks start basic in the bound rows, and the sum row is
+pivoted onto the weight of the column e_j nearest v in the largest entry,
+which leaves v - M e_j and M e_j - v as the bound rows' right-hand sides.
+Then t enters at the most negative of them, -max|M e_j - v|, which adds that
+largest residual to every bound row and so leaves every right-hand side
+nonnegative: the start is the feasible vertex w = e_j, t = max|M e_j - v|,
+and one phase with cost t finishes the job.
 
 Bland's rule everywhere, so the method cannot cycle; the programs are tiny
 (tens of rows), so a dense tableau recomputing reduced costs per pivot is
@@ -25,17 +32,16 @@ from typing import NamedTuple
 import numpy as np
 
 _PIVOT_TOL = 1e-10
-_FEAS_TOL = 1e-9
-# Pivots per phase before giving up with "iteration-limit".
+# Pivots before giving up with "iteration-limit".
 _MAX_ITER = 20000
 
 __all__ = ["LpResult", "solve_lp"]
 
 
 class LpResult(NamedTuple):
-    # "optimal"; any other status ("infeasible", "unbounded",
-    # "iteration-limit") can only come from rounding: every mixture with t
-    # its largest residual is feasible, and t is bounded below by 0.
+    # "optimal"; any other status ("unbounded", "iteration-limit") can only
+    # come from rounding: the crash start is feasible, and t is bounded
+    # below by 0.
     status: str
     weights: np.ndarray | None
 
@@ -81,40 +87,24 @@ def solve_lp(matrix: np.ndarray, vector: np.ndarray) -> LpResult:
     entry of |matrix @ w - vector|."""
     d, k = matrix.shape
     bounds = 2 * d
-    art0 = k + 1 + bounds
-    rows = np.zeros((bounds + 1, art0 + bounds + 1))
+    rows = np.zeros((bounds + 1, k + 1 + bounds))
     rows[:d, :k] = matrix
     rows[d:bounds, :k] = -matrix
     rows[:bounds, k] = -1.0
     rows[bounds, :k] = 1.0
-    rows[:bounds, k + 1 : art0] = np.eye(bounds)
+    rows[:bounds, k + 1 :] = np.eye(bounds)
     rhs = np.concatenate([vector, -vector, [1.0]])
-    # sign-normalize so every right-hand side is nonnegative
-    negative = rhs < 0.0
-    rows[negative] *= -1.0
-    rhs[negative] *= -1.0
-    basis = list(range(art0, art0 + bounds + 1))
-    rows[range(bounds + 1), basis] = 1.0
+    # the sum row has no slack; the crash pivot below gives it its column
+    basis = [*range(k + 1, k + 1 + bounds), -1]
+
+    # crash start: the best pure strategy, with t its largest residual
+    best = int(np.abs(matrix - vector[:, None]).max(axis=0).argmin())
+    _pivot(rows, rhs, basis, bounds, best)
+    _pivot(rows, rhs, basis, int(rhs[:bounds].argmin()), k)
 
     cost = np.zeros(rows.shape[1])
-    cost[art0:] = 1.0
-    status = _iterate(rows, rhs, basis, cost)
-    if status != "optimal":
-        return LpResult(status, None)
-    if float(cost[basis] @ rhs) > _FEAS_TOL:
-        return LpResult("infeasible", None)
-    # drive leftover artificials out of the basis; a row with no other entry
-    # would be redundant, which this program's rows never are
-    for i in range(bounds + 1):
-        if basis[i] >= art0:
-            pivots = np.flatnonzero(np.abs(rows[i, :art0]) > _PIVOT_TOL)
-            if not pivots.size:
-                return LpResult("infeasible", None)
-            _pivot(rows, rhs, basis, i, int(pivots[0]))
-
-    cost = np.zeros(art0)
     cost[k] = 1.0
-    status = _iterate(rows[:, :art0], rhs, basis, cost)
+    status = _iterate(rows, rhs, basis, cost)
     if status != "optimal":
         return LpResult(status, None)
     weights = np.zeros(k)

@@ -10,7 +10,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -403,6 +406,26 @@ class TestChecksAndExitCodes:
         assert len(times) == 13 and all(times)
         assert [m.group(1) for m in times] == names
 
+    def test_sweep_into_a_closed_pipe_exits_0(self):
+        # `ch-apparatus sweep --steps 200 | head -n 1`: the reader closes after
+        # the header while megabytes of rows are still to come, which is no
+        # error, so no exit 1 and no "error:" line
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # what the console script runs
+        entry = "import sys; from ch_apparatus.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, "sweep", "--steps", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+        assert first.decode() == SWEEP_HEADER + "\n"
+
     def test_main_demo_writes_file(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -710,10 +733,12 @@ class TestFrozenReports:
                  "--theta-min", "0.01", "--theta-max", "3.1"],
                 "8faad2114d0e5fd2e766af4b8287670b69b2e3f0eea66a38136aef8b206f21f8",
             ),
-            (["exact"], "390e0c4864f3a716e6d2bbfe9c68703c5045ab89c4ad7d68d299b9dd26ed185f"),
-            (["exact", "--format", "csv"], "2ea34929f486188d9f6792a61b7ec1150fc763b07138a31dc455d5ee7cc6e1e0"),
+            # the sweep that a reader closing early cuts short
+            (["sweep", "--steps", "200"], "36d2c53dbc91fd646ab164067956e7807226b65c9f0465dd9a1f6e01999bed05"),
+            (["exact"], "9f7b90d12ef2ef8ec87de01fbee0f51fb96c25363284f260e8341d50b3105573"),
+            (["exact", "--format", "csv"], "3401eeba92f56daebd01529a49b6eadf5c18dce4bb4e40997370081a5236b723"),
         ],
-        ids=["sweep-default", "sweep-wide", "exact-json", "exact-csv"],
+        ids=["sweep-default", "sweep-wide", "sweep-200", "exact-json", "exact-csv"],
     )
     def test_stdout(self, argv, digest, capsys):
         assert main(argv) == 0
@@ -723,9 +748,9 @@ class TestFrozenReports:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "3759ab3d93eded528e939cdadc6e1c990fb04a7cedbed6f8ed69c09ac246d92b"),
-            (7, "c79849f62fcbc77caaebbbed06fcc06ab5ddeefd18982af44d79f15088d46265"),
-            (123, "03debcb90a9ae12bc26552b591de406f27dcdd396d5a8ae5f7a6bae4033ef6dc"),
+            (0, "1e16069c22edcee576b1f07653027c41e1d810e95eff02323578d1fe9be9516d"),
+            (7, "880d24b7456e5f2f989184281b7f85a77613b676fb4f43ade455666a7716a479"),
+            (123, "074572461c00bcefd9fc8f8dcf5285bcd901f44b4480f3da9d5127d038d51697"),
         ],
         ids=["seed0", "seed7", "seed123"],
     )
@@ -734,7 +759,7 @@ class TestFrozenReports:
 
     def test_demo_csv(self):
         text = render_report(cmd_demo(GAMMA, THETA, seed=7, trials=10**6, workers=2), "csv")
-        assert sha256(text) == "c3e7729d001828aaf81d2581c659a372dc1ff5c7def8b235f021df9b34967d2b"
+        assert sha256(text) == "10a12c040b921a1f6f6a765dda27a2bf2ce5b6a0686604940f8d650382908fb9"
 
     @pytest.mark.parametrize(
         "payload, out_format, digest",
@@ -743,9 +768,9 @@ class TestFrozenReports:
             # the workers key is accepted and changes no byte
             (_with_workers(README_CONFIG, 1), "json", README_DIGEST),
             (_with_workers(README_CONFIG, None), "json", README_DIGEST),
-            (LINES_CONFIG, "json", "3f3f2178a1e38ccc5c71cc179343cf84a9e9805103ea10e7b2d94c29e2c51505"),
-            (TWO_STOP_CONFIG, "json", "618514263f42c7f824a8675f9990e7b1eb54d7993079da1076bd5838fdd608dc"),
-            (TWO_STOP_CONFIG, "csv", "45dc2b51a04f2eea9c42274fb47cba1013a9cc212fc8f409b5d6137bf36f63e4"),
+            (LINES_CONFIG, "json", "1f8a5b0aa65473f7a5a8440afaad5836e29eb1dca7cad7822aafd5ccb2a03db9"),
+            (TWO_STOP_CONFIG, "json", "b02db29506a72a925633288a1dbc9018e98bd33208dbcfa9c150d484024287f8"),
+            (TWO_STOP_CONFIG, "csv", "f93c7f2eff0357eae5602c068b4dcc89c2a36ab9eb1f0df96ed82dbb75ef51c3"),
         ],
         ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines", "two-stop-json", "two-stop-csv"],
     )

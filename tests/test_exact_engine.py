@@ -268,6 +268,23 @@ class TestConditionalTable:
         with pytest.raises(ConsistencyError, match="normalize"):
             table.validate()
 
+    @pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)], ids=["past", "inside"])
+    def test_normalization_bound_is_table_tol(self, excess, raises):
+        # TABLE_TOL is 1e-9: a table summing to 1 + 2e-9 is rejected, one at 1 + 5e-10 is not
+        table = ConditionalTable(
+            joint={s: 0.25 for s in ("ab", "ab'", "a'b", "a'b'")},
+            singles={"a": None, "a'": None, "b": None, "b'": None},
+            full_tables={
+                s: {"11": 0.25, "10": 0.25, "01": 0.25, "00": 0.25 + excess}
+                for s in ("ab", "ab'", "a'b", "a'b'")
+            },
+        )
+        if raises:
+            with pytest.raises(ConsistencyError, match="normalize"):
+                table.validate()
+        else:
+            assert table.validate() is table
+
     def test_validate_rejects_joint_mismatch(self):
         full = {s: {"11": 0.2, "10": 0.1, "01": 0.1, "00": 0.6} for s in ("ab", "ab'", "a'b", "a'b'")}
         table = ConditionalTable(

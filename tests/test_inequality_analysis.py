@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ch_apparatus.apparatus import EngravedLines, fig2_config, unmodified_config
-from ch_apparatus.exact_engine import ConditionalTable, closed_form_fig2, conditional_table_exact
+from ch_apparatus.exact_engine import ConditionalTable, ConsistencyError, closed_form_fig2, conditional_table_exact
 from ch_apparatus.inequality_analysis import (
     AnalysisReport,
     ProbabilitySet,
@@ -34,6 +34,7 @@ from ch_apparatus.inequality_analysis import (
     fixed_lambda_check,
     naive_plug,
     reduced_ch_value,
+    _checked_reduced_form,
 )
 
 GAMMA = math.pi / 3.0
@@ -103,6 +104,13 @@ class TestBayes:
         assert bayes["A|B"].value == pytest.approx(0.5)
         assert not bayes["A|B"].exceeds_one
 
+    @pytest.mark.parametrize("den, vanishes", [(1e-16, True), (1e-14, False)], ids=["past", "inside"])
+    def test_denominator_bound_is_denom_tol(self, den, vanishes):
+        # DENOM_TOL is 1e-15: a denominator of 1e-16 counts as zero, one of 1e-14 does not
+        s = ProbabilitySet(ab=0.5 * den, abp=0.0, apb=0.0, apbp=0.1, a=den, ap=0.2, b=0.2, bp=0.2)
+        conditional = bayes_conditionals(s)["B|A"]
+        assert conditional == ((None, False) if vanishes else (0.5, False))
+
     def test_honest_set_not_flagged(self):
         s = ProbabilitySet(ab=0.1, abp=0.1, apb=0.1, apbp=0.1, a=0.25, ap=0.25, b=0.25, bp=0.25)
         assert not any(c.exceeds_one for c in bayes_conditionals(s).values())
@@ -157,6 +165,18 @@ class TestReducedForm:
         reduced = reduced_ch_value(demo_table(), SettingFrequencies.uniform())
         assert reduced == pytest.approx(-1.0 / 48.0, abs=1e-12)
         assert reduced == pytest.approx(-(GAMMA - THETA) / (8.0 * math.pi), abs=1e-12)
+
+    @pytest.mark.parametrize("offset, raises", [(2e-9, True), (5e-10, False)], ids=["past", "inside"])
+    def test_identity_bound_is_identity_tol(self, offset, raises):
+        # IDENTITY_TOL is 1e-9: a corrected CH value 2e-9 from the reduced
+        # form is a consistency failure, one 5e-10 from it is not
+        table, freqs = demo_table(), SettingFrequencies.uniform()
+        reduced = reduced_ch_value(table, freqs)
+        if raises:
+            with pytest.raises(ConsistencyError, match="reduced CH value disagrees"):
+                _checked_reduced_form(table, freqs, reduced + offset)
+        else:
+            assert _checked_reduced_form(table, freqs, reduced + offset)[1] == pytest.approx(offset, rel=1e-6)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=4, max_size=4),
