@@ -5,8 +5,11 @@ Carlo), simulate (campaign driven by a JSON config file), sweep (CSV scan
 over gamma and theta), check (internal cross-validation suite).  Exit codes:
 0 success, 1 usage or configuration error, 2 internal consistency failure.
 
-A simulate config parses to an ExperimentConfig that holds its CampaignPlan;
-demo builds the same from its flags, and both reports run that plan.
+exact, demo and simulate print what one builder, _report, makes of their
+inputs: the arc measures always; the closed form, checked against them, when
+theta is given; a campaign when a CampaignPlan is given.  demo builds its
+plan from its flags, and a simulate config parses to an ExperimentConfig
+that holds one.
 """
 
 from __future__ import annotations
@@ -362,68 +365,58 @@ def _csv_value(value: Any) -> str:
     return str(value)
 
 
-def _base_report(command: str, gamma: float, theta: float | None, lines: EngravedLines) -> dict[str, Any]:
-    apparatus: dict[str, Any] = {"mode": "modified", "gamma": gamma, "lines": asdict(lines)}
+def _report(
+    command: str,
+    gamma: float,
+    theta: float | None,
+    lines: EngravedLines,
+    frequencies: SettingFrequencies | None,
+    plan: CampaignPlan | None = None,
+) -> dict[str, Any]:
+    """The report of one engraving: its arc-measure table, analysis and
+    feasibility; with theta, the closed form, checked against the arc
+    measures before any campaign runs; with plan, the campaign and its
+    distance from the arc measures, analysed at the campaign's empirical
+    frequencies when frequencies is None."""
+    exact = conditional_table(lines, gamma)
+    report: dict[str, Any] = {
+        "schema": SCHEMA,
+        "command": command,
+        "apparatus": {"mode": "modified", "gamma": gamma, "lines": asdict(lines)},
+        "tables": {"exact": _table_json(exact)},
+        "analysis": {},
+        "consistency": {},
+    }
     if theta is not None:
-        apparatus["theta"] = theta
-    return {"schema": SCHEMA, "command": command, "apparatus": apparatus}
-
-
-def _closed_vs_exact(closed: ConditionalTable, exact: ConditionalTable) -> float:
-    diff = _table_difference(closed, exact)
-    if diff > CLOSED_FORM_TOL:
-        raise ConsistencyError(f"closed form and arc measures disagree by {diff!r}")
-    return diff
+        closed = closed_form_fig2(gamma, theta)
+        diff = _table_difference(closed, exact)
+        if diff > CLOSED_FORM_TOL:
+            raise ConsistencyError(f"closed form and arc measures disagree by {diff!r}")
+        report["apparatus"]["theta"] = theta
+        report["tables"]["closed_form"] = _table_json(closed)
+        report["consistency"]["closed_vs_exact_max_abs"] = diff
+    if plan is not None:
+        campaign = run_campaign(plan)
+        mc = campaign.table
+        report["frequencies_source"] = "explicit" if frequencies is not None else "empirical"
+        frequencies = frequencies if frequencies is not None else campaign.frequencies
+        report["estimates"] = _estimates_json(campaign)
+        report["tables"]["monte_carlo"] = _table_json(mc) if mc is not None else None
+        # the naive analysis needs all eight entries
+        complete = mc is not None and None not in mc.singles.values()
+        report["analysis"]["monte_carlo"] = _analysis_json(analyze(mc, frequencies)) if complete else None
+        report["consistency"]["exact_vs_monte_carlo_max_abs"] = _table_difference(exact, mc) if mc is not None else None
+    report["analysis"]["exact"] = _analysis_json(analyze(exact, frequencies))
+    report["feasibility"] = _feasibility_json(exact)
+    return report
 
 
 def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
     """Closed-form and arc-measure tables plus full analysis, no sampling."""
-    closed = closed_form_fig2(gamma, theta)
-    exact = conditional_table_exact(gamma, theta)
-    diff = _closed_vs_exact(closed, exact)
-    report = _base_report("exact", gamma, theta, fig2_lines(gamma, theta))
-    report["tables"] = {"closed_form": _table_json(closed), "exact": _table_json(exact)}
-    report["analysis"] = {"exact": _analysis_json(analyze(exact, SettingFrequencies.uniform()))}
-    report["feasibility"] = _feasibility_json(exact)
-    report["consistency"] = {"closed_vs_exact_max_abs": diff}
-    return report
+    return _report("exact", gamma, theta, fig2_lines(gamma, theta), SettingFrequencies.uniform())
 
 
-def _campaign_report(config: ExperimentConfig) -> tuple[dict[str, Any], ConditionalTable]:
-    """The simulate report of a config and the arc-measure table it was built from."""
-    plan = config.plan
-    exact = conditional_table(plan.lines, plan.gamma)
-    campaign = run_campaign(plan)
-    freqs = config.frequencies if config.frequencies is not None else campaign.frequencies
-    mc_table = campaign.table
-    # the naive analysis needs all eight entries
-    mc_complete = mc_table is not None and None not in mc_table.singles.values()
-    report = _base_report("simulate", plan.gamma, config.theta, plan.lines)
-    report["frequencies_source"] = "explicit" if config.frequencies is not None else "empirical"
-    report["tables"] = {
-        "exact": _table_json(exact),
-        "monte_carlo": _table_json(mc_table) if mc_table is not None else None,
-    }
-    if config.theta is not None:
-        report["tables"]["closed_form"] = _table_json(closed_form_fig2(plan.gamma, config.theta))
-    report["estimates"] = _estimates_json(campaign)
-    report["analysis"] = {
-        "exact": _analysis_json(analyze(exact, freqs)),
-        "monte_carlo": _analysis_json(analyze(mc_table, freqs)) if mc_complete else None,
-    }
-    report["feasibility"] = _feasibility_json(exact)
-    mc_diff = _table_difference(exact, mc_table) if mc_table is not None else None
-    report["consistency"] = {"exact_vs_monte_carlo_max_abs": mc_diff}
-    return report, exact
-
-
-def cmd_demo(
-    gamma: float,
-    theta: float,
-    seed: int = 0,
-    trials: int = 10**6,
-    workers: int = 1,
-) -> dict[str, Any]:
+def cmd_demo(gamma: float, theta: float, seed: int = 0, trials: int = 10**6, workers: int = 1) -> dict[str, Any]:
     """The simulate pipeline on the standard engraving, with equal trials per
     sequence and uniform frequencies, plus the closed-form cross-check.
     ``workers`` must be at least 1 and is otherwise accepted for
@@ -432,20 +425,17 @@ def cmd_demo(
     _check_int(workers, "workers")
     if trials < 1:
         raise ConfigError("demo needs at least one trial per sequence")
-    closed = closed_form_fig2(gamma, theta)
+    lines = fig2_lines(gamma, theta)
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    plan = CampaignPlan.from_params(gamma, fig2_lines(gamma, theta), n_trials=trials, master_seed=seed)
-    report, exact = _campaign_report(ExperimentConfig(plan, theta, SettingFrequencies.uniform(), "json", None))
-    report["command"] = "demo"
-    del report["frequencies_source"]
-    report["consistency"]["closed_vs_exact_max_abs"] = _closed_vs_exact(closed, exact)
-    return report
+    plan = CampaignPlan.from_params(gamma, lines, n_trials=trials, master_seed=seed)
+    return _report("demo", gamma, theta, lines, SettingFrequencies.uniform(), plan)
 
 
 def cmd_simulate(config: ExperimentConfig) -> dict[str, Any]:
     """Campaign and analysis as described by a parsed experiment config."""
-    return _campaign_report(config)[0]
+    plan = config.plan
+    return _report("simulate", plan.gamma, config.theta, plan.lines, config.frequencies, plan)
 
 
 SWEEP_HEADER = "gamma,theta,ch_naive,ch_primed,ch_sum,bayes_max,ch_corrected,naive_violated,corrected_violated"

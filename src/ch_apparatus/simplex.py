@@ -110,5 +110,5 @@ def solve_lp(matrix: np.ndarray, vector: np.ndarray) -> LpResult:
     weights = np.zeros(k)
     for i, b in enumerate(basis):
         if b < k:
-            weights[b] = rhs[i]
+            weights[b] = max(rhs[i], 0.0)
     return LpResult("optimal", weights)

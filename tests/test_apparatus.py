@@ -118,6 +118,14 @@ def test_stop_must_sit_on_a_line():
         validate_config(config)
 
 
+@pytest.mark.parametrize("right", [SQUARE_LINES.A, SQUARE_LINES.A_prime, 0.123])
+def test_right_stop_must_sit_on_b_or_b_prime(right):
+    # a line of the left side is no place for the right stop
+    config = ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0, stops=StopPlacement(right=right))
+    with pytest.raises(ConfigError, match=rf"^right stop must sit on line B or B', got {right!r}$"):
+        validate_config(config)
+
+
 def test_all_violations_reported_together():
     config = ApparatusConfig(
         mode="sideways",

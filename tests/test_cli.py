@@ -6,6 +6,7 @@ consistency failure.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -339,6 +340,63 @@ class TestSimulate:
         # naive analysis needs all eight entries, so the sampled side is absent
         assert report["analysis"]["monte_carlo"] is None
 
+    def test_closed_form_is_checked_before_the_campaign(self, monkeypatch, tmp_path, capsys):
+        # a simulate config with theta prints the closed form, so it is held
+        # to the arc measures as exact and demo are, and no campaign runs
+        closed_form = cli.closed_form_fig2
+
+        def off(gamma, theta):
+            table = closed_form(gamma, theta)
+            return dataclasses.replace(table, joint={**table.joint, "ab": table.joint["ab"] + 1e-9})
+
+        monkeypatch.setattr(cli, "closed_form_fig2", off)
+        monkeypatch.setattr(cli, "run_campaign", lambda plan: pytest.fail("the campaign ran"))
+        path = write_config(tmp_path, README_CONFIG)
+        with pytest.raises(ConsistencyError, match="^closed form and arc measures disagree by "):
+            cmd_simulate(parse_config(path))
+        assert main(["simulate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal consistency failure: closed form and arc measures disagree by ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+REPORT_KEYS = {"schema", "command", "apparatus", "tables", "analysis", "feasibility", "consistency"}
+CAMPAIGN_KEYS = REPORT_KEYS | {"frequencies_source", "estimates"}
+CLOSED_VS_EXACT = "closed_vs_exact_max_abs"
+EXACT_VS_MC = "exact_vs_monte_carlo_max_abs"
+
+
+@pytest.mark.parametrize(
+    "make, keys, tables, consistency",
+    [
+        (lambda tmp: cmd_exact(GAMMA, THETA), REPORT_KEYS, {"closed_form", "exact"}, {CLOSED_VS_EXACT}),
+        (
+            lambda tmp: cmd_demo(GAMMA, THETA, trials=1000),
+            CAMPAIGN_KEYS, {"closed_form", "exact", "monte_carlo"}, {CLOSED_VS_EXACT, EXACT_VS_MC},
+        ),
+        (
+            lambda tmp: cmd_simulate(parse_config(write_config(tmp, {
+                "apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 1000}}))),
+            CAMPAIGN_KEYS, {"closed_form", "exact", "monte_carlo"}, {CLOSED_VS_EXACT, EXACT_VS_MC},
+        ),
+        (
+            lambda tmp: cmd_simulate(parse_config(write_config(tmp, {
+                "apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}},
+                "campaign": {"trials": 1000}}))),
+            CAMPAIGN_KEYS, {"exact", "monte_carlo"}, {EXACT_VS_MC},
+        ),
+    ],
+    ids=["exact", "demo", "simulate-theta", "simulate-lines"],
+)
+def test_report_sections_follow_the_inputs(make, keys, tables, consistency, tmp_path):
+    # theta brings the closed form and its check, a campaign its estimates
+    # and the frequency source, whatever the command
+    report = make(tmp_path)
+    assert set(report) == keys
+    assert set(report["tables"]) == tables
+    assert set(report["consistency"]) == consistency
+
 
 class TestSweep:
     def test_header_and_footer(self):
@@ -405,6 +463,47 @@ class TestChecksAndExitCodes:
         times = [re.fullmatch(r"time ([a-z0-9-]+): \d+\.\d{3}s", line) for line in err.getvalue().splitlines()]
         assert len(times) == 13 and all(times)
         assert [m.group(1) for m in times] == names
+
+    def test_each_check_fails_past_its_bound(self, monkeypatch):
+        # twice each bound, or one wrong verdict or count, fails the check it
+        # feeds and no other; half each bound passes all of them
+        grid_oracle, analyze = cli.grid_oracle, cli.analyze
+
+        def shift(oracle_by, analysis_by):
+            monkeypatch.setattr(cli, "grid_oracle", lambda *args: grid_oracle(*args) + oracle_by)
+
+            def shifted(table, frequencies):
+                r = analyze(table, frequencies)
+                return dataclasses.replace(r, ch=r.ch + analysis_by, identity_residual=r.identity_residual + analysis_by)
+
+            monkeypatch.setattr(cli, "analyze", shifted)
+
+        def on_first_call(name, change):
+            original, calls = getattr(cli, name), []
+
+            def wrapped(*args):
+                calls.append(None)
+                result = original(*args)
+                return change(result) if len(calls) == 1 else result
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        shift(2e-5, 2e-12)
+        on_first_call("ch_battery", lambda r: r._replace(passes=not r.passes))
+        on_first_call("kinematic_counts", lambda counts: counts + (np.arange(counts.size) == 0))
+        results = {r.name: r for r in cli.run_checks()}
+        failed = {name for name, r in results.items() if not r.passed}
+        assert failed == {
+            "exact-vs-grid-oracle", "reduced-identity-random", "naive-closed-values", "fine-equivalence", "mc-chunk-split",
+        }
+        assert results["fine-equivalence"].detail == "1 disagreements in 1000 tables"
+        assert results["mc-chunk-split"].detail.startswith("counts differ for setups ['ab'] on ")
+
+        monkeypatch.undo()
+        shift(5e-6, 5e-13)
+        results = cli.run_checks()
+        assert len(results) == 13
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
 
     def test_sweep_into_a_closed_pipe_exits_0(self):
         # `ch-apparatus sweep --steps 200 | head -n 1`: the reader closes after
@@ -564,6 +663,49 @@ class TestInputValidation:
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
         assert capsys.readouterr().err.startswith(f"error: apparatus.theta: theta={theta} is below")
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B'": 0.0}}},
+                "apparatus.lines.B: required",
+            ),
+            (
+                {"apparatus": {"gamma": GAMMA, "theta": THETA}, "frequencies": {"ab": 0.5, "ab'": 0.25, "a'b'": 0.25}},
+                "frequencies.a'b: required",
+            ),
+            (
+                {"apparatus": {"gamma": GAMMA, "theta": THETA}, "output": {"path": 5}},
+                "output.path: expected a string, got 5",
+            ),
+        ],
+        ids=["missing-line", "missing-frequency", "path-not-a-string"],
+    )
+    def test_missing_or_mistyped_keys_name_their_path_exit_1(self, payload, message, tmp_path, capsys):
+        payload = {**payload, "campaign": {"trials": 10}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_output_path_gets_the_stdout_bytes(self, tmp_path, capsys):
+        payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 500, "seed": 3}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        payload["output"] = {"path": str(out)}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    def test_demo_rejects_a_seed_that_is_no_integer_exit_1(self, capsys):
+        assert main(["demo", "--trials", "1000", "--seed", "abc"]) == 1
+        captured = capsys.readouterr()
+        assert "argument --seed: invalid int value: 'abc'" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_trials_without_two_stop_setups_name_their_key_exit_1(self, tmp_path, capsys):
         payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": {"a": 5, "ab": 0, "b'": 3}}}
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
@@ -702,7 +844,7 @@ LINES_CONFIG = {
     "apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}},
     "campaign": {"trials": 100000, "seed": 3, "workers": 2},
 }
-README_DIGEST = "7c69a7993bc57e4eeb7e40112338f5dfb64c73c47bc795dcb01f3fcdcc75ce5a"
+README_DIGEST = "49fbc79b30838049f640bd45dc04d158b8fa201665b95dfc05c59f443c4a046a"
 # only two-stop trials, so the Monte Carlo table marks every single-stop
 # entry exact_only
 TWO_STOP_CONFIG = {
@@ -748,9 +890,9 @@ class TestFrozenReports:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "1e16069c22edcee576b1f07653027c41e1d810e95eff02323578d1fe9be9516d"),
-            (7, "880d24b7456e5f2f989184281b7f85a77613b676fb4f43ade455666a7716a479"),
-            (123, "074572461c00bcefd9fc8f8dcf5285bcd901f44b4480f3da9d5127d038d51697"),
+            (0, "b294366d11788c205bca729dcd6fe3befb5577786cd5fa9a749d362589a06d42"),
+            (7, "235f54ebe2b95ac37d62c128d58f7b342d560045d70c4246fc24e9ff34a5ddca"),
+            (123, "df1cab1b2e5c5df5733eb478c6fc8f697fb4106316355b5c47f02a419064814b"),
         ],
         ids=["seed0", "seed7", "seed123"],
     )
@@ -759,7 +901,7 @@ class TestFrozenReports:
 
     def test_demo_csv(self):
         text = render_report(cmd_demo(GAMMA, THETA, seed=7, trials=10**6, workers=2), "csv")
-        assert sha256(text) == "10a12c040b921a1f6f6a765dda27a2bf2ce5b6a0686604940f8d650382908fb9"
+        assert sha256(text) == "db17fd4c56bfdce7ea98b7575862f308c03aa62437ffd4a4bbc4cf01dd96ea56"
 
     @pytest.mark.parametrize(
         "payload, out_format, digest",
@@ -769,8 +911,8 @@ class TestFrozenReports:
             (_with_workers(README_CONFIG, 1), "json", README_DIGEST),
             (_with_workers(README_CONFIG, None), "json", README_DIGEST),
             (LINES_CONFIG, "json", "1f8a5b0aa65473f7a5a8440afaad5836e29eb1dca7cad7822aafd5ccb2a03db9"),
-            (TWO_STOP_CONFIG, "json", "b02db29506a72a925633288a1dbc9018e98bd33208dbcfa9c150d484024287f8"),
-            (TWO_STOP_CONFIG, "csv", "f93c7f2eff0357eae5602c068b4dcc89c2a36ab9eb1f0df96ed82dbb75ef51c3"),
+            (TWO_STOP_CONFIG, "json", "a38ef659bd232e27bd16a61d95723cc5474d89001bd41a5b3f66898cf4454602"),
+            (TWO_STOP_CONFIG, "csv", "1b55e3b345a1be431b958d514743238682b048a3fd63cab64e6f2504ee9f28cf"),
         ],
         ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines", "two-stop-json", "two-stop-csv"],
     )

@@ -295,6 +295,17 @@ class TestConditionalTable:
         with pytest.raises(ConsistencyError, match="disagrees"):
             table.validate()
 
+    @pytest.mark.parametrize("p", [-1e-6, 1.0 + 1e-6, 2.0])
+    def test_validate_rejects_a_single_entry_out_of_range(self, p):
+        full = {s: {"11": 0.2, "10": 0.1, "01": 0.1, "00": 0.6} for s in ("ab", "ab'", "a'b", "a'b'")}
+        table = ConditionalTable(
+            joint={s: 0.2 for s in ("ab", "ab'", "a'b", "a'b'")},
+            singles={"a": 0.5, "a'": None, "b": p, "b'": 0.5},
+            full_tables=full,
+        )
+        with pytest.raises(ConsistencyError, match=rf"^single entry for setup 'b' out of range: {re.escape(repr(p))}$"):
+            table.validate()
+
     def test_stop_reached_sides(self):
         with pytest.raises(ValueError):
             stop_reached("up")

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus.exact_engine import ConsistencyError, closed_form_fig2
+from ch_apparatus.apparatus import EngravedLines
+from ch_apparatus.exact_engine import ConsistencyError, closed_form_fig2, conditional_table
 from ch_apparatus.inequality_analysis import SettingFrequencies
 from ch_apparatus.lhv_feasibility import (
     NORM_TOL,
@@ -162,6 +163,20 @@ class TestFeasibleJoint:
         # a non-finite cell used to be reported as a negative one
         with pytest.raises(ValueError, match="^cells for setting \"a'b'\" must be finite: "):
             feasible_joint(BehaviorTable.from_vector([0.25] * 15 + [bad]))
+
+    def test_rejects_negative_cell(self):
+        cells = [0.25] * 16
+        cells[9], cells[10] = -0.1, 0.35  # setting "a'b": cells 10 and 01
+        with pytest.raises(ValueError, match="^cells for setting \"a'b\" must be nonnegative: "):
+            feasible_joint(BehaviorTable.from_vector(cells))
+
+    def test_witness_weights_are_never_negative(self):
+        # a basic weight whose right-hand side rounds to -5.6e-17 on this
+        # engraving is stored as 0.0
+        lines = EngravedLines(A=1.0, A_prime=2.5, B=0.3, B_prime=4.0)
+        result = feasible_joint(BehaviorTable.from_full_tables(conditional_table(lines, 2.0).full_tables))
+        assert result.feasible
+        assert all(w >= 0.0 for w in result.weights)
 
     def test_rejects_unnormalized_table(self):
         bad = BehaviorTable(
