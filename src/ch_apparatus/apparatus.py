@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 from typing import NamedTuple
@@ -119,12 +119,16 @@ class StopPlacement:
 
 @dataclass(frozen=True)
 class ApparatusConfig:
+    """A device configuration, checked by validate_config when built."""
+
     mode: str
     lines: EngravedLines
     gamma1: float | None = None
     gamma: float | None = None
     stops: StopPlacement = StopPlacement()
-    _validated: bool = field(default=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 def _not_a_count(n: object) -> bool:
@@ -146,7 +150,7 @@ def _is_line(x: float, candidates: tuple[float, float]) -> bool:
 def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     """Check every configuration constraint, reporting all violations at once.
 
-    Returns the same object, marked so that the kinematics will accept it.
+    Returns the same object.  ApparatusConfig runs it when built.
     """
     problems: list[str] = []
     if config.mode not in (UNMODIFIED, MODIFIED):
@@ -181,7 +185,6 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
 
     if problems:
         raise ConfigError("; ".join(problems))
-    object.__setattr__(config, "_validated", True)
     return config
 
 
@@ -277,8 +280,6 @@ def _run_rows(
     run_trials, run_setups and run_trial all run it.  Computes the stop-reach
     flags of a TrialBatch with fields shaped (rows, *phis.shape), or
     phis.shape for row=0.  Unmodified configs take one row with no stops."""
-    if not config._validated:
-        raise ConfigError("configuration must pass validate_config before running trials")
     # a leading row axis, so that no array below is 0-d
     phis = np.asarray(phis, dtype=np.float64)[None]
     if config.mode == UNMODIFIED:
@@ -454,9 +455,7 @@ def setup_stops(lines: EngravedLines, setup: str) -> StopPlacement:
 
 def config_for_setup(lines: EngravedLines, gamma: float, setup: str) -> ApparatusConfig:
     """Modified-mode configuration with the stops named by a setup label."""
-    return validate_config(
-        ApparatusConfig(mode=MODIFIED, lines=lines, gamma=gamma, stops=setup_stops(lines, setup))
-    )
+    return ApparatusConfig(mode=MODIFIED, lines=lines, gamma=gamma, stops=setup_stops(lines, setup))
 
 
 def fig2_config(gamma: float, theta: float, setup: str) -> ApparatusConfig:
@@ -466,4 +465,4 @@ def fig2_config(gamma: float, theta: float, setup: str) -> ApparatusConfig:
 
 def unmodified_config(lines: EngravedLines, gamma1: float) -> ApparatusConfig:
     """Free-rotation configuration: both bodies turn by gamma1, no stops."""
-    return validate_config(ApparatusConfig(mode=UNMODIFIED, lines=lines, gamma1=gamma1))
+    return ApparatusConfig(mode=UNMODIFIED, lines=lines, gamma1=gamma1)

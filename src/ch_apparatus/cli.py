@@ -233,7 +233,7 @@ def parse_config(path: str) -> ExperimentConfig:
                     _fail(f"frequencies.{s}", "required")
                 vals.append(_expect_number(block[s], f"frequencies.{s}"))
             try:
-                frequencies = SettingFrequencies(*vals).validate()
+                frequencies = SettingFrequencies(*vals)
             except ValueError as exc:
                 _fail("frequencies", str(exc))
 

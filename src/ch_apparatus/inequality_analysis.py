@@ -91,6 +91,9 @@ class SettingFrequencies:
     apb: float
     apbp: float
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @classmethod
     def uniform(cls) -> "SettingFrequencies":
         return cls(0.25, 0.25, 0.25, 0.25)
@@ -180,7 +183,6 @@ def corrected_probabilities(table: ConditionalTable, freqs: SettingFrequencies) 
     p(A) = p(AB) + p(AB') and so on, which is what makes the CH combination
     collapse to its reduced form identically.
     """
-    freqs.validate()
     ab = table.joint["ab"] * freqs.ab
     abp = table.joint["ab'"] * freqs.abp
     apb = table.joint["a'b"] * freqs.apb

@@ -204,11 +204,14 @@ def sequence_seed(master_seed: int, setup: str) -> int:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """One run of trials with a fixed stop setup."""
+    """One run of trials with a fixed stop setup, checked when built."""
 
     setup: str
     n_trials: int
     seed: int
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "SequenceSpec":
         if self.setup not in ALL_SETUPS:
@@ -226,13 +229,16 @@ class CampaignPlan:
 
     Each sequence's seed is derived from the master seed and its setup, so
     the master seed alone reproduces the plan.  Single-stop setups may have
-    zero trials; the useless trials can be spared.
+    zero trials; the useless trials can be spared.  Checked when built.
     """
 
     gamma: float
     lines: EngravedLines
     trials: tuple[int, ...]
     master_seed: int
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def sequences(self) -> tuple[SequenceSpec, ...]:
@@ -257,7 +263,7 @@ class CampaignPlan:
         problems += [f"count {n!r} for setup {s!r} is not an integer" for s, n in n_trials.items() if _not_a_count(n)]
         if problems:
             raise PlanError("n_trials: " + "; ".join(problems))
-        return cls(gamma, lines, tuple(int(n_trials.get(s, 0)) for s in ALL_SETUPS), master_seed).validate()
+        return cls(gamma, lines, tuple(int(n_trials.get(s, 0)) for s in ALL_SETUPS), master_seed)
 
     def validate(self) -> "CampaignPlan":
         check_seed(self.master_seed)
@@ -430,7 +436,6 @@ def run_sequence(
     own partition before any chunk runs; a ConsistencyError from it means
     the configuration breaks the exact engine's breakpoint assumption.
     """
-    spec.validate()
     config = config_for_setup(lines, gamma, spec.setup)
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
@@ -466,7 +471,6 @@ class EstimateReport:
 
 def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report."""
-    plan.validate()
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
@@ -479,7 +483,7 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
     total = sum(two_stop_n)
     if total == 0:
         raise PlanError("no two-stop trials: setting frequencies are undefined")
-    freqs = SettingFrequencies(*(n / total for n in two_stop_n)).validate()
+    freqs = SettingFrequencies(*(n / total for n in two_stop_n))
 
     table: ConditionalTable | None = None
     if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):

@@ -16,7 +16,6 @@ from ch_apparatus.apparatus import (
     STOP,
     UNMODIFIED,
     ApparatusConfig,
-    ConfigError,
     TrialOutcome,
     _fits_budget,
 )
@@ -33,8 +32,6 @@ def scalar_trial(config: ApparatusConfig, phi: float) -> TrialOutcome:
     own stop crosses a line of its side that lies on its path or at most
     EPS_ANGLE past the stop, a span that is constant along any arc.
     """
-    if not config._validated:
-        raise ConfigError("configuration must pass validate_config before running trials")
     phi = normalize(phi)
     lines = config.lines
 

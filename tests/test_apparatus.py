@@ -8,8 +8,10 @@ engraving with gamma = pi/3, theta = pi/6: lines A = pi/2, A' = pi/3,
 B = pi/6, B' = 0, stops for setup "ab" at A and B.
 """
 
+import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,49 +93,30 @@ def test_setup_stops_labels():
 
 
 def test_unmodified_rejects_stops():
-    config = ApparatusConfig(
-        mode=UNMODIFIED,
-        lines=SQUARE_LINES,
-        gamma1=1.0,
-        stops=StopPlacement(left=SQUARE_LINES.A),
-    )
     with pytest.raises(ConfigError, match="no stops"):
-        validate_config(config)
+        ApparatusConfig(mode=UNMODIFIED, lines=SQUARE_LINES, gamma1=1.0, stops=StopPlacement(left=SQUARE_LINES.A))
 
 
 def test_modified_requires_budget():
-    config = ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=None)
     with pytest.raises(ConfigError, match="gamma"):
-        validate_config(config)
+        ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=None)
 
 
 def test_stop_must_sit_on_a_line():
-    config = ApparatusConfig(
-        mode=MODIFIED,
-        lines=SQUARE_LINES,
-        gamma=1.0,
-        stops=StopPlacement(left=0.123),
-    )
     with pytest.raises(ConfigError, match="left stop"):
-        validate_config(config)
+        ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0, stops=StopPlacement(left=0.123))
 
 
 @pytest.mark.parametrize("right", [SQUARE_LINES.A, SQUARE_LINES.A_prime, 0.123])
 def test_right_stop_must_sit_on_b_or_b_prime(right):
     # a line of the left side is no place for the right stop
-    config = ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0, stops=StopPlacement(right=right))
     with pytest.raises(ConfigError, match=rf"^right stop must sit on line B or B', got {right!r}$"):
-        validate_config(config)
+        ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0, stops=StopPlacement(right=right))
 
 
 def test_all_violations_reported_together():
-    config = ApparatusConfig(
-        mode="sideways",
-        lines=EngravedLines(A=1.0, A_prime=1.0, B=9.0, B_prime=0.0),
-        gamma=1.0,
-    )
     with pytest.raises(ConfigError) as err:
-        validate_config(config)
+        ApparatusConfig(mode="sideways", lines=EngravedLines(A=1.0, A_prime=1.0, B=9.0, B_prime=0.0), gamma=1.0)
     message = str(err.value)
     assert "mode" in message
     assert "A and A'" in message
@@ -142,26 +125,39 @@ def test_all_violations_reported_together():
 
 @pytest.mark.parametrize("gamma1, ok", [(0.0, False), (TWO_PI, True), (7.0, False), (None, False)])
 def test_gamma1_range(gamma1, ok):
-    config = ApparatusConfig(mode=UNMODIFIED, lines=SQUARE_LINES, gamma1=gamma1)
     if ok:
-        validate_config(config)
+        config = ApparatusConfig(mode=UNMODIFIED, lines=SQUARE_LINES, gamma1=gamma1)
+        assert validate_config(config) is config
     else:
         with pytest.raises(ConfigError):
-            validate_config(config)
+            ApparatusConfig(mode=UNMODIFIED, lines=SQUARE_LINES, gamma1=gamma1)
 
 
 def test_gamma_must_be_below_full_turn():
-    config = ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=TWO_PI)
     with pytest.raises(ConfigError):
-        validate_config(config)
+        ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=TWO_PI)
 
 
-def test_run_trial_requires_validated_config():
-    config = ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0)
-    with pytest.raises(ConfigError, match="validate_config"):
-        run_trial(config, 0.0)
-    with pytest.raises(ConfigError, match="validate_config"):
-        run_trials(config, np.zeros(3))
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"gamma": 50.0}, "modified mode needs mutual-rotation budget gamma in (0, 2*pi), got 50.0"),
+        ({"stops": StopPlacement(left=0.123, right=0.3)}, "left stop must sit on line A or A', got 0.123"),
+        ({"lines": EngravedLines(1.3, 1.3, 0.3, 0.0)}, "lines A and A' must be distinct"),
+    ],
+    ids=["gamma", "stops", "lines"],
+)
+def test_replace_checks_the_new_config(change, rule):
+    # a copy made by dataclasses.replace is built, so it is checked; each of
+    # these used to run, gamma=50.0 into a ConsistencyError from the engine
+    with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
+        dataclasses.replace(fig2_config(1.0, 0.3, "ab"), **change)
+
+
+def test_config_takes_no_validation_mark():
+    # validity is not a field: no argument can claim it
+    with pytest.raises(TypeError):
+        ApparatusConfig(mode=MODIFIED, lines=SQUARE_LINES, gamma=1.0, _validated=True)
 
 
 # ----------------------------------------------------------------------------
@@ -404,7 +400,7 @@ def test_config_for_setup_round_trips_all_labels():
     for setup in ALL_SETUPS:
         config = config_for_setup(lines, GAMMA, setup)
         assert config.mode == MODIFIED
-        assert config._validated
+        assert config.stops == setup_stops(lines, setup)
 
 
 @st.composite

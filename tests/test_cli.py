@@ -465,18 +465,56 @@ class TestChecksAndExitCodes:
         assert [m.group(1) for m in times] == names
 
     def test_each_check_fails_past_its_bound(self, monkeypatch):
-        # twice each bound, or one wrong verdict or count, fails the check it
-        # feeds and no other; half each bound passes all of them
-        grid_oracle, analyze = cli.grid_oracle, cli.analyze
+        # twice each bound, or one wrong verdict, count or byte, fails the
+        # check it feeds and no other; half each bound passes all of them.
+        # The bounds are literals here, so that a loosened constant in the
+        # package fails this test.
+        grid_oracle, analyze, run_campaign = cli.grid_oracle, cli.analyze, cli.run_campaign
+        mixture_table, singlet_table, crossing_probability_set = (
+            cli.mixture_table, cli.singlet_table, cli.crossing_probability_set,
+        )
 
-        def shift(oracle_by, analysis_by):
-            monkeypatch.setattr(cli, "grid_oracle", lambda *args: grid_oracle(*args) + oracle_by)
+        def moved(table, setting, by):
+            # table with each cell of one setting moved by by[cell]
+            cells = table.tables[setting]
+            return cli.BehaviorTable({**table.tables, setting: {c: cells[c] + by.get(c, 0.0) for c in cells}})
+
+        def shift(times):
+            # each engine side off by times its check's bound
+            monkeypatch.setattr(cli, "grid_oracle", lambda *args: grid_oracle(*args) + times * 1e-5)
 
             def shifted(table, frequencies):
-                r = analyze(table, frequencies)
-                return dataclasses.replace(r, ch=r.ch + analysis_by, identity_residual=r.identity_residual + analysis_by)
+                r, by = analyze(table, frequencies), times * 1e-12
+                return dataclasses.replace(r, ch=r.ch + by, identity_residual=r.identity_residual + by)
 
+            def campaign(plan):
+                # p(11|ab) sampled times 5 sigma from its arc measure
+                report = run_campaign(plan)
+                p = cli.conditional_table(plan.lines, plan.gamma).joint["ab"]
+                joint = {**report.table.joint, "ab": p + times * 5.0 * math.sqrt(p * (1.0 - p) / plan.trials[0])}
+                return dataclasses.replace(report, table=dataclasses.replace(report.table, joint=joint))
+
+            def honest(config):
+                # the CH value times FLAG_TOL above 0, through p(B), which CH' does not read
+                s = crossing_probability_set(config)
+                return dataclasses.replace(s, b=s.b + cli.ch_value(s) - times * 1e-9)
+
+            by = times * 1e-9
             monkeypatch.setattr(cli, "analyze", shifted)
+            monkeypatch.setattr(cli, "run_campaign", campaign)
+            # 4 by moved from p(01|ab) to p(11|ab) parts the left marginals of
+            # ab and ab' by 4 by; the nearest local table moves each of their
+            # four cells by a quarter, so a mixture of all sixteen strategies
+            # ends by off the local polytope
+            monkeypatch.setattr(
+                cli, "mixture_table", lambda w: moved(mixture_table(w), "ab", {"11": 4.0 * by, "01": -4.0 * by})
+            )
+            # the singlet's battery maximum, swapA:lower, rises with p(11|a'b')
+            # at fixed one-side marginals
+            monkeypatch.setattr(
+                cli, "singlet_table", lambda: moved(singlet_table(), "a'b'", {"11": by, "00": by, "10": -by, "01": -by})
+            )
+            monkeypatch.setattr(cli, "crossing_probability_set", honest)
 
         def on_first_call(name, change):
             original, calls = getattr(cli, name), []
@@ -488,19 +526,29 @@ class TestChecksAndExitCodes:
 
             monkeypatch.setattr(cli, name, wrapped)
 
-        shift(2e-5, 2e-12)
+        def first_of(array):
+            return np.arange(array.size) == 0
+
+        shift(2.0)
         on_first_call("ch_battery", lambda r: r._replace(passes=not r.passes))
-        on_first_call("kinematic_counts", lambda counts: counts + (np.arange(counts.size) == 0))
+        on_first_call("kinematic_counts", lambda counts: counts + first_of(counts))
+        on_first_call("_fixed_lambda_checks", lambda checks: (checks[0] + first_of(checks[0]), checks[1]))
+        on_first_call("render_report", lambda text: text + " ")
         results = {r.name: r for r in cli.run_checks()}
         failed = {name for name, r in results.items() if not r.passed}
         assert failed == {
-            "exact-vs-grid-oracle", "reduced-identity-random", "naive-closed-values", "fine-equivalence", "mc-chunk-split",
+            "exact-vs-grid-oracle", "exact-vs-monte-carlo", "reduced-identity-random", "naive-closed-values",
+            "strategy-mixtures-feasible", "fine-equivalence", "infeasible-examples", "fixed-lambda-grid",
+            "honest-ch-sweep", "mc-chunk-split", "report-determinism",
         }
+        assert results["exact-vs-monte-carlo"].detail == "max deviation 10.00 sigma at n=1e5"
+        assert results["strategy-mixtures-feasible"].detail == "max residual=2.000e-09"
         assert results["fine-equivalence"].detail == "1 disagreements in 1000 tables"
+        assert results["fixed-lambda-grid"].detail == "max residual=1.0e+00, range [-1.0, 0.0]"
         assert results["mc-chunk-split"].detail.startswith("counts differ for setups ['ab'] on ")
 
         monkeypatch.undo()
-        shift(5e-6, 5e-13)
+        shift(0.5)
         results = cli.run_checks()
         assert len(results) == 13
         assert all(r.passed for r in results), [r for r in results if not r.passed]

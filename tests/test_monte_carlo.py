@@ -5,6 +5,7 @@ under seed 0 are frozen here: any change to them silently invalidates every
 recorded campaign, so a change must be loud.
 """
 
+import dataclasses
 import math
 import re
 from statistics import NormalDist
@@ -34,6 +35,7 @@ from ch_apparatus.exact_engine import (
     conditional_table,
     event_probabilities,
 )
+from ch_apparatus.inequality_analysis import SettingFrequencies
 from ch_apparatus.monte_carlo import (
     _CELL_SHIFT,
     _CHUNK,
@@ -776,12 +778,9 @@ class TestCampaignPlan:
         ids=["seven", "nine", "negative", "bool", "float", "list", "int", "none"],
     )
     def test_validate_rejects_bad_counts(self, trials):
-        plan = CampaignPlan(GAMMA, FIG2, trials, 0)
         message = f"trials must be one nonnegative integer per setup of {ALL_SETUPS!r}, got {trials!r}"
         with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
-            plan.validate()
-        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
-            run_campaign(plan)
+            CampaignPlan(GAMMA, FIG2, trials, 0)
 
     def test_negative_count_by_setup_rejected(self):
         with pytest.raises(PlanError, match="nonnegative"):
@@ -789,11 +788,11 @@ class TestCampaignPlan:
 
     def test_negative_trials_rejected(self):
         with pytest.raises(PlanError, match="nonnegative"):
-            SequenceSpec(setup="ab", n_trials=-1, seed=0).validate()
+            SequenceSpec(setup="ab", n_trials=-1, seed=0)
 
     def test_unknown_setup_rejected(self):
         with pytest.raises(PlanError, match="unknown setup"):
-            SequenceSpec(setup="xy", n_trials=1, seed=0).validate()
+            SequenceSpec(setup="xy", n_trials=1, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_master_seed_outside_64_bits_rejected(self, seed):
@@ -811,9 +810,23 @@ class TestCampaignPlan:
 
     @pytest.mark.parametrize("seed", [2**64, -1, True])
     def test_hand_built_plan_checks_its_master_seed(self, seed):
-        plan = CampaignPlan(GAMMA, FIG2, (1,) * 8, seed)
         with pytest.raises(PlanError, match="^seed must"):
-            run_campaign(plan)
+            CampaignPlan(GAMMA, FIG2, (1,) * 8, seed)
+
+    @pytest.mark.parametrize(
+        "value, change, error, message",
+        [
+            (SettingFrequencies.uniform(), {"ab": 2.0}, ValueError, "setting frequencies must sum to 1"),
+            (SequenceSpec("ab", 10, 3), {"n_trials": -1}, PlanError, "n_trials must be a nonnegative integer"),
+            (CampaignPlan(GAMMA, FIG2, (1,) * 8, 0), {"master_seed": 2**64}, PlanError, "seed must satisfy"),
+        ],
+        ids=["frequencies", "sequence", "plan"],
+    )
+    def test_replace_checks_the_new_value(self, value, change, error, message):
+        # a copy made by dataclasses.replace is built, so it is checked at
+        # the replace call, before anything reads it
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            dataclasses.replace(value, **change)
 
 
 class TestRunCampaign:
