@@ -91,9 +91,6 @@ class SettingFrequencies:
     apb: float
     apbp: float
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     @classmethod
     def uniform(cls) -> "SettingFrequencies":
         return cls(0.25, 0.25, 0.25, 0.25)
@@ -107,6 +104,7 @@ class SettingFrequencies:
         if abs(sum(values) - 1.0) > TABLE_TOL:
             raise ValueError(f"setting frequencies must sum to 1, got {values!r}")
         return self
+    __post_init__ = validate
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(TWO_STOP_SETUPS, astuple(self)))

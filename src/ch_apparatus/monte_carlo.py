@@ -210,9 +210,6 @@ class SequenceSpec:
     n_trials: int
     seed: int
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> "SequenceSpec":
         if self.setup not in ALL_SETUPS:
             raise PlanError(f"unknown setup label {self.setup!r}")
@@ -220,6 +217,7 @@ class SequenceSpec:
             raise PlanError(f"n_trials must be a nonnegative integer, got {self.n_trials!r}")
         check_seed(self.seed)
         return self
+    __post_init__ = validate
 
 
 @dataclass(frozen=True)
@@ -236,9 +234,6 @@ class CampaignPlan:
     lines: EngravedLines
     trials: tuple[int, ...]
     master_seed: int
-
-    def __post_init__(self) -> None:
-        self.validate()
 
     @property
     def sequences(self) -> tuple[SequenceSpec, ...]:
@@ -270,7 +265,9 @@ class CampaignPlan:
         counts = self.trials if isinstance(self.trials, tuple) else ()
         if len(counts) != len(ALL_SETUPS) or any(_not_a_count(n) or n < 0 for n in counts):
             raise PlanError(f"trials must be one nonnegative integer per setup of {ALL_SETUPS}, got {self.trials!r}")
+        config_for_setup(self.lines, self.gamma, "ab")  # gamma and the engraving
         return self
+    __post_init__ = validate
 
 
 class Estimate(NamedTuple):

@@ -814,6 +814,23 @@ class TestCampaignPlan:
             CampaignPlan(GAMMA, FIG2, (1,) * 8, seed)
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"gamma": 50.0}, "modified mode needs mutual-rotation budget gamma in (0, 2*pi), got 50.0"),
+            ({"lines": EngravedLines(1.3, 1.3, 0.3, 0.0)}, "lines A and A' must be distinct"),
+        ],
+        ids=["gamma", "lines"],
+    )
+    def test_plan_checks_its_gamma_and_lines(self, change, message):
+        # both used to build, and failed only when run_campaign built its
+        # first configuration
+        plan = CampaignPlan(GAMMA, FIG2, (1,) * 8, 0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(plan, **change)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            CampaignPlan(change.get("gamma", GAMMA), change.get("lines", FIG2), (1,) * 8, 0)
+
+    @pytest.mark.parametrize(
         "value, change, error, message",
         [
             (SettingFrequencies.uniform(), {"ab": 2.0}, ValueError, "setting frequencies must sum to 1"),

@@ -1,20 +1,19 @@
 """Mutant runner: shows that the tier-1 suite notices a broken check or bound.
 
-Each mutant is one textual edit of one source file, with the outcome it is
-expected to have.  For each mutant, one at a time, the runner copies the
+Each mutant is one textual edit of one source file, and every one is
+expected to be killed.  For each mutant, one at a time, the runner copies the
 repository to a temporary directory, applies the edit there, runs the tier-1
 command in the copy and prints "killed" (some test failed) or "survived"
 (every test passed).  An unmutated copy runs first and must pass, or every
 "killed" would mean nothing.
 
-Exit status: 0 when every mutant has its expected outcome or is killed;
-1 when a mutant expected to be killed survives; 2 when the unmutated copy
-fails or a mutant's old text is not in its file exactly once.
+Exit status: 0 when every mutant is killed; 1 when one survives; 2 when
+the unmutated copy fails or a mutant's old text is not in its file exactly
+once.
 
 Run by hand from any directory, with the test dependencies installed:
 
-    python tools/mutants.py           # every mutant
-    python tools/mutants.py z95 ...   # the named mutants only
+    python tools/mutants.py
 
 It is not part of tier-1: each mutant runs the whole suite, 10-40 s.
 Standard library only.
@@ -48,38 +47,41 @@ class Mutant(NamedTuple):
     path: str  # relative to the repository root
     old: str  # must occur exactly once in the file
     new: str
-    expected: str  # "killed" or "survived"
 
 
 _SRC = "src/ch_apparatus/"
 
 MUTANTS = [
     # tolerances loosened a thousandfold or more
-    Mutant("grid-oracle-tol", _SRC + "cli.py", "_GRID_ORACLE_TOL = 1e-5", "_GRID_ORACLE_TOL = 1e-2", "killed"),
-    Mutant("rounding-tol", _SRC + "cli.py", "_ROUNDING_TOL = 1e-12", "_ROUNDING_TOL = 1e-6", "killed"),
-    Mutant("table-tol", _SRC + "exact_engine.py", "TABLE_TOL = 1e-9", "TABLE_TOL = 1e-3", "killed"),
-    Mutant("closed-form-tol", _SRC + "exact_engine.py", "CLOSED_FORM_TOL = 1e-12", "CLOSED_FORM_TOL = 1e-6", "killed"),
-    Mutant("denom-tol", _SRC + "inequality_analysis.py", "DENOM_TOL = 1e-15", "DENOM_TOL = 1e-6", "killed"),
-    Mutant("identity-tol", _SRC + "inequality_analysis.py", "IDENTITY_TOL = 1e-9", "IDENTITY_TOL = 1e-3", "killed"),
-    Mutant("flag-tol", _SRC + "inequality_analysis.py", "FLAG_TOL = 1e-9", "FLAG_TOL = 1e-3", "killed"),
-    Mutant("norm-tol", _SRC + "lhv_feasibility.py", "NORM_TOL = 1e-9", "NORM_TOL = 1e-3", "killed"),
-    Mutant("pivot-tol", _SRC + "simplex.py", "_PIVOT_TOL = 1e-10", "_PIVOT_TOL = 1e-5", "killed"),
+    Mutant("grid-oracle-tol", _SRC + "cli.py", "_GRID_ORACLE_TOL = 1e-5", "_GRID_ORACLE_TOL = 1e-2"),
+    Mutant("rounding-tol", _SRC + "cli.py", "_ROUNDING_TOL = 1e-12", "_ROUNDING_TOL = 1e-6"),
+    Mutant("table-tol", _SRC + "exact_engine.py", "TABLE_TOL = 1e-9", "TABLE_TOL = 1e-3"),
+    Mutant("closed-form-tol", _SRC + "exact_engine.py", "CLOSED_FORM_TOL = 1e-12", "CLOSED_FORM_TOL = 1e-6"),
+    Mutant("denom-tol", _SRC + "inequality_analysis.py", "DENOM_TOL = 1e-15", "DENOM_TOL = 1e-6"),
+    Mutant("identity-tol", _SRC + "inequality_analysis.py", "IDENTITY_TOL = 1e-9", "IDENTITY_TOL = 1e-3"),
+    Mutant("flag-tol", _SRC + "inequality_analysis.py", "FLAG_TOL = 1e-9", "FLAG_TOL = 1e-3"),
+    Mutant("norm-tol", _SRC + "lhv_feasibility.py", "NORM_TOL = 1e-9", "NORM_TOL = 1e-3"),
+    Mutant("pivot-tol", _SRC + "simplex.py", "_PIVOT_TOL = 1e-10", "_PIVOT_TOL = 1e-5"),
     Mutant(
         "guard-margin", _SRC + "exact_engine.py",
-        "_GUARD_MARGIN = 4.0 * EPS_ANGLE", "_GUARD_MARGIN = 1e6 * EPS_ANGLE", "killed",
+        "_GUARD_MARGIN = 4.0 * EPS_ANGLE", "_GUARD_MARGIN = 1e6 * EPS_ANGLE",
     ),
     # constants and rules changed
-    Mutant("z95", _SRC + "monte_carlo.py", "Z95 = 1.959963984540054", "Z95 = 1.95", "killed"),
-    Mutant("bland-reversed", _SRC + "simplex.py", "key=lambda i: basis[i],", "key=lambda i: -basis[i],", "killed"),
+    Mutant("z95", _SRC + "monte_carlo.py", "Z95 = 1.959963984540054", "Z95 = 1.95"),
+    Mutant("bland-reversed", _SRC + "simplex.py", "key=lambda i: basis[i],", "key=lambda i: -basis[i],"),
     Mutant(
         "ch-primed-reads-a-prime", _SRC + "inequality_analysis.py",
-        "s.abp + s.ab - s.a - s.bp", "s.abp + s.ab - s.ap - s.bp", "killed",
+        "s.abp + s.ab - s.a - s.bp", "s.abp + s.ab - s.ap - s.bp",
     ),
-    Mutant("ccw-delta-strict", _SRC + "circle_geometry.py", "if d >= TWO_PI:", "if d > TWO_PI:", "killed"),
-    # a configuration built without its check
+    Mutant("ccw-delta-strict", _SRC + "circle_geometry.py", "if d >= TWO_PI:", "if d > TWO_PI:"),
+    # a value built without its check
     Mutant(
         "config-unchecked", _SRC + "apparatus.py",
-        "    def __post_init__(self) -> None:\n        validate_config(self)\n", "", "killed",
+        "    def __post_init__(self) -> None:\n        validate_config(self)\n", "",
+    ),
+    Mutant(
+        "plan-config-unchecked", _SRC + "monte_carlo.py",
+        '        config_for_setup(self.lines, self.gamma, "ab")', "        pass",
     ),
 ]
 
@@ -121,12 +123,7 @@ def _apply(tree: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = _copy(Path(tmp))
         if not _imports_from(tree):
@@ -136,8 +133,8 @@ def main(argv: list[str]) -> int:
     print(f"{'baseline' if passed else 'FAILED':<9}unmutated ({seconds:.0f} s: {summary})", flush=True)
     if not passed:
         return 2
-    bad = []
-    for mutant in chosen:
+    survivors = []
+    for mutant in MUTANTS:
         with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
             tree = _copy(Path(tmp))
             try:
@@ -146,17 +143,15 @@ def main(argv: list[str]) -> int:
                 print(exc, file=sys.stderr)
                 return 2
             passed, summary, seconds = _tier1(tree)
-        outcome = "survived" if passed else "killed"
-        note = "" if outcome == mutant.expected else f", expected {mutant.expected}"
-        print(f"{outcome:<9}{mutant.name} ({seconds:.0f} s: {summary}{note})", flush=True)
-        if outcome == "survived" and mutant.expected == "killed":
-            bad.append(mutant.name)
-    if bad:
-        print(f"survived though expected killed: {', '.join(bad)}")
+        print(f"{'survived' if passed else 'killed':<9}{mutant.name} ({seconds:.0f} s: {summary})", flush=True)
+        if passed:
+            survivors.append(mutant.name)
+    if survivors:
+        print(f"survived: {', '.join(survivors)}")
         return 1
-    print(f"all {len(chosen)} mutants as expected or killed")
+    print(f"all {len(MUTANTS)} mutants killed")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
