@@ -17,13 +17,15 @@ run_trial is the one-row run_trials, as a TrialOutcome.
 It owns the bookkeeping the other modules read: the setup labels, whose
 TWO_STOP_SETUPS order is also the order of the settings and their
 frequencies, each setup's stop lines (_SETUP_LINES), the stop cells
-(CELLS, in the order of TrialBatch.stop_cells), and the integer rule for
-counts and seeds (_not_a_count).
+(CELLS, in the order of TrialBatch.stop_cells), the integer rule for
+counts and seeds (_not_a_count) and the number rule for angles and
+probabilities (_not_a_number).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -137,13 +139,24 @@ def _not_a_count(n: object) -> bool:
     return isinstance(n, bool) or not isinstance(n, Integral)
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _not_a_number(x: object) -> bool:
+    """Whether x cannot be a finite real: a bool is not a number, and the
+    range test, exact for an int, rejects one beyond float range with NaN and
+    the infinities.  A plain float, the common case, skips the type tests."""
+    return type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))) or not abs(x) <= _FLOAT_MAX
+
+
 def _on_circle(x: float) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x) and 0.0 <= x < TWO_PI
+    return not _not_a_number(x) and 0.0 <= x < TWO_PI
 
 
 def _is_line(x: float, candidates: tuple[float, float]) -> bool:
+    # a candidate off the circle is a problem of its own, reported for its line
     return x in candidates or any(
-        min(ccw_delta(x, c), ccw_delta(c, x)) <= EPS_ANGLE for c in candidates
+        _on_circle(c) and min(ccw_delta(x, c), ccw_delta(c, x)) <= EPS_ANGLE for c in candidates
     )
 
 
@@ -170,11 +183,11 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
         if has_stop:
             problems.append("unmodified mode admits no stops (mode/stop mismatch)")
         g1 = config.gamma1
-        if g1 is None or not math.isfinite(g1) or not 0.0 < g1 <= TWO_PI:
+        if _not_a_number(g1) or not 0.0 < g1 <= TWO_PI:
             problems.append(f"unmodified mode needs free-rotation angle gamma1 in (0, 2*pi], got {g1!r}")
     elif config.mode == MODIFIED:
         g = config.gamma
-        if g is None or not math.isfinite(g) or not 0.0 < g < TWO_PI:
+        if _not_a_number(g) or not 0.0 < g < TWO_PI:
             problems.append(f"modified mode needs mutual-rotation budget gamma in (0, 2*pi), got {g!r}")
         left = config.stops.left
         if left is not None and not (_on_circle(left) and _is_line(left, (lines.A, lines.A_prime))):
@@ -420,8 +433,8 @@ def fig2_lines(gamma: float, theta: float) -> EngravedLines:
     keep their cyclic order, and each side's lines more than 2*EPS_ANGLE
     apart, outside the window where a held body crosses a line (_crossings).
     """
-    if not (math.isfinite(gamma) and math.isfinite(theta)):
-        raise ConfigError(f"gamma and theta must be finite, got {gamma!r}, {theta!r}")
+    if _not_a_number(gamma) or _not_a_number(theta):
+        raise ConfigError(f"gamma and theta must be finite numbers, got {gamma!r}, {theta!r}")
     if not (0.0 < theta < gamma and gamma + theta < TWO_PI):
         raise ConfigError(
             f"need 0 < theta < gamma and gamma + theta < 2*pi, got gamma={gamma!r}, theta={theta!r}"

@@ -33,6 +33,7 @@ from .apparatus import (
     EngravedLines,
     LINE_NAMES,
     _not_a_count,
+    _not_a_number,
     config_for_setup,
     fig2_lines,
     unmodified_config,
@@ -128,8 +129,7 @@ def _expect_mapping(obj: Any, path: str, allowed: set[str]) -> dict:
 
 
 def _expect_number(obj: Any, path: str) -> float:
-    # exact for ints: one beyond the float range fails here, not in float()
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)) or not abs(obj) <= sys.float_info.max:
+    if _not_a_number(obj):
         _fail(path, f"expected a finite number, got {obj!r}")
     return float(obj)
 
@@ -527,9 +527,9 @@ _ROUNDING_TOL = 1e-12
 
 
 def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
-    """Internal cross-validation suite; the fault-injection knob perturbs the
-    closed form so the surrounding machinery can prove it would notice.  CH
-    values are read from analyze, the function behind every report."""
+    """Internal cross-validation suite; the fault-injection knob moves that
+    much of the closed form's ab table from cell 00 to 11, for the checks to
+    notice.  CH values come from analyze, the function behind every report."""
     demo_gamma, demo_theta = math.pi / 3.0, math.pi / 6.0
     results: list[CheckResult] = []
     started = [time.perf_counter()]
@@ -542,11 +542,9 @@ def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
     def perturbed_closed(gamma: float, theta: float) -> ConditionalTable:
         table = closed_form_fig2(gamma, theta)
         if perturb_closed_form:
-            joint = dict(table.joint)
-            joint["ab"] += perturb_closed_form
-            table = ConditionalTable(
-                joint=joint, singles=table.singles, full_tables=table.full_tables
-            )
+            cells = table.full_tables["ab"]
+            ab = {**cells, "11": cells["11"] + perturb_closed_form, "00": cells["00"] - perturb_closed_form}
+            table = ConditionalTable({**table.joint, "ab": ab["11"]}, table.singles, {**table.full_tables, "ab": ab})
         return table
 
     # closed form against the arc engine, on the demo point and at random

@@ -53,6 +53,7 @@ from .apparatus import (
     EngravedLines,
     TrialBatch,
     _not_a_count,
+    _not_a_number,
     config_for_setup,
     fig2_lines,
     run_setups,
@@ -265,7 +266,7 @@ def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -
 
 @dataclass(frozen=True)
 class ConditionalTable:
-    """Conditional probabilities for the eight stop setups.
+    """Conditional probabilities for the eight stop setups, checked when built.
 
     ``joint`` holds p(both stops reached | two-stop setup), ``singles`` holds
     p(stop reached | single-stop setup) (None when no trials inform it), and
@@ -278,16 +279,23 @@ class ConditionalTable:
 
     def validate(self) -> "ConditionalTable":
         for setup in TWO_STOP_SETUPS:
-            table = self.full_tables[setup]
+            table, joint = self.full_tables.get(setup, {}), self.joint.get(setup)
+            if len(table) != len(CELLS) or any(map(_not_a_number, map(table.get, CELLS))):
+                raise ConsistencyError(
+                    f"table for setup {setup!r} needs a finite number in each of the cells {CELLS!r}: {table!r}"
+                )
             if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                 raise ConsistencyError(f"table for setup {setup!r} does not normalize: {table!r}")
-            if abs(table["11"] - self.joint[setup]) > TABLE_TOL:
-                raise ConsistencyError(f"joint entry for setup {setup!r} disagrees with its table")
+            if _not_a_number(joint) or abs(table["11"] - joint) > TABLE_TOL:
+                raise ConsistencyError(f"joint entry for setup {setup!r} disagrees with its table: {joint!r}")
         for setup in SINGLE_STOP_SETUPS:
+            if setup not in self.singles:
+                raise ConsistencyError(f"no single entry for setup {setup!r}")
             p = self.singles[setup]
-            if p is not None and not -TABLE_TOL <= p <= 1.0 + TABLE_TOL:
+            if p is not None and (_not_a_number(p) or not -TABLE_TOL <= p <= 1.0 + TABLE_TOL):
                 raise ConsistencyError(f"single entry for setup {setup!r} out of range: {p!r}")
         return self
+    __post_init__ = validate
 
 
 _joints, _singles = itemgetter(*TWO_STOP_SETUPS), itemgetter(*SINGLE_STOP_SETUPS)
@@ -325,7 +333,7 @@ def closed_form_fig2(gamma: float, theta: float) -> ConditionalTable:
             "a'b": {"11": near, "10": spill, "01": spill, "00": 1.0 - near - 2.0 * spill},
             "a'b'": dict(correlated),
         },
-    ).validate()
+    )
 
 
 def stop_reached(side: str) -> EventPredicate:
@@ -352,7 +360,7 @@ _TABLE_NAMES = [[event.name for event in _CELL_EVENTS]] * len(TWO_STOP_SETUPS) +
 
 
 def _table(rows: Sequence[Sequence[float] | None]) -> ConditionalTable:
-    """The validated conditional table of the stop-cell rows (CELLS order)
+    """The conditional table of the stop-cell rows (CELLS order)
     of the eight setups in ALL_SETUPS order, None for a single-stop setup
     that ran no trials.  A single-stop setup's entry is its lone cell.  The
     arc-measure and Monte Carlo tables are both built here."""
@@ -362,7 +370,7 @@ def _table(rows: Sequence[Sequence[float] | None]) -> ConditionalTable:
         joint={setup: table["11"] for setup, table in full.items()},
         singles={s: None if row is None else row[k] for s, (_, k), row in zip(SINGLE_STOP_SETUPS, _LONE, rows[pairs:])},
         full_tables=full,
-    ).validate()
+    )
 
 
 def conditional_table(lines: EngravedLines, gamma: float) -> ConditionalTable:

@@ -9,13 +9,12 @@ weighting each conditional entry with the frequency of its own setup.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .apparatus import LINE_NAMES, TWO_STOP_SETUPS, UNMODIFIED, ApparatusConfig, TrialBatch, run_trials
+from .apparatus import LINE_NAMES, TWO_STOP_SETUPS, UNMODIFIED, ApparatusConfig, TrialBatch, _not_a_number, run_trials
 from .circle_geometry import normalize
 from .exact_engine import (
     TABLE_TOL,
@@ -97,8 +96,9 @@ class SettingFrequencies:
 
     def validate(self) -> "SettingFrequencies":
         values = (self.ab, self.abp, self.apb, self.apbp)
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"setting frequencies must be finite, got {values!r}")
+        for setup, v in zip(TWO_STOP_SETUPS, values):
+            if _not_a_number(v):
+                raise ValueError(f"setting frequencies must be finite numbers, got {v!r} for setup {setup!r}")
         if any(v < -TABLE_TOL for v in values):
             raise ValueError(f"setting frequencies must be nonnegative, got {values!r}")
         if abs(sum(values) - 1.0) > TABLE_TOL:

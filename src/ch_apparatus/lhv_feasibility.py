@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS, _not_a_count
+from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS, _not_a_count, _not_a_number
 from .exact_engine import ConsistencyError
 from .simplex import solve_lp
 
@@ -83,20 +83,23 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 @dataclass(frozen=True)
 class BehaviorTable:
-    """Outcome distributions per setting pair, cells keyed by CELLS."""
+    """Outcome distributions per setting pair, cells keyed by CELLS; checked when built."""
 
     tables: dict[str, dict[str, float]]
 
     def validate(self) -> "BehaviorTable":
         for setting in SETTINGS:
-            table = self.tables[setting]
-            if not all(math.isfinite(table[c]) for c in CELLS):
-                raise ValueError(f"cells for setting {setting!r} must be finite: {table!r}")
+            table = self.tables.get(setting, {})
+            if any(map(_not_a_number, map(table.get, CELLS))):
+                raise ValueError(
+                    f"cells for setting {setting!r} must be finite: a number in each of {CELLS!r}, got {table!r}"
+                )
             if any(table[c] < -NORM_TOL for c in CELLS):
                 raise ValueError(f"cells for setting {setting!r} must be nonnegative: {table!r}")
             if abs(sum(table[c] for c in CELLS) - 1.0) > NORM_TOL:
                 raise ValueError(f"cells for setting {setting!r} must sum to 1: {table!r}")
         return self
+    __post_init__ = validate
 
     def left_marginal(self, setting: str) -> float:
         t = self.tables[setting]
@@ -119,7 +122,7 @@ class BehaviorTable:
 
     @classmethod
     def from_full_tables(cls, full_tables: dict[str, dict[str, float]]) -> "BehaviorTable":
-        return cls(tables={s: dict(full_tables[s]) for s in SETTINGS}).validate()
+        return cls(tables={s: dict(table) for s, table in full_tables.items()})
 
 
 def strategy_table(strategy: DeterministicStrategy) -> BehaviorTable:
@@ -138,7 +141,7 @@ def mixture_table(weights: Iterable[float]) -> BehaviorTable:
     if w.size != 16 or w.min() < -NORM_TOL or abs(w.sum() - 1.0) > NORM_TOL:
         raise ValueError("weights must be 16 nonnegative numbers summing to 1")
     vec = _strategy_matrix() @ w
-    return BehaviorTable.from_vector(vec).validate()
+    return BehaviorTable.from_vector(vec)
 
 
 @cache
@@ -161,11 +164,10 @@ class FeasibilityResult(NamedTuple):
 def feasible_joint(table: BehaviorTable) -> FeasibilityResult:
     """Decide membership in the local polytope by linear programming.
 
-    Minimizes the largest entry-wise residual between the table and a convex
-    mixture of the sixteen strategies; the table is feasible when that
-    minimum is at most NORM_TOL, and the optimal weights are the witness.
+    Minimizes the largest entry-wise residual between the table, checked
+    when built, and a mixture of the sixteen strategies; the table is feasible
+    when that minimum is at most NORM_TOL, and the optimal weights are the witness.
     """
-    table.validate()
     m, v = _strategy_matrix(), table.vector()
     result = solve_lp(m, v)
     if result.status != "optimal":
@@ -194,9 +196,8 @@ def ch_battery(table: BehaviorTable) -> BatteryResult:
     lower bound; a table passes when every entry is at most zero (within
     NORM_TOL).  For no-signaling tables, passing is equivalent to local
     feasibility.  One-side marginals are averaged over the remote setting,
-    which is unambiguous precisely in the no-signaling case.
+    unambiguous for no-signaling tables.  The table was checked when built.
     """
-    table.validate()
     joint = {primed: table.tables[s]["11"] for primed, s in _SETTING.items()}
     m_left = {x: 0.5 * (table.left_marginal(_SETTING[x, 0]) + table.left_marginal(_SETTING[x, 1])) for x in (0, 1)}
     m_right = {y: 0.5 * (table.right_marginal(_SETTING[0, y]) + table.right_marginal(_SETTING[1, y])) for y in (0, 1)}
@@ -235,7 +236,7 @@ def pr_box_table(variant: int = 0) -> BehaviorTable:
         tables[setting] = {
             f"{l}{r}": 0.5 if (l ^ r) == target else 0.0 for l in (1, 0) for r in (1, 0)
         }
-    return BehaviorTable(tables=tables).validate()
+    return BehaviorTable(tables=tables)
 
 
 def singlet_table() -> BehaviorTable:
@@ -250,7 +251,7 @@ def singlet_table() -> BehaviorTable:
     for setting, (x, y) in _PRIMED.items():
         p11 = 0.5 * math.sin(0.5 * (left[x] - right[y])) ** 2
         tables[setting] = {"11": p11, "10": 0.5 - p11, "01": 0.5 - p11, "00": p11}
-    return BehaviorTable(tables=tables).validate()
+    return BehaviorTable(tables=tables)
 
 
 @cache
@@ -287,6 +288,6 @@ def random_no_signaling_table(rng: np.random.Generator) -> BehaviorTable:
     for _ in range(10):
         noisy = v + projector @ rng.normal(0.0, sigma, 16)
         if noisy.min() >= 0.0:
-            return BehaviorTable.from_vector(noisy).validate()
+            return BehaviorTable.from_vector(noisy)
         sigma *= 0.5
-    return BehaviorTable.from_vector(v).validate()
+    return BehaviorTable.from_vector(v)

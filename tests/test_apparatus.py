@@ -48,7 +48,7 @@ from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, ccw_delta, normalize
 from ch_apparatus.exact_engine import _CELL_EVENTS, _stop_cells, conditional_table, grid_oracle, stop_cell
 from ch_apparatus.inequality_analysis import _CROSSING_EVENTS, _crossing_values, crossing_probability_set
 from scalar_reference import scalar_trial
-from test_exact_engine import budgets, engraved_lines
+from test_exact_engine import NOT_A_NUMBER, NOT_A_NUMBER_IDS, budgets, engraved_lines
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -152,6 +152,58 @@ def test_replace_checks_the_new_config(change, rule):
     # these used to run, gamma=50.0 into a ConsistencyError from the engine
     with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
         dataclasses.replace(fig2_config(1.0, 0.3, "ab"), **change)
+
+
+def _config_with(field, bad):
+    lines = fig2_lines(1.2, 0.3)
+    if field == "gamma":
+        return ApparatusConfig(mode=MODIFIED, lines=lines, gamma=bad)
+    if field == "gamma1":
+        return ApparatusConfig(mode=UNMODIFIED, lines=lines, gamma1=bad)
+    if field == "line":
+        # B' is no stop of setup ab, so only the line's own rule is broken
+        return dataclasses.replace(fig2_config(1.2, 0.3, "ab"), lines=dataclasses.replace(lines, B_prime=bad))
+    if field == "line-under-a-stop":
+        # the left stop sat on A: it now sits on no line, and its check must
+        # not meet the non-number A
+        return dataclasses.replace(fig2_config(1.2, 0.3, "ab"), lines=dataclasses.replace(lines, A=bad))
+    return dataclasses.replace(fig2_config(1.2, 0.3, "ab"), stops=StopPlacement(left=bad, right=lines.B))
+
+
+_FIELD_RULES = {
+    "gamma": "modified mode needs mutual-rotation budget gamma in (0, 2*pi), got {bad!r}",
+    "gamma1": "unmodified mode needs free-rotation angle gamma1 in (0, 2*pi], got {bad!r}",
+    "line": "line B' must be a normalized angle in [0, 2*pi), got {bad!r}",
+    "line-under-a-stop": (
+        "line A must be a normalized angle in [0, 2*pi), got {bad!r}; left stop must sit on line A or A', got 1.5"
+    ),
+    "stop": "left stop must sit on line A or A', got {bad!r}",
+}
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        pytest.param(field, bad, id=f"{field}-{bad_id}")
+        for field in _FIELD_RULES
+        for bad, bad_id in zip(NOT_A_NUMBER, NOT_A_NUMBER_IDS)
+        if not (field == "stop" and bad is None)  # a stop of None is no stop
+    ],
+)
+def test_config_names_the_field_that_is_no_number(field, bad):
+    # each of these used to end in a raw TypeError or OverflowError, or, for
+    # True, to build
+    rule = _FIELD_RULES[field].format(bad=bad)
+    with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
+        _config_with(field, bad)
+
+
+@pytest.mark.parametrize("bad", NOT_A_NUMBER, ids=NOT_A_NUMBER_IDS)
+@pytest.mark.parametrize("side", ["gamma", "theta"])
+def test_fig2_lines_names_a_value_that_is_no_number(side, bad):
+    gamma, theta = (bad, 0.3) if side == "gamma" else (1.0, bad)
+    with pytest.raises(ConfigError, match=f"^gamma and theta must be finite numbers, got {re.escape(f'{gamma!r}, {theta!r}')}$"):
+        fig2_lines(gamma, theta)
 
 
 def test_config_takes_no_validation_mark():

@@ -346,8 +346,13 @@ class TestSimulate:
         closed_form = cli.closed_form_fig2
 
         def off(gamma, theta):
+            # p(11|ab) with its joint entry up by 1e-9, p(00|ab) down by as much
             table = closed_form(gamma, theta)
-            return dataclasses.replace(table, joint={**table.joint, "ab": table.joint["ab"] + 1e-9})
+            cells = table.full_tables["ab"]
+            ab = {**cells, "11": cells["11"] + 1e-9, "00": cells["00"] - 1e-9}
+            return dataclasses.replace(
+                table, joint={**table.joint, "ab": ab["11"]}, full_tables={**table.full_tables, "ab": ab}
+            )
 
         monkeypatch.setattr(cli, "closed_form_fig2", off)
         monkeypatch.setattr(cli, "run_campaign", lambda plan: pytest.fail("the campaign ran"))
@@ -488,11 +493,17 @@ class TestChecksAndExitCodes:
                 return dataclasses.replace(r, ch=r.ch + by, identity_residual=r.identity_residual + by)
 
             def campaign(plan):
-                # p(11|ab) sampled times 5 sigma from its arc measure
+                # p(11|ab) sampled times 5 sigma from its arc measure, the
+                # cell moved with its joint entry and p(00|ab) by the opposite
                 report = run_campaign(plan)
                 p = cli.conditional_table(plan.lines, plan.gamma).joint["ab"]
-                joint = {**report.table.joint, "ab": p + times * 5.0 * math.sqrt(p * (1.0 - p) / plan.trials[0])}
-                return dataclasses.replace(report, table=dataclasses.replace(report.table, joint=joint))
+                cells = report.table.full_tables["ab"]
+                up = p + times * 5.0 * math.sqrt(p * (1.0 - p) / plan.trials[0]) - cells["11"]
+                ab = {**cells, "11": cells["11"] + up, "00": cells["00"] - up}
+                table = dataclasses.replace(
+                    report.table, joint={**report.table.joint, "ab": ab["11"]}, full_tables={**report.table.full_tables, "ab": ab}
+                )
+                return dataclasses.replace(report, table=table)
 
             def honest(config):
                 # the CH value times FLAG_TOL above 0, through p(B), which CH' does not read

@@ -6,6 +6,7 @@ perfectly correlated setups, (gamma - theta)/2pi = 1/12 for the near pair,
 zero for the far pair, and gamma/4pi = 1/12 for every lone stop.
 """
 
+import dataclasses
 import math
 import re
 
@@ -56,6 +57,12 @@ from test_monte_carlo import NEAR_BUDGET
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
+
+# Values that are no finite real: a str, None, a bool, NaN and an int beyond
+# float range.
+NOT_A_NUMBER = ["1.0", None, True, math.nan, 10**400]
+NOT_A_NUMBER_IDS = ["str", "None", "True", "nan", "huge-int"]
+MISSING = object()  # a key left out
 
 SQUARE_LINES = EngravedLines(A=math.pi / 4, A_prime=3 * math.pi / 4, B=7 * math.pi / 4, B_prime=5 * math.pi / 4)
 
@@ -256,55 +263,108 @@ class TestConditionalTable:
         assert via_lines.joint == via_shape.joint
         assert via_lines.singles == via_shape.singles
 
+    # A table checks itself when built, so each invalid one is built inside
+    # pytest.raises.
     def test_validate_rejects_unnormalized_table(self):
-        table = ConditionalTable(
-            joint={"ab": 0.5, "ab'": 0.0, "a'b": 0.0, "a'b'": 0.0},
-            singles={"a": None, "a'": None, "b": None, "b'": None},
-            full_tables={
-                s: {"11": 0.5, "10": 0.0, "01": 0.0, "00": 0.0}
-                for s in ("ab", "ab'", "a'b", "a'b'")
-            },
-        )
         with pytest.raises(ConsistencyError, match="normalize"):
-            table.validate()
+            ConditionalTable(
+                joint={"ab": 0.5, "ab'": 0.0, "a'b": 0.0, "a'b'": 0.0},
+                singles={"a": None, "a'": None, "b": None, "b'": None},
+                full_tables={
+                    s: {"11": 0.5, "10": 0.0, "01": 0.0, "00": 0.0}
+                    for s in ("ab", "ab'", "a'b", "a'b'")
+                },
+            )
 
     @pytest.mark.parametrize("excess, raises", [(2e-9, True), (5e-10, False)], ids=["past", "inside"])
     def test_normalization_bound_is_table_tol(self, excess, raises):
         # TABLE_TOL is 1e-9: a table summing to 1 + 2e-9 is rejected, one at 1 + 5e-10 is not
-        table = ConditionalTable(
-            joint={s: 0.25 for s in ("ab", "ab'", "a'b", "a'b'")},
-            singles={"a": None, "a'": None, "b": None, "b'": None},
-            full_tables={
-                s: {"11": 0.25, "10": 0.25, "01": 0.25, "00": 0.25 + excess}
-                for s in ("ab", "ab'", "a'b", "a'b'")
-            },
-        )
+        def build():
+            return ConditionalTable(
+                joint={s: 0.25 for s in ("ab", "ab'", "a'b", "a'b'")},
+                singles={"a": None, "a'": None, "b": None, "b'": None},
+                full_tables={
+                    s: {"11": 0.25, "10": 0.25, "01": 0.25, "00": 0.25 + excess}
+                    for s in ("ab", "ab'", "a'b", "a'b'")
+                },
+            )
+
         if raises:
             with pytest.raises(ConsistencyError, match="normalize"):
-                table.validate()
+                build()
         else:
+            table = build()
             assert table.validate() is table
 
     def test_validate_rejects_joint_mismatch(self):
         full = {s: {"11": 0.2, "10": 0.1, "01": 0.1, "00": 0.6} for s in ("ab", "ab'", "a'b", "a'b'")}
-        table = ConditionalTable(
-            joint={"ab": 0.9, "ab'": 0.2, "a'b": 0.2, "a'b'": 0.2},
-            singles={"a": 0.5, "a'": 0.5, "b": 0.5, "b'": 0.5},
-            full_tables=full,
-        )
         with pytest.raises(ConsistencyError, match="disagrees"):
-            table.validate()
+            ConditionalTable(
+                joint={"ab": 0.9, "ab'": 0.2, "a'b": 0.2, "a'b'": 0.2},
+                singles={"a": 0.5, "a'": 0.5, "b": 0.5, "b'": 0.5},
+                full_tables=full,
+            )
 
     @pytest.mark.parametrize("p", [-1e-6, 1.0 + 1e-6, 2.0])
     def test_validate_rejects_a_single_entry_out_of_range(self, p):
         full = {s: {"11": 0.2, "10": 0.1, "01": 0.1, "00": 0.6} for s in ("ab", "ab'", "a'b", "a'b'")}
-        table = ConditionalTable(
-            joint={s: 0.2 for s in ("ab", "ab'", "a'b", "a'b'")},
-            singles={"a": 0.5, "a'": None, "b": p, "b'": 0.5},
-            full_tables=full,
-        )
         with pytest.raises(ConsistencyError, match=rf"^single entry for setup 'b' out of range: {re.escape(repr(p))}$"):
-            table.validate()
+            ConditionalTable(
+                joint={s: 0.2 for s in ("ab", "ab'", "a'b", "a'b'")},
+                singles={"a": 0.5, "a'": None, "b": p, "b'": 0.5},
+                full_tables=full,
+            )
+
+    @pytest.mark.parametrize(
+        "part, bad",
+        [
+            pytest.param(part, bad, id=f"{part}-{bad_id}")
+            for part in ("cell", "joint", "single")
+            for bad, bad_id in zip(NOT_A_NUMBER + [MISSING], NOT_A_NUMBER_IDS + ["missing"])
+            if not (part == "single" and bad is None)  # None is a single entry that no trials inform
+        ],
+    )
+    def test_table_names_the_entry_that_is_no_number(self, part, bad):
+        # a str, None or an int beyond float range in a cell or joint entry, or
+        # a missing key, used to end in a raw TypeError, OverflowError or
+        # KeyError, and True was the probability 1
+        table = closed_form_fig2(GAMMA, THETA)
+        joint, singles = dict(table.joint), dict(table.singles)
+        full = {s: dict(cells) for s, cells in table.full_tables.items()}
+        entries, key = {"cell": (full["a'b"], "10"), "joint": (joint, "a'b"), "single": (singles, "b")}[part]
+        if bad is MISSING:
+            del entries[key]
+        else:
+            entries[key] = bad
+        rule = {
+            "cell": "table for setup \"a'b\" needs a finite number in each of the cells ('11', '10', '01', '00'): ",
+            "joint": f"joint entry for setup \"a'b\" disagrees with its table: {None if bad is MISSING else bad!r}",
+            "single": "no single entry for setup 'b'" if bad is MISSING else f"single entry for setup 'b' out of range: {bad!r}",
+        }[part]
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(rule)}"):
+            ConditionalTable(joint=joint, singles=singles, full_tables=full)
+
+    def test_table_of_nothing_names_its_first_setup(self):
+        # used to end in a raw KeyError
+        with pytest.raises(ConsistencyError, match=r"^table for setup 'ab' needs a finite number in each of the cells .*: \{\}$"):
+            ConditionalTable(joint={}, singles={}, full_tables={})
+
+    def test_table_of_nan_is_rejected(self):
+        # every comparison with NaN is false, so this table used to pass
+        with pytest.raises(ConsistencyError, match="^table for setup 'ab' needs a finite number in each of the cells"):
+            ConditionalTable(
+                joint=dict.fromkeys(TWO_STOP_SETUPS, math.nan),
+                singles=dict.fromkeys(SINGLE_STOP_SETUPS, math.nan),
+                full_tables={s: dict.fromkeys(CELLS, math.nan) for s in TWO_STOP_SETUPS},
+            )
+
+    def test_replace_checks_the_new_table(self):
+        # a joint entry moved without its cell is no table
+        table = closed_form_fig2(GAMMA, THETA)
+        joint = {**table.joint, "ab": table.joint["ab"] + 1e-6}
+        rule = f"joint entry for setup 'ab' disagrees with its table: {joint['ab']!r}"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(rule)}$"):
+            dataclasses.replace(table, joint=joint)
 
     def test_stop_reached_sides(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ different setups; weighting by setting frequencies restores everything.
 """
 
 import math
+import re
 from itertools import product
 
 import pytest
@@ -153,11 +154,27 @@ class TestCorrected:
         with pytest.raises(ValueError, match="nonnegative"):
             corrected_probabilities(demo_table(), SettingFrequencies(1.5, -0.5, 0.0, 0.0))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_rejects_non_finite_frequencies(self, bad):
-        # a non-finite frequency used to be reported as a negative one
-        with pytest.raises(ValueError, match="^setting frequencies must be finite, got"):
-            corrected_probabilities(demo_table(), SettingFrequencies(bad, 0.5, 0.5, 0.0))
+    @pytest.mark.parametrize(
+        "values, setup",
+        [
+            ((math.nan, 0.5, 0.5, 0.0), "ab"),
+            ((0.5, 0.5, 0.0, math.inf), "a'b'"),
+            ((0.5, -math.inf, 0.5, 0.0), "ab'"),
+            (("0.25", 0.25, 0.25, 0.25), "ab"),
+            ((0.5, 0.5, None, 0.0), "a'b"),
+            ((True, 0.0, 0.0, 0.0), "ab"),
+            ((0.5, 10**400, 0.5, 0.0), "ab'"),
+        ],
+        ids=["nan", "inf", "-inf", "str", "None", "True", "huge-int"],
+    )
+    def test_rejects_non_finite_frequencies(self, values, setup):
+        # a non-finite frequency used to be reported as a negative one, a str
+        # or an int beyond float range to end in a raw TypeError or
+        # OverflowError, and True was the frequency 1
+        bad = values[("ab", "ab'", "a'b", "a'b'").index(setup)]
+        rule = f"setting frequencies must be finite numbers, got {bad!r} for setup {setup!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+            SettingFrequencies(*values)
 
 
 class TestReducedForm:

@@ -8,6 +8,7 @@ Reference points used throughout:
   singlet correlations   no-signaling, battery maximum (sqrt 2 - 1)/2
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -38,6 +39,7 @@ from ch_apparatus.lhv_feasibility import (
 )
 from ch_apparatus import simplex
 from ch_apparatus.simplex import _pivot, solve_lp
+from test_exact_engine import MISSING, NOT_A_NUMBER, NOT_A_NUMBER_IDS
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -158,11 +160,20 @@ class TestFeasibleJoint:
         )
         assert feasible_joint(blend).feasible
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf] + NOT_A_NUMBER + [MISSING], ids=["inf", "-inf"] + NOT_A_NUMBER_IDS + ["missing"]
+    )
     def test_rejects_non_finite_cell(self, bad):
-        # a non-finite cell used to be reported as a negative one
-        with pytest.raises(ValueError, match="^cells for setting \"a'b'\" must be finite: "):
-            feasible_joint(BehaviorTable.from_vector([0.25] * 15 + [bad]))
+        # a non-finite cell used to be reported as a negative one; a str, None
+        # or an int beyond float range, or a missing cell, to end in a raw
+        # TypeError, OverflowError or KeyError; and True was the probability 1
+        cells = {"11": 0.5, "10": 0.0, "01": 0.0, "00": 0.5}
+        if bad is MISSING:
+            del cells["10"]
+        else:
+            cells["10"] = bad
+        with pytest.raises(ValueError, match="^cells for setting \"a'b'\" must be finite: a number in each of "):
+            BehaviorTable({**singlet_table().tables, "a'b'": cells})
 
     def test_rejects_negative_cell(self):
         cells = [0.25] * 16
@@ -179,14 +190,19 @@ class TestFeasibleJoint:
         assert all(w >= 0.0 for w in result.weights)
 
     def test_rejects_unnormalized_table(self):
-        bad = BehaviorTable(
-            tables={
-                s: {"11": 0.5, "10": 0.5, "01": 0.5, "00": 0.5}
-                for s in ("ab", "ab'", "a'b", "a'b'")
-            }
-        )
+        # the table checks itself when built, before feasible_joint sees it
         with pytest.raises(ValueError, match="sum to 1"):
-            feasible_joint(bad)
+            BehaviorTable(tables={s: {"11": 0.5, "10": 0.5, "01": 0.5, "00": 0.5} for s in ("ab", "ab'", "a'b", "a'b'")})
+
+    def test_rejects_a_missing_setting(self):
+        # used to end in a raw KeyError
+        with pytest.raises(ValueError, match=r"^cells for setting 'ab' must be finite: a number in each of .*, got \{\}$"):
+            BehaviorTable({})
+
+    def test_replace_checks_the_new_table(self):
+        table = singlet_table()
+        with pytest.raises(ValueError, match="^cells for setting 'ab' must sum to 1: "):
+            dataclasses.replace(table, tables={**table.tables, "ab": {"11": 1.0, "10": 1.0, "01": 0.0, "00": 0.0}})
 
     def test_stopped_simplex_is_a_consistency_error(self, monkeypatch):
         monkeypatch.setattr(simplex, "_MAX_ITER", 1)

@@ -83,6 +83,8 @@ MUTANTS = [
         "plan-config-unchecked", _SRC + "monte_carlo.py",
         '        config_for_setup(self.lines, self.gamma, "ab")', "        pass",
     ),
+    Mutant("conditional-table-unchecked", _SRC + "exact_engine.py", "    __post_init__ = validate\n", ""),
+    Mutant("behavior-table-unchecked", _SRC + "lhv_feasibility.py", "    __post_init__ = validate\n", ""),
 ]
 
 
