@@ -169,7 +169,12 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     if config.mode not in (UNMODIFIED, MODIFIED):
         problems.append(f"mode must be {UNMODIFIED!r} or {MODIFIED!r}, got {config.mode!r}")
 
-    lines = config.lines
+    lines, stops = config.lines, config.stops
+    if not (isinstance(lines, EngravedLines) and isinstance(stops, StopPlacement)):
+        kinds = (("lines", lines, EngravedLines), ("stops", stops, StopPlacement))
+        problems += [f"{name} must be of type {kind.__name__}, got {value!r}" for name, value, kind in kinds
+                     if not isinstance(value, kind)]
+        raise ConfigError("; ".join(problems))  # the checks below read their fields
     for name, value in zip(LINE_NAMES, (lines.A, lines.A_prime, lines.B, lines.B_prime)):
         if not _on_circle(value):
             problems.append(f"line {name} must be a normalized angle in [0, 2*pi), got {value!r}")
@@ -178,7 +183,7 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
     if lines.B == lines.B_prime:
         problems.append("lines B and B' must be distinct")
 
-    has_stop = config.stops.left is not None or config.stops.right is not None
+    has_stop = stops.left is not None or stops.right is not None
     if config.mode == UNMODIFIED:
         if has_stop:
             problems.append("unmodified mode admits no stops (mode/stop mismatch)")
@@ -189,10 +194,10 @@ def validate_config(config: ApparatusConfig) -> ApparatusConfig:
         g = config.gamma
         if _not_a_number(g) or not 0.0 < g < TWO_PI:
             problems.append(f"modified mode needs mutual-rotation budget gamma in (0, 2*pi), got {g!r}")
-        left = config.stops.left
+        left = stops.left
         if left is not None and not (_on_circle(left) and _is_line(left, (lines.A, lines.A_prime))):
             problems.append(f"left stop must sit on line A or A', got {left!r}")
-        right = config.stops.right
+        right = stops.right
         if right is not None and not (_on_circle(right) and _is_line(right, (lines.B, lines.B_prime))):
             problems.append(f"right stop must sit on line B or B', got {right!r}")
 

@@ -217,7 +217,7 @@ def parse_config(path: str) -> ExperimentConfig:
                 check_seed(seed)
             except PlanError as exc:
                 _fail("campaign.seed", str(exc))
-        if "workers" in camp:  # accepted for compatibility; runs are serial
+        if "workers" in camp:  # accepted for compatibility; the sequences run on every usable CPU
             _expect_int(camp["workers"], "campaign.workers", minimum=1)
 
     frequencies: SettingFrequencies | None = SettingFrequencies.uniform()
@@ -420,7 +420,8 @@ def cmd_demo(gamma: float, theta: float, seed: int = 0, trials: int = 10**6, wor
     """The simulate pipeline on the standard engraving, with equal trials per
     sequence and uniform frequencies, plus the closed-form cross-check.
     ``workers`` must be at least 1 and is otherwise accepted for
-    compatibility only: runs are serial."""
+    compatibility only: the campaign runs its sequences on every usable CPU
+    (run_campaign), whatever it says, and prints the same bytes."""
     _check_int(trials, "trials")
     _check_int(workers, "workers")
     if trials < 1:
@@ -750,7 +751,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     demo.add_argument("--seed", type=_seed_flag, default=0, help="campaign master seed, 0 <= seed < 2**64")
     demo.add_argument("--trials", type=int, default=10**6, help="trials per setup")
-    demo.add_argument("--workers", type=int, default=1, help="accepted for compatibility (>= 1); runs are serial")
+    demo.add_argument(
+        "--workers", type=int, default=1, help="accepted for compatibility (>= 1); sequences run on every usable CPU"
+    )
 
     simulate = sub.add_parser("simulate", help="campaign driven by a JSON config file")
     simulate.add_argument("--config", type=str, required=True)

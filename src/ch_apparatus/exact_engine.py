@@ -66,7 +66,8 @@ from .circle_geometry import EPS_ANGLE, TWO_PI, guarded_partition, normalize
 _GUARD_MARGIN = 4.0 * EPS_ANGLE
 
 # A probability table (stop-reach cells, setting frequencies) must sum to 1
-# within this.
+# within this; each entry of a ConditionalTable must lie in
+# [-TABLE_TOL, 1 + TABLE_TOL].
 TABLE_TOL = 1e-9
 
 # The closed forms of the standard engraving (closed_form_fig2) and its arc
@@ -264,6 +265,16 @@ def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -
     return hits / n_points
 
 
+_P_MIN, _P_MAX = -TABLE_TOL, 1.0 + TABLE_TOL
+
+
+def _not_a_probability(x: object) -> bool:
+    """Whether x cannot be a table entry: no number by _not_a_number's rule,
+    or outside [-TABLE_TOL, 1 + TABLE_TOL].  A plain float, the common case,
+    takes one chained comparison, which NaN fails."""
+    return (type(x) is not float and _not_a_number(x)) or not _P_MIN <= x <= _P_MAX
+
+
 @dataclass(frozen=True)
 class ConditionalTable:
     """Conditional probabilities for the eight stop setups, checked when built.
@@ -271,6 +282,8 @@ class ConditionalTable:
     ``joint`` holds p(both stops reached | two-stop setup), ``singles`` holds
     p(stop reached | single-stop setup) (None when no trials inform it), and
     ``full_tables`` the complete 2x2 stop-reach tables per two-stop setup.
+    Each entry is a number in [-TABLE_TOL, 1 + TABLE_TOL] (_not_a_probability),
+    each 2x2 table sums to 1, and its cell 11 is the setup's joint entry.
     """
 
     joint: dict[str, float]
@@ -280,19 +293,19 @@ class ConditionalTable:
     def validate(self) -> "ConditionalTable":
         for setup in TWO_STOP_SETUPS:
             table, joint = self.full_tables.get(setup, {}), self.joint.get(setup)
-            if len(table) != len(CELLS) or any(map(_not_a_number, map(table.get, CELLS))):
+            if len(table) != len(CELLS) or any(map(_not_a_probability, map(table.get, CELLS))):
                 raise ConsistencyError(
-                    f"table for setup {setup!r} needs a finite number in each of the cells {CELLS!r}: {table!r}"
+                    f"table for setup {setup!r} needs a probability in each of the cells {CELLS!r}: {table!r}"
                 )
             if abs(sum(table.values()) - 1.0) > TABLE_TOL:
                 raise ConsistencyError(f"table for setup {setup!r} does not normalize: {table!r}")
-            if _not_a_number(joint) or abs(table["11"] - joint) > TABLE_TOL:
+            if _not_a_probability(joint) or abs(table["11"] - joint) > TABLE_TOL:
                 raise ConsistencyError(f"joint entry for setup {setup!r} disagrees with its table: {joint!r}")
         for setup in SINGLE_STOP_SETUPS:
             if setup not in self.singles:
                 raise ConsistencyError(f"no single entry for setup {setup!r}")
             p = self.singles[setup]
-            if p is not None and (_not_a_number(p) or not -TABLE_TOL <= p <= 1.0 + TABLE_TOL):
+            if p is not None and _not_a_probability(p):
                 raise ConsistencyError(f"single entry for setup {setup!r} out of range: {p!r}")
         return self
     __post_init__ = validate

@@ -20,12 +20,16 @@ and of those only the ones in a guard band around a breakpoint run through
 the kinematics.  The bins are weighted once per sequence, so memory does not
 grow with the number of trials.  The counts equal those of run_trials on
 every angle (kinematic_counts), which the tests and the check suite verify.
-Chunks run one after another.
+A sequence's chunks run one after another; a campaign runs its sequences
+side by side, one per usable CPU, and since each count is a pure function of
+the sequence's spec the thread count changes no byte of a report.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -423,24 +427,30 @@ class _Tally:
 
 
 def run_sequence(
-    lines: EngravedLines, gamma: float, spec: SequenceSpec, *, _shared_lookup: _Lookup | None = None
+    lines: EngravedLines,
+    gamma: float,
+    spec: SequenceSpec,
+    *,
+    _shared: tuple[_Lookup, np.ndarray, np.ndarray] | None = None,
 ) -> SequenceResult:
     """Run one sequence on the engraving, with the stops spec.setup names.
 
     Trials are binned in fixed-size index chunks, in chunk order, through
     one pair of buffers, into a _Tally of fixed size counted at the end.
-    The lookup comes from run_campaign, or else is built from the setup's
-    own partition before any chunk runs; a ConsistencyError from it means
-    the configuration breaks the exact engine's breakpoint assumption.
+    The lookup, the step table and the buffers come from run_campaign, or
+    else are built here, the lookup from the setup's own partition before
+    any chunk runs; a ConsistencyError from it means the configuration
+    breaks the exact engine's breakpoint assumption.
     """
     config = config_for_setup(lines, gamma, spec.setup)
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
-        lookup = _lookups(config, None)[0] if _shared_lookup is None else _shared_lookup
+        if _shared is None:
+            steps = _steps(min(n, _CHUNK))
+            _shared = (_lookups(config, None)[0], steps, np.empty((2, len(steps)), dtype=np.uint64))
+        lookup, steps, buffers = _shared
         tally = _Tally(config, lookup)
-        steps = _steps(min(n, _CHUNK))
-        buffers = np.empty((2, len(steps)), dtype=np.uint64)
         for lo in range(0, n, _CHUNK):
             size = min(_CHUNK, n - lo)
             z, tmp = buffers[:, :size]
@@ -466,15 +476,58 @@ class EstimateReport:
         return {s: r.estimates() for s, r in self.results.items() if r.n_trials > 0}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_campaign(plan: CampaignPlan) -> EstimateReport:
-    """Run all sequences of a plan and assemble the estimate report."""
+    """Run all sequences of a plan and assemble the estimate report.
+
+    The sequences run on min(usable CPUs, sequences with trials) threads,
+    the calling thread among them.  Each thread takes the next sequence in
+    ALL_SETUPS order until none is left, so unequal counts still balance,
+    and runs it through its own pair of chunk buffers; the step table and
+    the lookups are built once and only read.  Results are assembled in
+    ALL_SETUPS order, and the error of the first failing sequence in that
+    order is raised here.
+    """
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
-    results = {
-        spec.setup: run_sequence(plan.lines, plan.gamma, spec, _shared_lookup=lookups.get(spec.setup))
-        for spec in sequences
-    }
+    steps = _steps(min(_CHUNK, max(plan.trials)))
+    pending, lock = iter(sequences), threading.Lock()
+    outcomes: dict[str, SequenceResult | Exception] = {}  # in completion order
+
+    def work(buffers: np.ndarray) -> None:
+        while True:
+            with lock:
+                spec = next(pending, None)
+            if spec is None:
+                return
+            try:
+                shared = (lookups.get(spec.setup), steps, buffers)
+                outcomes[spec.setup] = run_sequence(plan.lines, plan.gamma, spec, _shared=shared)
+            except Exception as exc:  # raised by the caller, in ALL_SETUPS order
+                outcomes[spec.setup] = exc
+
+    buffers = [np.empty((2, len(steps)), dtype=np.uint64) for _ in range(max(1, min(_usable_cpus(), len(live))))]
+    threads = [threading.Thread(target=work, args=(b,), name=f"campaign-{k}") for k, b in enumerate(buffers[1:], 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for spec in sequences:
+        if isinstance(outcomes[spec.setup], Exception):
+            raise outcomes[spec.setup]
+    results = {spec.setup: outcomes[spec.setup] for spec in sequences}
 
     two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
     total = sum(two_stop_n)

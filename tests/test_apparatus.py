@@ -154,6 +154,26 @@ def test_replace_checks_the_new_config(change, rule):
         dataclasses.replace(fig2_config(1.0, 0.3, "ab"), **change)
 
 
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"lines": None}, "lines must be of type EngravedLines, got None"),
+        ({"lines": (1.0, 2.0, 3.0, 4.0)}, "lines must be of type EngravedLines, got (1.0, 2.0, 3.0, 4.0)"),
+        ({"stops": None}, "stops must be of type StopPlacement, got None"),
+        (
+            {"mode": "sideways", "lines": "fig2", "stops": 1.0},
+            "mode must be 'unmodified' or 'modified', got 'sideways'; lines must be of type EngravedLines, "
+            "got 'fig2'; stops must be of type StopPlacement, got 1.0",
+        ),
+    ],
+    ids=["lines-none", "lines-tuple", "stops-none", "all-three"],
+)
+def test_config_names_lines_or_stops_of_the_wrong_type(change, rule):
+    # lines=None used to end in a raw AttributeError from reading lines.A
+    with pytest.raises(ConfigError, match=f"^{re.escape(rule)}$"):
+        ApparatusConfig(**{"mode": MODIFIED, "lines": fig2_lines(1.0, 0.3), "gamma": 1.0, **change})
+
+
 def _config_with(field, bad):
     lines = fig2_lines(1.2, 0.3)
     if field == "gamma":

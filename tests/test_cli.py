@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus import cli, simplex
+from ch_apparatus import cli, monte_carlo, simplex
 from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError, EngravedLines, fig2_lines
 from ch_apparatus.cli import (
     SCHEMA,
@@ -40,7 +40,7 @@ from ch_apparatus.cli import (
 )
 from ch_apparatus.exact_engine import ConsistencyError
 from ch_apparatus.inequality_analysis import SettingFrequencies
-from ch_apparatus.monte_carlo import CampaignPlan
+from ch_apparatus.monte_carlo import _CHUNK, CampaignPlan, run_campaign
 
 GAMMA = math.pi / 3.0
 THETA = math.pi / 6.0
@@ -913,6 +913,15 @@ TWO_STOP_CONFIG = {
 }
 
 
+# one long sequence and three short ones, and no single-stop trials: the
+# thread that takes ab finishes after the others have run the rest
+UNEQUAL_CONFIG = {
+    "apparatus": {"gamma": 1.047, "theta": 0.524},
+    "campaign": {"trials": {"ab": 20 * _CHUNK, "ab'": 3, "a'b": 2, "a'b'": 1}, "seed": 5},
+    "frequencies": "empirical",
+}
+
+
 def _with_workers(payload, workers):
     """payload with campaign.workers set to workers, or removed for None."""
     campaign = {k: v for k, v in payload["campaign"].items() if k != "workers"}
@@ -978,3 +987,28 @@ class TestFrozenReports:
     def test_simulate(self, payload, out_format, digest, tmp_path):
         report = cmd_simulate(parse_config(write_config(tmp_path, payload)))
         assert sha256(render_report(report, out_format)) == digest
+
+
+class TestThreadCount:
+    """run_campaign runs its sequences on one thread per usable CPU; the
+    counts and the printed bytes do not depend on how many there are."""
+
+    @pytest.mark.parametrize("plan_name", ["demo", "unequal"])
+    def test_counts_and_bytes_equal_on_one_two_and_three_cpus(self, plan_name, monkeypatch, tmp_path):
+        if plan_name == "demo":
+            plan = CampaignPlan.from_params(GAMMA, fig2_lines(GAMMA, THETA), n_trials=10**6, master_seed=7)
+            printed = lambda: render_report(cmd_demo(GAMMA, THETA, seed=7, trials=10**6))  # noqa: E731
+        else:
+            config = parse_config(write_config(tmp_path, UNEQUAL_CONFIG))
+            plan = config.plan
+            printed = lambda: render_report(cmd_simulate(config))  # noqa: E731
+        seen = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda n=cpus: n)
+            report = run_campaign(plan)
+            # results in ALL_SETUPS order, not in the order they finished
+            assert list(report.results) == list(ALL_SETUPS)
+            seen[cpus] = (report.results, printed())
+        assert seen[1] == seen[2] == seen[3]
+        if plan_name == "demo":
+            assert sha256(seen[1][1]) == "235f54ebe2b95ac37d62c128d58f7b342d560045d70c4246fc24e9ff34a5ddca"

@@ -337,21 +337,45 @@ class TestConditionalTable:
         else:
             entries[key] = bad
         rule = {
-            "cell": "table for setup \"a'b\" needs a finite number in each of the cells ('11', '10', '01', '00'): ",
+            "cell": "table for setup \"a'b\" needs a probability in each of the cells ('11', '10', '01', '00'): ",
             "joint": f"joint entry for setup \"a'b\" disagrees with its table: {None if bad is MISSING else bad!r}",
             "single": "no single entry for setup 'b'" if bad is MISSING else f"single entry for setup 'b' out of range: {bad!r}",
         }[part]
         with pytest.raises(ConsistencyError, match=f"^{re.escape(rule)}"):
             ConditionalTable(joint=joint, singles=singles, full_tables=full)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            {"11": 1.5, "10": -0.5, "01": 0.0, "00": 0.0},
+            {"11": 0.25, "10": -1e-6, "01": 0.25, "00": 0.500001},
+            {"11": 0.25, "10": 1.0 + 2e-9, "01": -0.25, "00": -2e-9},
+        ],
+        ids=["past-one", "below-zero", "just-past-one"],
+    )
+    def test_cell_outside_the_unit_interval_is_rejected(self, cells):
+        # each sums to 1, with its joint entry on cell 11: the first used to
+        # build, and analyze printed a naive CH of 1.611 from it
+        table = closed_form_fig2(1.0, 0.3)
+        rule = f"table for setup 'ab' needs a probability in each of the cells {CELLS!r}: {cells!r}"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(rule)}$"):
+            ConditionalTable({**table.joint, "ab": cells["11"]}, table.singles, {**table.full_tables, "ab": cells})
+
+    def test_entries_within_table_tol_of_the_unit_interval_pass(self):
+        # rounding slivers of a closed form are probabilities
+        table = closed_form_fig2(1.0, 0.3)
+        cells = {"11": 1.0 + 0.5e-9, "10": -0.5e-9, "01": 0.0, "00": 0.0}
+        singles = {**table.singles, "b": -0.5e-9}
+        assert ConditionalTable({**table.joint, "ab": cells["11"]}, singles, {**table.full_tables, "ab": cells})
+
     def test_table_of_nothing_names_its_first_setup(self):
         # used to end in a raw KeyError
-        with pytest.raises(ConsistencyError, match=r"^table for setup 'ab' needs a finite number in each of the cells .*: \{\}$"):
+        with pytest.raises(ConsistencyError, match=r"^table for setup 'ab' needs a probability in each of the cells .*: \{\}$"):
             ConditionalTable(joint={}, singles={}, full_tables={})
 
     def test_table_of_nan_is_rejected(self):
         # every comparison with NaN is false, so this table used to pass
-        with pytest.raises(ConsistencyError, match="^table for setup 'ab' needs a finite number in each of the cells"):
+        with pytest.raises(ConsistencyError, match="^table for setup 'ab' needs a probability in each of the cells"):
             ConditionalTable(
                 joint=dict.fromkeys(TWO_STOP_SETUPS, math.nan),
                 singles=dict.fromkeys(SINGLE_STOP_SETUPS, math.nan),

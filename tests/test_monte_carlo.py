@@ -8,6 +8,8 @@ recorded campaign, so a change must be loud.
 import dataclasses
 import math
 import re
+import sys
+import threading
 from statistics import NormalDist
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus import exact_engine
+from ch_apparatus import exact_engine, monte_carlo
 from ch_apparatus.apparatus import (
     ALL_SETUPS,
     TWO_STOP_SETUPS,
@@ -718,6 +720,94 @@ class TestSharedLookup:
         with pytest.raises(ConsistencyError) as info:
             run_campaign(CampaignPlan.from_params(gamma, lines, n_trials=trials, master_seed=1))
         assert str(info.value) == message
+
+
+class TestCampaignThreads:
+    """run_campaign's threads: every sequence runs once, and an error raised
+    on any thread reaches the caller, the first in ALL_SETUPS order."""
+
+    PLAN = CampaignPlan.from_params(GAMMA, FIG2, n_trials=1000, master_seed=3)
+
+    def _failing(self, monkeypatch, failing):
+        """Patch run_sequence so that the setups in failing raise, and the
+        calling thread waits on its first sequence until a worker thread
+        has run the last one: every later sequence runs on a worker.
+        Returns the names of the threads that ran each setup."""
+        real, last_done, ran_on = monte_carlo.run_sequence, threading.Event(), {}
+
+        def run_sequence(lines, gamma, spec, **shared):
+            if threading.current_thread() is threading.main_thread():
+                assert last_done.wait(timeout=30), "no worker thread ran the last sequence"
+            ran_on[spec.setup] = threading.current_thread().name
+            try:
+                if spec.setup in failing:
+                    raise RuntimeError(f"sequence {spec.setup} failed")
+                return real(lines, gamma, spec, **shared)
+            finally:
+                if spec.setup == ALL_SETUPS[-1]:
+                    last_done.set()
+
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
+        return ran_on
+
+    @pytest.mark.parametrize("failing", [("b",), ("a'b", "b"), ("b", "a'b")], ids=["one", "two", "two-reversed"])
+    def test_first_error_in_setup_order_reaches_the_caller(self, monkeypatch, failing):
+        ran_on = self._failing(monkeypatch, failing)
+        first = min(failing, key=ALL_SETUPS.index)
+        with pytest.raises(RuntimeError, match=f"^sequence {re.escape(first)} failed$"):
+            run_campaign(self.PLAN)
+        # every sequence ran, the failing ones on a worker thread, and every
+        # worker thread was joined
+        assert set(ran_on) == set(ALL_SETUPS)
+        assert all(ran_on[setup] != threading.main_thread().name for setup in failing)
+        assert not any(thread.name.startswith("campaign-") for thread in threading.enumerate())
+
+    def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
+        # eight threads on however many cores, switching every microsecond:
+        # a sequence taken twice or a result lost would show in the counts
+        serial = run_campaign(self.PLAN).results
+        real, ran = monte_carlo.run_sequence, []
+
+        def run_sequence(lines, gamma, spec, **shared):
+            ran.append(spec.setup)
+            return real(lines, gamma, spec, **shared)
+
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                ran.clear()
+                assert run_campaign(self.PLAN).results == serial
+                assert sorted(ran) == sorted(ALL_SETUPS)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_thread_count_follows_the_usable_cpus_and_the_live_sequences(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        for cpus, trials, extra in [(1, 1000, 0), (4, 1000, 3), (16, 1000, 7), (16, {"ab": 5, "b": 2}, 1)]:
+            started.clear()
+            monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda n=cpus: n)
+            run_campaign(CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials, master_seed=3))
+            assert len(started) == extra, (cpus, trials)
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(monte_carlo.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert monte_carlo._usable_cpus() == 2
+        monkeypatch.delattr(monte_carlo.os, "sched_getaffinity")
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: 6)
+        assert monte_carlo._usable_cpus() == 6
+        monkeypatch.setattr(monte_carlo.os, "cpu_count", lambda: None)
+        assert monte_carlo._usable_cpus() == 1
 
 
 class TestCampaignPlan:

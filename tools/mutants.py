@@ -85,6 +85,11 @@ MUTANTS = [
     ),
     Mutant("conditional-table-unchecked", _SRC + "exact_engine.py", "    __post_init__ = validate\n", ""),
     Mutant("behavior-table-unchecked", _SRC + "lhv_feasibility.py", "    __post_init__ = validate\n", ""),
+    # a campaign's results taken in the order its threads finished them
+    Mutant(
+        "campaign-completion-order", _SRC + "monte_carlo.py",
+        "    results = {spec.setup: outcomes[spec.setup] for spec in sequences}\n", "    results = outcomes\n",
+    ),
 ]
 
 
