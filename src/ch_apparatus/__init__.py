@@ -14,7 +14,6 @@ from .apparatus import (
     StopPlacement,
     TrialOutcome,
     config_for_setup,
-    crossed_events,
     fig2_config,
     fig2_lines,
     run_trial,
@@ -22,7 +21,7 @@ from .apparatus import (
     unmodified_config,
     validate_config,
 )
-from .circle_geometry import Arc, arc_contains, ccw_delta, normalize, partition_circle
+from .circle_geometry import Arc, ccw_delta, normalize, partition_circle
 from .exact_engine import (
     ConditionalTable,
     ConsistencyError,
@@ -30,9 +29,7 @@ from .exact_engine import (
     closed_form_fig2,
     conditional_table,
     conditional_table_exact,
-    event_probability,
     grid_oracle,
-    joint_probability_table,
 )
 from .inequality_analysis import (
     AnalysisReport,

@@ -80,7 +80,6 @@ __all__ = [
     "run_trial",
     "run_trials",
     "run_setups",
-    "crossed_events",
     "fig2_lines",
     "fig2_config",
     "unmodified_config",
@@ -424,11 +423,6 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
     angles = (lines.A, lines.A_prime, lines.B, lines.B_prime, math.nan)
     index = [_setup_lines(setup) for setup in setups]
     return _run_rows(config, [angles[i] for i, _ in index], [angles[j] for _, j in index], phis)
-
-
-def crossed_events(outcome: TrialOutcome) -> tuple[bool, bool, bool, bool]:
-    """Project an outcome onto the four line-crossing events (A, A', B, B')."""
-    return tuple(name in outcome.crossed for name in LINE_NAMES)
 
 
 def fig2_lines(gamma: float, theta: float) -> EngravedLines:

@@ -1,8 +1,8 @@
 """Angles, directed arcs, and arc partitions on the unit circle.
 
 Angles are plain floats in radians, normalized to [0, 2*pi).  Arcs are swept
-counterclockwise from their start angle and treated as closed sets; boundary
-membership uses a fixed tolerance, which is harmless for measure computations
+counterclockwise from their start angle.  Boundary ties are decided with a
+fixed tolerance, EPS_ANGLE, which is harmless for measure computations
 because boundaries have measure zero.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Tolerance for boundary classification (arc membership, stop-reach ties).
+# Tolerance for boundary classification (line crossings, stop-reach ties).
 EPS_ANGLE = 1e-12
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Arc",
     "normalize",
     "ccw_delta",
-    "arc_contains",
     "partition_circle",
     "guarded_partition",
 ]
@@ -66,18 +65,6 @@ class Arc(NamedTuple):
 
     start: float
     extent: float
-
-    def point_at(self, fraction: float) -> float:
-        """Interior point at the given fraction of the sweep."""
-        return normalize(self.start + fraction * self.extent)
-
-    def midpoint(self) -> float:
-        return self.point_at(0.5)
-
-
-def arc_contains(arc: Arc, x: float) -> bool:
-    """Whether the normalized angle ``x`` lies on the closed arc."""
-    return ccw_delta(arc.start, normalize(x)) <= arc.extent + EPS_ANGLE
 
 
 def guarded_partition(points: list[float], margin: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

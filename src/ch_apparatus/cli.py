@@ -198,7 +198,7 @@ def parse_config(path: str) -> ExperimentConfig:
     trials = {s: 10**6 for s in ALL_SETUPS}
     seed = 0
     if "campaign" in top:
-        camp = _expect_mapping(top["campaign"], "campaign", {"trials", "seed", "workers"})
+        camp = _expect_mapping(top["campaign"], "campaign", {"trials", "seed"})
         if "trials" in camp:
             t = camp["trials"]
             if isinstance(t, dict):
@@ -217,8 +217,6 @@ def parse_config(path: str) -> ExperimentConfig:
                 check_seed(seed)
             except PlanError as exc:
                 _fail("campaign.seed", str(exc))
-        if "workers" in camp:  # accepted for compatibility; the sequences run on every usable CPU
-            _expect_int(camp["workers"], "campaign.workers", minimum=1)
 
     frequencies: SettingFrequencies | None = SettingFrequencies.uniform()
     if "frequencies" in top:
@@ -419,9 +417,9 @@ def cmd_exact(gamma: float, theta: float) -> dict[str, Any]:
 def cmd_demo(gamma: float, theta: float, seed: int = 0, trials: int = 10**6, workers: int = 1) -> dict[str, Any]:
     """The simulate pipeline on the standard engraving, with equal trials per
     sequence and uniform frequencies, plus the closed-form cross-check.
-    ``workers`` must be at least 1 and is otherwise accepted for
-    compatibility only: the campaign runs its sequences on every usable CPU
-    (run_campaign), whatever it says, and prints the same bytes."""
+    ``workers`` must be at least 1 and changes nothing: the campaign runs its
+    sequences on every usable CPU (run_campaign).  It stays only because the
+    committed benchmark passes it; the command line has no such option."""
     _check_int(trials, "trials")
     _check_int(workers, "workers")
     if trials < 1:
@@ -751,9 +749,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     demo.add_argument("--seed", type=_seed_flag, default=0, help="campaign master seed, 0 <= seed < 2**64")
     demo.add_argument("--trials", type=int, default=10**6, help="trials per setup")
-    demo.add_argument(
-        "--workers", type=int, default=1, help="accepted for compatibility (>= 1); sequences run on every usable CPU"
-    )
 
     simulate = sub.add_parser("simulate", help="campaign driven by a JSON config file")
     simulate.add_argument("--config", type=str, required=True)
@@ -780,9 +775,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if args.command == "demo":
-            report = cmd_demo(
-                args.gamma, args.theta, seed=args.seed, trials=args.trials, workers=args.workers
-            )
+            report = cmd_demo(args.gamma, args.theta, seed=args.seed, trials=args.trials)
             _emit(render_report(report, args.format), args.out)
         elif args.command == "exact":
             report = cmd_exact(args.gamma, args.theta)

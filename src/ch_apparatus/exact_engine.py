@@ -26,9 +26,8 @@ the modified device the stops sit on the engraved lines, so every setup of
 one engraving has the same breakpoints: conditional_table and the Monte
 Carlo read their setups as rows of one run_setups call, and the other
 readers take a configuration's own stops through run_trials.  Every call
-reads all its events as one stacked boolean array: conditional_table and
-joint_probability_table take a batch's stop-cell stack as it is,
-crossing_probability_set one expression over its four lines' crossings, and
+reads all its events as one stacked boolean array: conditional_table takes
+a batch's stop-cell stack as it is, crossing_probability_set one expression over its four lines' crossings, and
 the readers of arbitrary events stack each event's read.  So
 conditional_table, which reads stop cells, computes no crossing or rotation.
 """
@@ -84,9 +83,7 @@ __all__ = [
     "ConditionalTable",
     "lines_crossed",
     "stop_cell",
-    "event_probability",
     "event_probabilities",
-    "joint_probability_table",
     "grid_oracle",
     "stop_reached",
     "closed_form_fig2",
@@ -229,22 +226,6 @@ def event_probabilities(
     _guarded for their accuracy, the guard and its ConsistencyError.
     """
     return _guarded(config, None, events)[-1][0]
-
-
-def event_probability(config: ApparatusConfig, event: EventPredicate) -> float:
-    """Exact probability of one event under the uniform start angle."""
-    return event_probabilities(config, [event])[0]
-
-
-def joint_probability_table(config: ApparatusConfig) -> dict[str, float]:
-    """Full 2x2 stop-reach table for a configuration with both stops active,
-    checked to sum to 1 within TABLE_TOL."""
-    if config.stops.left is None or config.stops.right is None:
-        raise ConfigError("joint probability table needs both stops active")
-    table = dict(zip(CELLS, _guarded(config, None, _CELL_EVENTS, read=_stop_cells)[-1][0]))
-    if abs(sum(table.values()) - 1.0) > TABLE_TOL:
-        raise ConsistencyError(f"stop-reach table does not normalize: {table!r}")
-    return table
 
 
 def grid_oracle(config: ApparatusConfig, event: EventPredicate, n_points: int) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -488,46 +489,28 @@ def _usable_cpus() -> int:
 def run_campaign(plan: CampaignPlan) -> EstimateReport:
     """Run all sequences of a plan and assemble the estimate report.
 
-    The sequences run on min(usable CPUs, sequences with trials) threads,
-    the calling thread among them.  Each thread takes the next sequence in
-    ALL_SETUPS order until none is left, so unequal counts still balance,
-    and runs it through its own pair of chunk buffers; the step table and
-    the lookups are built once and only read.  Results are assembled in
-    ALL_SETUPS order, and the error of the first failing sequence in that
-    order is raised here.
+    Every sequence is submitted to a thread pool of min(usable CPUs,
+    sequences with trials) workers, which take them in ALL_SETUPS order, so
+    unequal counts still balance.  Each worker runs its sequences through
+    its own pair of chunk buffers; the step table and the lookups are built
+    once and only read.  The pool is shut down, every sequence run and every
+    worker joined, before the results are taken in ALL_SETUPS order, so the
+    error of the first failing sequence in that order is raised here.
     """
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
     steps = _steps(min(_CHUNK, max(plan.trials)))
-    pending, lock = iter(sequences), threading.Lock()
-    outcomes: dict[str, SequenceResult | Exception] = {}  # in completion order
+    local = threading.local()
 
-    def work(buffers: np.ndarray) -> None:
-        while True:
-            with lock:
-                spec = next(pending, None)
-            if spec is None:
-                return
-            try:
-                shared = (lookups.get(spec.setup), steps, buffers)
-                outcomes[spec.setup] = run_sequence(plan.lines, plan.gamma, spec, _shared=shared)
-            except Exception as exc:  # raised by the caller, in ALL_SETUPS order
-                outcomes[spec.setup] = exc
+    def work(spec: SequenceSpec) -> SequenceResult:
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty((2, len(steps)), dtype=np.uint64)
+        return run_sequence(plan.lines, plan.gamma, spec, _shared=(lookups.get(spec.setup), steps, local.buffers))
 
-    buffers = [np.empty((2, len(steps)), dtype=np.uint64) for _ in range(max(1, min(_usable_cpus(), len(live))))]
-    threads = [threading.Thread(target=work, args=(b,), name=f"campaign-{k}") for k, b in enumerate(buffers[1:], 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(buffers[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    for spec in sequences:
-        if isinstance(outcomes[spec.setup], Exception):
-            raise outcomes[spec.setup]
-    results = {spec.setup: outcomes[spec.setup] for spec in sequences}
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(live))), thread_name_prefix="campaign") as pool:
+        futures = [pool.submit(work, spec) for spec in sequences]
+    results = {spec.setup: future.result() for spec, future in zip(sequences, futures)}
 
     two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
     total = sum(two_stop_n)

@@ -34,7 +34,6 @@ from ch_apparatus.apparatus import (
     TrialBatch,
     _fits_budget,
     config_for_setup,
-    crossed_events,
     fig2_config,
     fig2_lines,
     run_trial,
@@ -306,12 +305,6 @@ def test_trial_unmodified_quarter_turn():
     config = unmodified_config(SQUARE_LINES, math.pi / 2.0)
     out = run_trial(config, 0.0)
     assert out.crossed == frozenset({"A", "B"})
-    assert crossed_events(out) == (True, False, True, False)
-
-
-def test_crossed_events_order_matches_line_names():
-    out = run_trial(demo_config("ab"), math.pi / 4.0)
-    assert crossed_events(out) == (True, True, True, False)
 
 
 # ----------------------------------------------------------------------------

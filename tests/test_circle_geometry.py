@@ -16,7 +16,6 @@ from ch_apparatus.circle_geometry import (
     EPS_ANGLE,
     TWO_PI,
     Arc,
-    arc_contains,
     ccw_delta,
     guarded_partition,
     normalize,
@@ -85,40 +84,6 @@ class TestCcwDelta:
     def test_range(self, x, y):
         d = ccw_delta(x, y)
         assert 0.0 <= d < TWO_PI
-
-
-class TestArcContains:
-    def test_wrapping_arc(self):
-        arc = Arc(start=3.0 * math.pi / 2.0, extent=math.pi)
-        assert arc_contains(arc, 0.0)
-        assert arc_contains(arc, math.pi / 4.0)
-        assert arc_contains(arc, 7.0 * math.pi / 4.0)
-        assert not arc_contains(arc, math.pi)
-
-    def test_closed_boundaries(self):
-        arc = Arc(start=1.0, extent=0.5)
-        assert arc_contains(arc, 1.0)
-        assert arc_contains(arc, 1.5)
-        assert not arc_contains(arc, 1.5 + 1e-9)
-
-    @given(unit_angles, st.floats(min_value=1e-6, max_value=TWO_PI - 1e-6), st.floats(min_value=0.1, max_value=0.9))
-    def test_invariant_under_full_turns(self, start, extent, fraction):
-        # membership of points away from the boundary survives adding whole turns
-        arc = Arc(start, extent)
-        inside = arc.point_at(fraction)
-        outside = normalize(arc.start + extent + fraction * (TWO_PI - extent))
-        for x, expected in ((inside, True), (outside, False)):
-            if min(ccw_delta(arc.start, x), ccw_delta(x, arc.start)) < 1e-9:
-                continue
-            assert arc_contains(arc, x) == expected
-            assert arc_contains(arc, x + TWO_PI) == expected
-            assert arc_contains(arc, x - TWO_PI) == expected
-
-    @given(unit_angles, st.floats(min_value=1e-6, max_value=TWO_PI - 1e-6))
-    def test_interior_points_contained(self, start, extent):
-        arc = Arc(start, extent)
-        for f in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert arc_contains(arc, arc.point_at(f))
 
 
 class TestPartitionCircle:

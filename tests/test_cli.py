@@ -622,10 +622,21 @@ class TestChecksAndExitCodes:
         assert main(["exact", "--gamma", "2.0", "--theta", "3.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_main_demo_rejects_nonpositive_workers_exit_1(self, workers, capsys):
-        assert main(["demo", "--trials", "1000", "--workers", workers]) == 1
-        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["2", "0"])
+    def test_main_demo_rejects_the_workers_flag_exit_1(self, workers, capsys):
+        # a campaign runs on every usable CPU: the command line has no --workers
+        assert main(["demo", "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: --workers {workers}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_main_simulate_rejects_campaign_workers_exit_1(self, workers, tmp_path, capsys):
+        payload = {**README_CONFIG, "campaign": {**README_CONFIG["campaign"], "workers": workers}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: campaign: unknown keys ['workers'] (allowed: ['seed', 'trials'])\n"
+        assert captured.out == ""
 
     def test_main_bad_flag_exit_1(self, capsys):
         assert main(["exact", "--bogus"]) == 1
@@ -784,7 +795,7 @@ VALID_APPARATUS = st.one_of(
 )
 VALID_CAMPAIGN = st.fixed_dictionaries(
     {"trials": st.one_of(st.integers(1, 64), st.dictionaries(st.sampled_from(ALL_SETUPS), st.integers(0, 64)))},
-    optional={"seed": st.integers(0, 2**64 - 1), "workers": st.integers(1, 10**30)},
+    optional={"seed": st.integers(0, 2**64 - 1)},
 )
 VALID_CONFIGS = st.fixed_dictionaries(
     {"apparatus": VALID_APPARATUS, "campaign": VALID_CAMPAIGN},
@@ -894,14 +905,13 @@ README_CONFIG = {
     "campaign": {
         "trials": {"ab": 200000, "ab'": 100000, "a'b": 100000, "a'b'": 0},
         "seed": 42,
-        "workers": 4,
     },
     "frequencies": "empirical",
     "output": {"format": "json"},
 }
 LINES_CONFIG = {
     "apparatus": {"gamma": 1.0, "lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}},
-    "campaign": {"trials": 100000, "seed": 3, "workers": 2},
+    "campaign": {"trials": 100000, "seed": 3},
 }
 README_DIGEST = "49fbc79b30838049f640bd45dc04d158b8fa201665b95dfc05c59f443c4a046a"
 # only two-stop trials, so the Monte Carlo table marks every single-stop
@@ -920,14 +930,6 @@ UNEQUAL_CONFIG = {
     "campaign": {"trials": {"ab": 20 * _CHUNK, "ab'": 3, "a'b": 2, "a'b'": 1}, "seed": 5},
     "frequencies": "empirical",
 }
-
-
-def _with_workers(payload, workers):
-    """payload with campaign.workers set to workers, or removed for None."""
-    campaign = {k: v for k, v in payload["campaign"].items() if k != "workers"}
-    if workers is not None:
-        campaign["workers"] = workers
-    return {**payload, "campaign": campaign}
 
 
 class TestFrozenReports:
@@ -975,14 +977,11 @@ class TestFrozenReports:
         "payload, out_format, digest",
         [
             (README_CONFIG, "json", README_DIGEST),
-            # the workers key is accepted and changes no byte
-            (_with_workers(README_CONFIG, 1), "json", README_DIGEST),
-            (_with_workers(README_CONFIG, None), "json", README_DIGEST),
             (LINES_CONFIG, "json", "1f8a5b0aa65473f7a5a8440afaad5836e29eb1dca7cad7822aafd5ccb2a03db9"),
             (TWO_STOP_CONFIG, "json", "a38ef659bd232e27bd16a61d95723cc5474d89001bd41a5b3f66898cf4454602"),
             (TWO_STOP_CONFIG, "csv", "1b55e3b345a1be431b958d514743238682b048a3fd63cab64e6f2504ee9f28cf"),
         ],
-        ids=["readme", "readme-workers-1", "readme-no-workers", "explicit-lines", "two-stop-json", "two-stop-csv"],
+        ids=["readme", "explicit-lines", "two-stop-json", "two-stop-csv"],
     )
     def test_simulate(self, payload, out_format, digest, tmp_path):
         report = cmd_simulate(parse_config(write_config(tmp_path, payload)))

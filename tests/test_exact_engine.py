@@ -35,6 +35,7 @@ from ch_apparatus.apparatus import (
 )
 from ch_apparatus.circle_geometry import EPS_ANGLE, TWO_PI, normalize, partition_circle
 from ch_apparatus.exact_engine import (
+    _CELL_EVENTS,
     CELLS,
     ConditionalTable,
     ConsistencyError,
@@ -43,9 +44,7 @@ from ch_apparatus.exact_engine import (
     conditional_table,
     conditional_table_exact,
     event_probabilities,
-    event_probability,
     grid_oracle,
-    joint_probability_table,
     lines_crossed,
     stop_cell,
     stop_reached,
@@ -92,14 +91,10 @@ class TestDemoEngraving:
         for setup in ("a", "a'", "b", "b'"):
             assert table.singles[setup] == pytest.approx(1.0 / 12.0, abs=1e-12), setup
 
-    def test_joint_probability_table_normalizes(self):
-        table = joint_probability_table(fig2_config(GAMMA, THETA, "a'b"))
+    def test_full_table_normalizes(self):
+        table = conditional_table_exact(GAMMA, THETA).full_tables["a'b"]
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
-        assert set(table) == set(CELLS)
-
-    def test_joint_table_requires_both_stops(self):
-        with pytest.raises(ConfigError, match="both stops"):
-            joint_probability_table(fig2_config(GAMMA, THETA, "a"))
+        assert list(table) == list(CELLS)
 
 
 class TestEventProbability:
@@ -107,7 +102,7 @@ class TestEventProbability:
         # body 1 sweeps gamma1, so it crosses A from an approach arc of the
         # same width: p = gamma1/2pi = 1/4 for a quarter turn
         config = unmodified_config(SQUARE_LINES, math.pi / 2.0)
-        p = event_probability(config, lines_crossed("A"))
+        p = event_probabilities(config, [lines_crossed("A")])[0]
         assert p == pytest.approx(0.25, abs=1e-12)
         assert grid_oracle(config, lines_crossed("A"), 100_000) == pytest.approx(p, abs=1e-4)
 
@@ -115,27 +110,27 @@ class TestEventProbability:
         # on the square engraving with a quarter turn the approach arcs of
         # A (ccw) and B (cw) coincide exactly
         config = unmodified_config(SQUARE_LINES, math.pi / 2.0)
-        assert event_probability(config, lines_crossed("A", "B")) == pytest.approx(0.25, abs=1e-12)
-        assert event_probability(config, lines_crossed("A", "B'")) == pytest.approx(0.0, abs=1e-12)
+        assert event_probabilities(config, [lines_crossed("A", "B")])[0] == pytest.approx(0.25, abs=1e-12)
+        assert event_probabilities(config, [lines_crossed("A", "B'")])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_batch_events_match_single_calls(self):
         config = fig2_config(GAMMA, THETA, "ab")
         events = [stop_cell(True, True), lines_crossed("A'"), lines_crossed("A", "B")]
         combined = event_probabilities(config, events)
         for event, p in zip(events, combined):
-            assert event_probability(config, event) == p
+            assert event_probabilities(config, [event]) == [p]
 
     def test_complement_sums_to_one(self):
         config = fig2_config(GAMMA, THETA, "ab'")
         event = lines_crossed("B'")
-        p = event_probability(config, event)
-        q = event_probability(config, EventPredicate("not(crossed(B'))", lambda b: ~event.batch(b)))
+        p = event_probabilities(config, [event])[0]
+        q = event_probabilities(config, [EventPredicate("not(crossed(B'))", lambda b: ~event.batch(b))])[0]
         assert p + q == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_below_marginal(self):
         config = fig2_config(GAMMA, THETA, "a'b")
-        p_joint = event_probability(config, lines_crossed("A'", "B"))
-        p_single = event_probability(config, lines_crossed("A'"))
+        p_joint = event_probabilities(config, [lines_crossed("A'", "B")])[0]
+        p_single = event_probabilities(config, [lines_crossed("A'")])[0]
         assert p_joint <= p_single + 1e-15
 
     def test_non_constant_event_is_rejected(self):
@@ -146,7 +141,7 @@ class TestEventProbability:
         config = fig2_config(GAMMA, THETA, "ab")
         bogus = EventPredicate(name="r1-threshold", batch=lambda b: b.r1 > 0.3)
         with pytest.raises(ConsistencyError, match="breakpoint set incomplete") as info:
-            event_probability(config, bogus)
+            event_probabilities(config, [bogus])
         message = str(info.value)
         assert re.search(r"r1-threshold is not constant on the arc starting at 1\.04719755119659\d*", message)
         assert re.search(r"guard angles \[1\.30899693899574\d*, ", message)
@@ -157,7 +152,7 @@ class TestGridOracle:
     def test_converges_to_exact_value(self):
         config = fig2_config(GAMMA, THETA, "ab")
         event = stop_cell(True, True)
-        exact = event_probability(config, event)
+        exact = event_probabilities(config, [event])[0]
         for n, tol in ((1_000, 5e-3), (100_000, 5e-5)):
             assert grid_oracle(config, event, n) == pytest.approx(exact, abs=tol)
 
@@ -394,7 +389,7 @@ class TestConditionalTable:
         with pytest.raises(ValueError):
             stop_reached("up")
         config = fig2_config(GAMMA, THETA, "b")
-        p = event_probability(config, stop_reached("right"))
+        p = event_probabilities(config, [stop_reached("right")])[0]
         assert p == pytest.approx(1.0 / 12.0, abs=1e-12)
 
 
@@ -537,14 +532,11 @@ class TestSharedPartition:
 
     def test_stop_tables_must_normalize(self, monkeypatch):
         # four copies of the 11 cell sum to 4/6 on the demo engraving; the
-        # stop tables read the stacked stop cells through _stop_cells.  The
-        # eight-setup table fails in ConditionalTable.validate, the one-setup
-        # table in joint_probability_table itself
+        # table reads the stacked stop cells through _stop_cells and fails in
+        # ConditionalTable.validate
         monkeypatch.setattr(exact_engine, "_stop_cells", lambda batch: batch.stop_cells[[0, 0, 0, 0]])
         with pytest.raises(ConsistencyError, match=r"^table for setup 'ab' does not normalize: \{'11': 0\.1666"):
             conditional_table_exact(GAMMA, THETA)
-        with pytest.raises(ConsistencyError, match=r"^stop-reach table does not normalize: \{'11': 0\.1666"):
-            joint_probability_table(fig2_config(GAMMA, THETA, "ab"))
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), min_size=4, max_size=4),
@@ -562,7 +554,7 @@ class TestSharedPartition:
         for setup in ALL_SETUPS:
             config = config_for_setup(lines, gamma, setup)
             arcs = partition_circle(exact_engine._critical_angles(config))
-            batch = run_trials(config, np.array([arc.midpoint() for arc in arcs]))
+            batch = run_trials(config, np.array([normalize(arc.start + 0.5 * arc.extent) for arc in arcs]))
             cells = {
                 "11": batch.reached_left_stop & batch.reached_right_stop,
                 "10": batch.reached_left_stop & ~batch.reached_right_stop,
@@ -632,8 +624,8 @@ def _own_table_calls(lines, gamma):
     def own(setup):
         config = config_for_setup(lines, gamma, setup)
         if setup in TWO_STOP_SETUPS:
-            return joint_probability_table(config)
-        return event_probability(config, stop_reached("left" if setup.startswith("a") else "right"))
+            return dict(zip(CELLS, event_probabilities(config, _CELL_EVENTS)))
+        return event_probabilities(config, [stop_reached("left" if setup.startswith("a") else "right")])[0]
 
     return [lambda setup=setup: own(setup) for setup in ALL_SETUPS]
 

@@ -10,6 +10,7 @@ import math
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from statistics import NormalDist
 
 import numpy as np
@@ -723,29 +724,22 @@ class TestSharedLookup:
 
 
 class TestCampaignThreads:
-    """run_campaign's threads: every sequence runs once, and an error raised
-    on any thread reaches the caller, the first in ALL_SETUPS order."""
+    """run_campaign's thread pool: every sequence runs once, on a pool
+    thread, and an error raised on any thread reaches the caller, the first
+    in ALL_SETUPS order."""
 
     PLAN = CampaignPlan.from_params(GAMMA, FIG2, n_trials=1000, master_seed=3)
 
     def _failing(self, monkeypatch, failing):
-        """Patch run_sequence so that the setups in failing raise, and the
-        calling thread waits on its first sequence until a worker thread
-        has run the last one: every later sequence runs on a worker.
-        Returns the names of the threads that ran each setup."""
-        real, last_done, ran_on = monte_carlo.run_sequence, threading.Event(), {}
+        """Patch run_sequence so that the setups in failing raise.  Returns
+        the names of the threads that ran each setup."""
+        real, ran_on = monte_carlo.run_sequence, {}
 
         def run_sequence(lines, gamma, spec, **shared):
-            if threading.current_thread() is threading.main_thread():
-                assert last_done.wait(timeout=30), "no worker thread ran the last sequence"
             ran_on[spec.setup] = threading.current_thread().name
-            try:
-                if spec.setup in failing:
-                    raise RuntimeError(f"sequence {spec.setup} failed")
-                return real(lines, gamma, spec, **shared)
-            finally:
-                if spec.setup == ALL_SETUPS[-1]:
-                    last_done.set()
+            if spec.setup in failing:
+                raise RuntimeError(f"sequence {spec.setup} failed")
+            return real(lines, gamma, spec, **shared)
 
         monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
@@ -757,11 +751,10 @@ class TestCampaignThreads:
         first = min(failing, key=ALL_SETUPS.index)
         with pytest.raises(RuntimeError, match=f"^sequence {re.escape(first)} failed$"):
             run_campaign(self.PLAN)
-        # every sequence ran, the failing ones on a worker thread, and every
-        # worker thread was joined
+        # every sequence ran on a pool thread, and every pool thread was joined
         assert set(ran_on) == set(ALL_SETUPS)
-        assert all(ran_on[setup] != threading.main_thread().name for setup in failing)
-        assert not any(thread.name.startswith("campaign-") for thread in threading.enumerate())
+        assert all(name.startswith("campaign_") for name in ran_on.values())
+        assert not any(thread.name.startswith("campaign_") for thread in threading.enumerate())
 
     def test_more_threads_than_cpus_under_fast_switching(self, monkeypatch):
         # eight threads on however many cores, switching every microsecond:
@@ -786,19 +779,34 @@ class TestCampaignThreads:
             sys.setswitchinterval(interval)
 
     def test_thread_count_follows_the_usable_cpus_and_the_live_sequences(self, monkeypatch):
-        started = []
-        real_start = threading.Thread.start
+        # each sequence waits until every one is submitted, so no pool thread
+        # is idle, and could take the next one, when the pool decides whether
+        # to start another
+        started, submitted = [], threading.Event()
+        real_start, real_shutdown, real_run = threading.Thread.start, ThreadPoolExecutor.shutdown, monte_carlo.run_sequence
 
         def start(thread):
             started.append(thread.name)
             real_start(thread)
 
+        def shutdown(pool, *args, **kwargs):
+            submitted.set()
+            real_shutdown(pool, *args, **kwargs)
+
+        def run_sequence(lines, gamma, spec, **shared):
+            assert submitted.wait(timeout=30), "the pool never shut down"
+            return real_run(lines, gamma, spec, **shared)
+
         monkeypatch.setattr(threading.Thread, "start", start)
-        for cpus, trials, extra in [(1, 1000, 0), (4, 1000, 3), (16, 1000, 7), (16, {"ab": 5, "b": 2}, 1)]:
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown)
+        monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
+        for cpus, trials, threads in [(1, 1000, 1), (4, 1000, 4), (16, 1000, 8), (16, {"ab": 5, "b": 2}, 2)]:
             started.clear()
+            submitted.clear()
             monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda n=cpus: n)
             run_campaign(CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials, master_seed=3))
-            assert len(started) == extra, (cpus, trials)
+            assert len(started) == threads, (cpus, trials)
+            assert all(name.startswith("campaign_") for name in started)
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(monte_carlo.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)

@@ -85,10 +85,15 @@ MUTANTS = [
     ),
     Mutant("conditional-table-unchecked", _SRC + "exact_engine.py", "    __post_init__ = validate\n", ""),
     Mutant("behavior-table-unchecked", _SRC + "lhv_feasibility.py", "    __post_init__ = validate\n", ""),
-    # a campaign's results taken in the order its threads finished them
+    # a campaign's results taken in another order than its sequences
     Mutant(
         "campaign-completion-order", _SRC + "monte_carlo.py",
-        "    results = {spec.setup: outcomes[spec.setup] for spec in sequences}\n", "    results = outcomes\n",
+        "for spec, future in zip(sequences, futures)}", "for spec, future in zip(sequences, reversed(futures))}",
+    ),
+    # an option that sets nothing admitted again
+    Mutant(
+        "campaign-workers-key", _SRC + "cli.py",
+        '"campaign", {"trials", "seed"})', '"campaign", {"trials", "seed", "workers"})',
     ),
 ]
 
