@@ -86,6 +86,45 @@ class TestCcwDelta:
         assert 0.0 <= d < TWO_PI
 
 
+def _on_arc(arc, x):
+    """Membership of ``x`` in the closed arc, read through ccw_delta."""
+    return ccw_delta(arc.start, normalize(x)) <= arc.extent + EPS_ANGLE
+
+
+class TestArcContains:
+    def test_wrapping_arc(self):
+        arc = Arc(start=3.0 * math.pi / 2.0, extent=math.pi)
+        assert _on_arc(arc, 0.0)
+        assert _on_arc(arc, math.pi / 4.0)
+        assert _on_arc(arc, 7.0 * math.pi / 4.0)
+        assert not _on_arc(arc, math.pi)
+
+    def test_closed_boundaries(self):
+        arc = Arc(start=1.0, extent=0.5)
+        assert _on_arc(arc, 1.0)
+        assert _on_arc(arc, 1.5)
+        assert not _on_arc(arc, 1.5 + 1e-9)
+
+    @given(unit_angles, st.floats(min_value=1e-6, max_value=TWO_PI - 1e-6), st.floats(min_value=0.1, max_value=0.9))
+    def test_invariant_under_full_turns(self, start, extent, fraction):
+        # membership of points away from the boundary survives adding whole turns
+        arc = Arc(start, extent)
+        inside = normalize(arc.start + fraction * extent)
+        outside = normalize(arc.start + extent + fraction * (TWO_PI - extent))
+        for x, expected in ((inside, True), (outside, False)):
+            if min(ccw_delta(arc.start, x), ccw_delta(x, arc.start)) < 1e-9:
+                continue
+            assert _on_arc(arc, x) == expected
+            assert _on_arc(arc, x + TWO_PI) == expected
+            assert _on_arc(arc, x - TWO_PI) == expected
+
+    @given(unit_angles, st.floats(min_value=1e-6, max_value=TWO_PI - 1e-6))
+    def test_interior_points_contained(self, start, extent):
+        arc = Arc(start, extent)
+        for f in (0.0, 0.25, 0.5, 0.75, 1.0):
+            assert _on_arc(arc, normalize(arc.start + f * extent))
+
+
 class TestPartitionCircle:
     def test_empty_input_gives_full_circle(self):
         assert partition_circle([]) == [Arc(0.0, TWO_PI)]
