@@ -987,6 +987,14 @@ class TestFrozenReports:
         report = cmd_simulate(parse_config(write_config(tmp_path, payload)))
         assert sha256(render_report(report, out_format)) == digest
 
+    def test_check(self):
+        # the 13 PASS lines with their details; the summary line carries a time
+        out = io.StringIO()
+        assert cmd_check(out=out, err=io.StringIO()) == 0
+        *lines, summary = out.getvalue().splitlines(keepends=True)
+        assert sha256("".join(lines)) == "916341571c11e1d049c8e3b95fd5eaf965c982a27d5590f7ee9a4e9e539c6b69"
+        assert re.fullmatch(r"all 13 checks passed \(\d+\.\ds\)\n", summary)
+
 
 class TestThreadCount:
     """run_campaign runs its sequences on one thread per usable CPU; the
