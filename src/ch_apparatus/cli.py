@@ -27,79 +27,23 @@ from typing import Any, Iterator, NamedTuple
 import numpy as np
 
 from .apparatus import (
-    ALL_SETUPS,
-    TWO_STOP_SETUPS,
-    ConfigError,
-    EngravedLines,
-    LINE_NAMES,
-    _not_a_count,
-    _not_a_number,
-    config_for_setup,
+    ALL_SETUPS, TWO_STOP_SETUPS, ConfigError, EngravedLines, LINE_NAMES, _not_a_count, _not_a_number, config_for_setup,
     fig2_lines,
-    unmodified_config,
 )
+from .checks import CheckResult, run_checks
 from .circle_geometry import TWO_PI, normalize
 from .exact_engine import (
-    CLOSED_FORM_TOL,
-    ConditionalTable,
-    ConsistencyError,
-    _LONE,
-    _entries,
-    closed_form_fig2,
-    conditional_table,
-    conditional_table_exact,
-    grid_oracle,
-    stop_cell,
+    CLOSED_FORM_TOL, ConditionalTable, ConsistencyError, _table_difference, closed_form_fig2, conditional_table,
 )
-from .inequality_analysis import (
-    FLAG_TOL,
-    AnalysisReport,
-    SettingFrequencies,
-    _fixed_lambda_checks,
-    analyze,
-    ch_primed_value,
-    ch_value,
-    ch_violated,
-    crossing_probability_set,
-)
-from .lhv_feasibility import (
-    NORM_TOL,
-    BehaviorTable,
-    ch_battery,
-    feasible_joint,
-    mixture_table,
-    no_signaling_deviation,
-    pr_box_table,
-    random_no_signaling_table,
-    singlet_table,
-)
-from .monte_carlo import (
-    CampaignPlan,
-    EstimateReport,
-    PlanError,
-    check_seed,
-    kinematic_counts,
-    phi_samples,
-    run_campaign,
-    run_sequence,
-)
+from .inequality_analysis import AnalysisReport, SettingFrequencies, analyze, ch_violated
+from .lhv_feasibility import BehaviorTable, ch_battery, feasible_joint, no_signaling_deviation
+from .monte_carlo import CampaignPlan, EstimateReport, PlanError, check_seed, run_campaign
 
 SCHEMA = "ch-apparatus/1"
 
 __all__ = [
-    "SCHEMA",
-    "ExperimentConfig",
-    "CheckResult",
-    "parse_config",
-    "render_report",
-    "report_to_csv",
-    "cmd_demo",
-    "cmd_exact",
-    "cmd_simulate",
-    "cmd_sweep",
-    "run_checks",
-    "cmd_check",
-    "main",
+    "SCHEMA", "ExperimentConfig", "CheckResult", "parse_config", "render_report", "report_to_csv", "cmd_demo",
+    "cmd_exact", "cmd_simulate", "cmd_sweep", "run_checks", "cmd_check", "main",
 ]
 
 
@@ -310,14 +254,6 @@ def _feasibility_json(table: ConditionalTable) -> dict[str, Any]:
     }
 
 
-def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
-    diffs = [abs(lv - rv) for lv, rv in zip(_entries(left), _entries(right)) if lv is not None and rv is not None]
-    for s in TWO_STOP_SETUPS:
-        for cell, value in left.full_tables[s].items():
-            diffs.append(abs(value - right.full_tables[s][cell]))
-    return max(diffs)
-
-
 def _leaves(obj: Any, path: str = "") -> Iterator[tuple[str, Any]]:
     """Yield (dotted path, value) for each scalar of a report, keys sorted and
     list items by index, as the sorted JSON encoder meets them.  The first
@@ -492,203 +428,10 @@ def cmd_sweep(
     return SweepStats(rows=rows, skipped=skipped)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str
-    seconds: float = 0.0  # wall time of this check alone
-
-
-def _random_fig2_pair(rng: np.random.Generator) -> tuple[float, float]:
-    while True:
-        gamma = float(rng.uniform(1e-3, TWO_PI - 2e-3))
-        theta = float(rng.uniform(0.0, gamma))
-        if theta > 1e-6 and gamma - theta > 1e-6 and gamma + theta < TWO_PI - 1e-6:
-            return gamma, theta
-
-
-def _random_unmodified(rng: np.random.Generator):
-    while True:
-        a, ap, b, bp = (float(x) for x in rng.uniform(0.0, TWO_PI, 4))
-        if a != ap and b != bp:
-            lines = EngravedLines(a, ap, b, bp)
-            return unmodified_config(lines, float(rng.uniform(1e-3, TWO_PI)))
-
-
-# A midpoint grid of n points puts within one point of its share into each
-# arc, so its frequency of an event made of k arcs is within k/n of the arc
-# measure: this allows ten arcs at n = 10**6.
-_GRID_ORACLE_TOL = 1e-5
-
-# Two float expressions of one quantity built from a few probabilities
-# differ by rounding only.
-_ROUNDING_TOL = 1e-12
-
-
-def run_checks(perturb_closed_form: float = 0.0) -> list[CheckResult]:
-    """Internal cross-validation suite; the fault-injection knob moves that
-    much of the closed form's ab table from cell 00 to 11, for the checks to
-    notice.  CH values come from analyze, the function behind every report."""
-    demo_gamma, demo_theta = math.pi / 3.0, math.pi / 6.0
-    results: list[CheckResult] = []
-    started = [time.perf_counter()]
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        now = time.perf_counter()
-        results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=now - started[0]))
-        started[0] = now
-
-    def perturbed_closed(gamma: float, theta: float) -> ConditionalTable:
-        table = closed_form_fig2(gamma, theta)
-        if perturb_closed_form:
-            cells = table.full_tables["ab"]
-            ab = {**cells, "11": cells["11"] + perturb_closed_form, "00": cells["00"] - perturb_closed_form}
-            table = ConditionalTable({**table.joint, "ab": ab["11"]}, table.singles, {**table.full_tables, "ab": ab})
-        return table
-
-    # closed form against the arc engine, on the demo point and at random
-    diff = _table_difference(perturbed_closed(demo_gamma, demo_theta), conditional_table_exact(demo_gamma, demo_theta))
-    record("closed-form-vs-exact-demo", diff <= CLOSED_FORM_TOL, f"max|diff|={diff:.3e}")
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        g, t = _random_fig2_pair(rng)
-        worst = max(worst, _table_difference(perturbed_closed(g, t), conditional_table_exact(g, t)))
-    record("closed-form-vs-exact-random", worst <= CLOSED_FORM_TOL, f"max|diff|={worst:.3e} over 100 pairs")
-
-    # arc engine against the brute-force grid oracle on the demo setups
-    demo_lines = fig2_lines(demo_gamma, demo_theta)
-    exact = conditional_table_exact(demo_gamma, demo_theta)
-    events = [stop_cell(True, True)] * len(TWO_STOP_SETUPS) + [event for event, _ in _LONE]
-    worst = 0.0
-    for setup, event, p in zip(ALL_SETUPS, events, _entries(exact)):
-        oracle = grid_oracle(config_for_setup(demo_lines, demo_gamma, setup), event, 10**6)
-        worst = max(worst, abs(oracle - p))
-    record("exact-vs-grid-oracle", worst <= _GRID_ORACLE_TOL, f"max|diff|={worst:.3e} at 1e6 grid points")
-
-    # arc engine against a seeded campaign, 5 sigma per entry
-    plan = CampaignPlan.from_params(demo_gamma, demo_lines, n_trials=10**5, master_seed=20260816)
-    campaign = run_campaign(plan)
-    worst_sigma = 0.0
-    for p, sampled in zip(_entries(exact), _entries(campaign.table)):
-        sigma = math.sqrt(p * (1.0 - p) / 10**5)
-        gap = abs(sampled - p)
-        worst_sigma = max(worst_sigma, gap / sigma if sigma > 0.0 else (math.inf if gap > 0 else 0.0))
-    record("exact-vs-monte-carlo", worst_sigma <= 5.0, f"max deviation {worst_sigma:.2f} sigma at n=1e5")
-
-    # the corrected expansion collapses to its reduced form identically
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    low, high = 0.0, -1.0
-    for _ in range(1000):
-        g, t = _random_fig2_pair(rng)
-        table = closed_form_fig2(g, t)
-        f = rng.dirichlet(np.ones(4))
-        r = analyze(table, SettingFrequencies(*map(float, f)))
-        worst = max(worst, r.identity_residual)
-        low = min(low, r.reduced_ch)
-        high = max(high, r.reduced_ch)
-    ok = worst <= _ROUNDING_TOL and low >= -1.0 - FLAG_TOL and high <= FLAG_TOL
-    record("reduced-identity-random", ok, f"max residual={worst:.3e}, range [{low:.4f}, {high:.4f}]")
-
-    # naive plug-in values match their closed expressions
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(1000):
-        g, t = _random_fig2_pair(rng)
-        r = analyze(closed_form_fig2(g, t), SettingFrequencies.uniform())
-        worst = max(worst, abs(r.ch - (2.0 * g - t) / TWO_PI))
-        worst = max(worst, abs(r.ch_primed - t / TWO_PI))
-        worst = max(worst, abs(r.ch_sum - 2.0 * g / TWO_PI))
-        for cond in r.bayes.values():
-            worst = max(worst, abs(cond.value - 2.0))
-    record("naive-closed-values", worst <= _ROUNDING_TOL, f"max|diff|={worst:.3e} over 1000 pairs")
-
-    # strategy mixtures must come back feasible with a faithful witness
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    all_feasible = True
-    for _ in range(100):
-        table = mixture_table(rng.dirichlet(np.ones(16)))
-        result = feasible_joint(table)
-        all_feasible &= result.feasible
-        worst = max(worst, result.max_residual)
-    record("strategy-mixtures-feasible", all_feasible and worst <= NORM_TOL, f"max residual={worst:.3e}")
-
-    # LP feasibility and the CH battery must agree on no-signaling tables
-    rng = np.random.default_rng(505)
-    disagreements = 0
-    for _ in range(1000):
-        table = random_no_signaling_table(rng)
-        if feasible_joint(table).feasible != ch_battery(table).passes:
-            disagreements += 1
-    record("fine-equivalence", disagreements == 0, f"{disagreements} disagreements in 1000 tables")
-
-    # named infeasible examples keep their certified battery maxima
-    demo_behavior = BehaviorTable.from_full_tables(exact.full_tables)
-    demo_dev = no_signaling_deviation(demo_behavior)
-    demo_feasible = feasible_joint(demo_behavior).feasible
-    pr = ch_battery(pr_box_table())
-    singlet = ch_battery(singlet_table())
-    ok = (
-        not demo_feasible
-        and demo_dev >= 1.0 / 12.0 - NORM_TOL
-        and abs(pr.max_value - 0.5) <= NORM_TOL
-        and abs(singlet.max_value - (math.sqrt(2.0) - 1.0) / 2.0) <= NORM_TOL
-    )
-    record(
-        "infeasible-examples",
-        ok,
-        f"demo deviation={demo_dev:.6f}, pr max={pr.max_value:.6f}, singlet max={singlet.max_value:.6f}",
-    )
-
-    # factorisability and range of the CH kernel at fixed hidden state
-    rng = np.random.default_rng(606)
-    config = _random_unmodified(rng)
-    n_grid = 10**5
-    residual, value = _fixed_lambda_checks(config, (np.arange(n_grid) + 0.5) * TWO_PI / n_grid)
-    worst_res = float(residual.max())
-    low, high = min(0.0, float(value.min())), max(-1.0, float(value.max()))
-    ok = worst_res == 0.0 and low >= -1.0 and high <= 0.0
-    record("fixed-lambda-grid", ok, f"max residual={worst_res:.1e}, range [{low:.1f}, {high:.1f}]")
-
-    # honest one-space probabilities never leave the CH band
-    rng = np.random.default_rng(707)
-    low, high = 0.0, -1.0
-    for _ in range(2000):
-        s = crossing_probability_set(_random_unmodified(rng))
-        for value in (ch_value(s), ch_primed_value(s)):
-            low = min(low, value)
-            high = max(high, value)
-    ok = low >= -1.0 - FLAG_TOL and high <= FLAG_TOL
-    record("honest-ch-sweep", ok, f"value range [{low:.4f}, {high:.4f}] over 2000 configs")
-
-    # counts must not depend on how the index range is cut: a sequence over
-    # three chunks, the last one short, counts as the kinematics do on the
-    # same trials sampled in pieces cut at seeded points
-    n = 2 * (1 << 16) + 17
-    plan = CampaignPlan.from_params(demo_gamma, demo_lines, n_trials=n, master_seed=7)
-    rng = np.random.default_rng(808)
-    mismatched = []
-    for spec in plan.sequences:
-        config = config_for_setup(demo_lines, demo_gamma, spec.setup)
-        cuts = [0, *sorted(rng.integers(1, n, 3).tolist()), n]
-        pieces = sum(kinematic_counts(config, phi_samples(spec.seed, lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-        if list(run_sequence(demo_lines, demo_gamma, spec).counts.values()) != pieces.tolist():
-            mismatched.append(spec.setup)
-    detail = f"counts differ for setups {mismatched}" if mismatched else "map counts equal kinematic counts"
-    record("mc-chunk-split", not mismatched, f"{detail} on {n} trials per setup, cut at 3 seeded points")
-
-    # report rendering must be deterministic
-    first = render_report(cmd_exact(demo_gamma, demo_theta))
-    second = render_report(cmd_exact(demo_gamma, demo_theta))
-    record("report-determinism", first == second, "exact report bytes identical on repeat")
-
-    return results
-
-
 def cmd_check(perturb_closed_form: float = 0.0, out=None, err=None) -> int:
-    """Run the cross-validation suite; exit 0 when everything passes.
+    """Run the cross-validation suite (checks.CHECKS); exit 0 when every
+    check passes, 2 otherwise.  A check passes iff each of its measured
+    deviations is <= its bound, so a NaN deviation fails it.
 
     The report goes to out (stdout); the wall time of each check goes to err
     (stderr), one "time <name>: <seconds>s" line per check, so the report

@@ -300,6 +300,15 @@ def _entries(table: ConditionalTable) -> tuple[float | None, ...]:
     return _joints(table.joint) + _singles(table.singles)
 
 
+def _table_difference(left: ConditionalTable, right: ConditionalTable) -> float:
+    """The largest |difference| of the entries both tables hold and of their
+    two-stop cells; NaN if one difference is NaN."""
+    diffs = [abs(lv - rv) for lv, rv in zip(_entries(left), _entries(right)) if lv is not None and rv is not None]
+    for s in TWO_STOP_SETUPS:
+        diffs += [abs(value - right.full_tables[s][cell]) for cell, value in left.full_tables[s].items()]
+    return float(np.max(diffs))
+
+
 def closed_form_fig2(gamma: float, theta: float) -> ConditionalTable:
     """Closed-form conditional table for the standard engraving.
 

@@ -6,6 +6,7 @@ consistency failure.
 """
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
@@ -24,8 +25,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ch_apparatus import cli, monte_carlo, simplex
-from ch_apparatus.apparatus import ALL_SETUPS, LINE_NAMES, TWO_STOP_SETUPS, ConfigError, EngravedLines, fig2_lines
+from ch_apparatus import checks, cli, monte_carlo, simplex
+from ch_apparatus.apparatus import (
+    ALL_SETUPS, LINE_NAMES, SINGLE_STOP_SETUPS, TWO_STOP_SETUPS, ConfigError, EngravedLines, fig2_lines,
+)
 from ch_apparatus.cli import (
     SCHEMA,
     SWEEP_HEADER,
@@ -38,8 +41,9 @@ from ch_apparatus.cli import (
     parse_config,
     render_report,
 )
-from ch_apparatus.exact_engine import ConsistencyError
-from ch_apparatus.inequality_analysis import SettingFrequencies
+from ch_apparatus.exact_engine import ConsistencyError, conditional_table
+from ch_apparatus.inequality_analysis import SettingFrequencies, ch_value
+from ch_apparatus.lhv_feasibility import BehaviorTable
 from ch_apparatus.monte_carlo import _CHUNK, CampaignPlan, run_campaign
 
 GAMMA = math.pi / 3.0
@@ -450,6 +454,39 @@ class TestSweep:
         assert out.getvalue() == ""
 
 
+CHECK_NAMES = [
+    "closed-form-vs-exact-demo", "closed-form-vs-exact-random", "exact-vs-grid-oracle", "exact-vs-monte-carlo",
+    "reduced-identity-random", "naive-closed-values", "strategy-mixtures-feasible", "fine-equivalence",
+    "infeasible-examples", "fixed-lambda-grid", "honest-ch-sweep", "mc-chunk-split", "report-determinism",
+]
+
+
+def on_call(monkeypatch, name, call, change, module=checks):
+    """Replace module.name by a wrapper that passes its call-th result
+    (every result when call is None) through change."""
+    original, calls = getattr(module, name), []
+
+    def wrapped(*args):
+        calls.append(None)
+        result = original(*args)
+        return change(result) if call in (None, len(calls)) else result
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def nan_cell(table, setup, cell):
+    # a ConditionalTable refuses a NaN when built, so it goes into a copy's dict
+    table = copy.deepcopy(table)
+    table.full_tables[setup][cell] = math.nan
+    return table
+
+
+def nan_last_single(report):
+    report = copy.deepcopy(report)
+    report.table.singles[SINGLE_STOP_SETUPS[-1]] = math.nan
+    return report
+
+
 class TestChecksAndExitCodes:
     def test_cmd_check_reports_failure_with_exit_2(self):
         out = io.StringIO()
@@ -473,20 +510,22 @@ class TestChecksAndExitCodes:
         # twice each bound, or one wrong verdict, count or byte, fails the
         # check it feeds and no other; half each bound passes all of them.
         # The bounds are literals here, so that a loosened constant in the
-        # package fails this test.
-        grid_oracle, analyze, run_campaign = cli.grid_oracle, cli.analyze, cli.run_campaign
+        # package fails this test.  The engines are replaced where the suite
+        # reads them, in the checks module.
+        assert [check.name for check in checks.CHECKS] == CHECK_NAMES
+        grid_oracle, analyze, run_campaign = checks.grid_oracle, checks.analyze, checks.run_campaign
         mixture_table, singlet_table, crossing_probability_set = (
-            cli.mixture_table, cli.singlet_table, cli.crossing_probability_set,
+            checks.mixture_table, checks.singlet_table, checks.crossing_probability_set,
         )
 
         def moved(table, setting, by):
             # table with each cell of one setting moved by by[cell]
             cells = table.tables[setting]
-            return cli.BehaviorTable({**table.tables, setting: {c: cells[c] + by.get(c, 0.0) for c in cells}})
+            return BehaviorTable({**table.tables, setting: {c: cells[c] + by.get(c, 0.0) for c in cells}})
 
         def shift(times):
             # each engine side off by times its check's bound
-            monkeypatch.setattr(cli, "grid_oracle", lambda *args: grid_oracle(*args) + times * 1e-5)
+            monkeypatch.setattr(checks, "grid_oracle", lambda *args: grid_oracle(*args) + times * 1e-5)
 
             def shifted(table, frequencies):
                 r, by = analyze(table, frequencies), times * 1e-12
@@ -496,7 +535,7 @@ class TestChecksAndExitCodes:
                 # p(11|ab) sampled times 5 sigma from its arc measure, the
                 # cell moved with its joint entry and p(00|ab) by the opposite
                 report = run_campaign(plan)
-                p = cli.conditional_table(plan.lines, plan.gamma).joint["ab"]
+                p = conditional_table(plan.lines, plan.gamma).joint["ab"]
                 cells = report.table.full_tables["ab"]
                 up = p + times * 5.0 * math.sqrt(p * (1.0 - p) / plan.trials[0]) - cells["11"]
                 ab = {**cells, "11": cells["11"] + up, "00": cells["00"] - up}
@@ -508,50 +547,38 @@ class TestChecksAndExitCodes:
             def honest(config):
                 # the CH value times FLAG_TOL above 0, through p(B), which CH' does not read
                 s = crossing_probability_set(config)
-                return dataclasses.replace(s, b=s.b + cli.ch_value(s) - times * 1e-9)
+                return dataclasses.replace(s, b=s.b + ch_value(s) - times * 1e-9)
 
             by = times * 1e-9
-            monkeypatch.setattr(cli, "analyze", shifted)
-            monkeypatch.setattr(cli, "run_campaign", campaign)
+            monkeypatch.setattr(checks, "analyze", shifted)
+            monkeypatch.setattr(checks, "run_campaign", campaign)
             # 4 by moved from p(01|ab) to p(11|ab) parts the left marginals of
             # ab and ab' by 4 by; the nearest local table moves each of their
             # four cells by a quarter, so a mixture of all sixteen strategies
             # ends by off the local polytope
             monkeypatch.setattr(
-                cli, "mixture_table", lambda w: moved(mixture_table(w), "ab", {"11": 4.0 * by, "01": -4.0 * by})
+                checks, "mixture_table", lambda w: moved(mixture_table(w), "ab", {"11": 4.0 * by, "01": -4.0 * by})
             )
             # the singlet's battery maximum, swapA:lower, rises with p(11|a'b')
             # at fixed one-side marginals
             monkeypatch.setattr(
-                cli, "singlet_table", lambda: moved(singlet_table(), "a'b'", {"11": by, "00": by, "10": -by, "01": -by})
+                checks, "singlet_table", lambda: moved(singlet_table(), "a'b'", {"11": by, "00": by, "10": -by, "01": -by})
             )
-            monkeypatch.setattr(cli, "crossing_probability_set", honest)
-
-        def on_first_call(name, change):
-            original, calls = getattr(cli, name), []
-
-            def wrapped(*args):
-                calls.append(None)
-                result = original(*args)
-                return change(result) if len(calls) == 1 else result
-
-            monkeypatch.setattr(cli, name, wrapped)
+            monkeypatch.setattr(checks, "crossing_probability_set", honest)
 
         def first_of(array):
             return np.arange(array.size) == 0
 
         shift(2.0)
-        on_first_call("ch_battery", lambda r: r._replace(passes=not r.passes))
-        on_first_call("kinematic_counts", lambda counts: counts + first_of(counts))
-        on_first_call("_fixed_lambda_checks", lambda checks: (checks[0] + first_of(checks[0]), checks[1]))
-        on_first_call("render_report", lambda text: text + " ")
-        results = {r.name: r for r in cli.run_checks()}
+        on_call(monkeypatch, "ch_battery", 1, lambda r: r._replace(passes=not r.passes))
+        on_call(monkeypatch, "kinematic_counts", 1, lambda counts: counts + first_of(counts))
+        on_call(monkeypatch, "_fixed_lambda_checks", 1, lambda rv: (rv[0] + first_of(rv[0]), rv[1]))
+        # render_report stays in cli, where the suite looks it up when it runs
+        on_call(monkeypatch, "render_report", 1, lambda text: text + " ", module=cli)
+        results = {r.name: r for r in checks.run_checks()}
+        assert list(results) == CHECK_NAMES
         failed = {name for name, r in results.items() if not r.passed}
-        assert failed == {
-            "exact-vs-grid-oracle", "exact-vs-monte-carlo", "reduced-identity-random", "naive-closed-values",
-            "strategy-mixtures-feasible", "fine-equivalence", "infeasible-examples", "fixed-lambda-grid",
-            "honest-ch-sweep", "mc-chunk-split", "report-determinism",
-        }
+        assert failed == set(CHECK_NAMES) - {"closed-form-vs-exact-demo", "closed-form-vs-exact-random"}
         assert results["exact-vs-monte-carlo"].detail == "max deviation 10.00 sigma at n=1e5"
         assert results["strategy-mixtures-feasible"].detail == "max residual=2.000e-09"
         assert results["fine-equivalence"].detail == "1 disagreements in 1000 tables"
@@ -560,9 +587,40 @@ class TestChecksAndExitCodes:
 
         monkeypatch.undo()
         shift(0.5)
-        results = cli.run_checks()
-        assert len(results) == 13
+        results = checks.run_checks()
+        assert [r.name for r in results] == CHECK_NAMES
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+    @pytest.mark.parametrize(
+        "route, call, change, check",
+        [
+            ("conditional_table_exact", 1, lambda table: nan_cell(table, "ab'", "01"), "closed-form-vs-exact-demo"),
+            ("conditional_table_exact", 3, lambda table: nan_cell(table, "ab", "10"), "closed-form-vs-exact-random"),
+            ("grid_oracle", 2, lambda p: math.nan, "exact-vs-grid-oracle"),
+            ("run_campaign", 1, nan_last_single, "exact-vs-monte-carlo"),
+            ("analyze", 2, lambda r: dataclasses.replace(r, identity_residual=math.nan), "reduced-identity-random"),
+            ("analyze", 2, lambda r: dataclasses.replace(r, reduced_ch=math.nan), "reduced-identity-random"),
+            ("analyze", None, lambda r: dataclasses.replace(r, ch=math.nan), "naive-closed-values"),
+            ("feasible_joint", 2, lambda r: r._replace(max_residual=math.nan), "strategy-mixtures-feasible"),
+            ("no_signaling_deviation", None, lambda d: math.nan, "infeasible-examples"),
+            ("_fixed_lambda_checks", 1, lambda rv: (rv[0], np.where(np.arange(rv[1].size) == 1, np.nan, rv[1])),
+             "fixed-lambda-grid"),
+            ("crossing_probability_set", 2, lambda s: dataclasses.replace(s, b=math.nan), "honest-ch-sweep"),
+        ],
+        ids=[
+            "closed-demo", "closed-random", "grid-oracle", "monte-carlo", "identity-residual", "reduced-ch",
+            "naive-ch", "mixture-residual", "demo-signaling", "fixed-lambda-value", "honest-p-b",
+        ],
+    )
+    def test_a_nan_fails_the_check_it_feeds(self, route, call, change, check, monkeypatch):
+        # a NaN from one engine route (on its call-th call, or on every call
+        # when call is None) fails the check that reads it and no other, and
+        # its detail prints the NaN; a reduction that drops a NaN not met
+        # first, as builtin max does, would pass it
+        on_call(monkeypatch, route, call, change)
+        results = {r.name: r for r in checks.run_checks()}
+        assert {name for name, r in results.items() if not r.passed} == {check}
+        assert "nan" in results[check].detail
 
     def test_sweep_into_a_closed_pipe_exits_0(self):
         # `ch-apparatus sweep --steps 200 | head -n 1`: the reader closes after

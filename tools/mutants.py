@@ -53,8 +53,8 @@ _SRC = "src/ch_apparatus/"
 
 MUTANTS = [
     # tolerances loosened a thousandfold or more
-    Mutant("grid-oracle-tol", _SRC + "cli.py", "_GRID_ORACLE_TOL = 1e-5", "_GRID_ORACLE_TOL = 1e-2"),
-    Mutant("rounding-tol", _SRC + "cli.py", "_ROUNDING_TOL = 1e-12", "_ROUNDING_TOL = 1e-6"),
+    Mutant("grid-oracle-tol", _SRC + "checks.py", "_GRID_ORACLE_TOL = 1e-5", "_GRID_ORACLE_TOL = 1e-2"),
+    Mutant("rounding-tol", _SRC + "checks.py", "_ROUNDING_TOL = 1e-12", "_ROUNDING_TOL = 1e-6"),
     Mutant("table-tol", _SRC + "exact_engine.py", "TABLE_TOL = 1e-9", "TABLE_TOL = 1e-3"),
     Mutant("closed-form-tol", _SRC + "exact_engine.py", "CLOSED_FORM_TOL = 1e-12", "CLOSED_FORM_TOL = 1e-6"),
     Mutant("denom-tol", _SRC + "inequality_analysis.py", "DENOM_TOL = 1e-15", "DENOM_TOL = 1e-6"),
@@ -74,6 +74,11 @@ MUTANTS = [
         "s.abp + s.ab - s.a - s.bp", "s.abp + s.ab - s.ap - s.bp",
     ),
     Mutant("ccw-delta-strict", _SRC + "circle_geometry.py", "if d >= TWO_PI:", "if d > TWO_PI:"),
+    # a check's deviation reduced by builtin min and max, which drop a NaN not met first
+    Mutant(
+        "check-rule-drops-nan", _SRC + "checks.py",
+        "return float(array.min()), float(array.max())", "return float(min(array)), float(max(array))",
+    ),
     # a value built without its check
     Mutant(
         "config-unchecked", _SRC + "apparatus.py",
