@@ -954,6 +954,57 @@ class TestConfigFuzz:
             assert out.getvalue() == ""
 
 
+# The keys a valid config cannot leave out.
+REQUIRED_PATHS = [
+    ("apparatus",),
+    ("apparatus", "gamma"),
+    *[("apparatus", "lines", name) for name in LINE_NAMES],
+    *[("frequencies", s) for s in TWO_STOP_SETUPS],
+]
+
+
+def one_fault_config(path, action):
+    """A valid config holding every parent of path, with the key at path
+    alone removed or given a list, a value of the wrong type for every key."""
+    engraving = {"lines": {"A": 1.5, "A'": 1.0, "B": 0.5, "B'": 0.0}} if "lines" in path else {"theta": THETA}
+    trials = {"ab": 10, "a'b'": 10} if path[:2] == ("campaign", "trials") else 10
+    config = {
+        "apparatus": {"gamma": 1.0, **engraving},
+        "campaign": {"trials": trials, "seed": 1},
+        "frequencies": dict.fromkeys(TWO_STOP_SETUPS, 0.25),
+        "output": {"format": "json"},
+    }
+    if not path:
+        return [1]
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "remove":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [1]
+    return config
+
+
+class TestOneFault:
+    """Each key of FAULT_PATHS alone made wrong: the error names the key, or
+    an object that holds it ("config" names the whole file, and only a
+    top-level key's error may name it)."""
+
+    @pytest.mark.parametrize(
+        "path, action",
+        [(path, "replace") for path in FAULT_PATHS] + [(path, "remove") for path in REQUIRED_PATHS],
+        ids=lambda v: ".".join(v) or "config" if isinstance(v, tuple) else v,
+    )
+    def test_the_error_names_the_key_path(self, path, action, tmp_path, capsys):
+        config_path = write_config(tmp_path, one_fault_config(path, action))
+        assert main(["simulate", "--config", config_path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        names = ["config"][: 2 - len(path)] + [".".join(path[:k]) for k in range(1, len(path) + 1)]
+        assert any(err.startswith(f"error: {name}: ") for name in names), err
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
