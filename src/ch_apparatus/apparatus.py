@@ -425,19 +425,24 @@ def run_setups(config: ApparatusConfig, setups: Sequence[str], phis: np.ndarray)
     return _run_rows(config, [angles[i] for i, _ in index], [angles[j] for _, j in index], phis)
 
 
-def fig2_lines(gamma: float, theta: float) -> EngravedLines:
-    """Standard engraving: B' = 0, B = theta, A' = gamma, A = gamma + theta.
-
-    Requires 0 < theta < gamma and gamma + theta < 2*pi so the four lines
-    keep their cyclic order, and each side's lines more than 2*EPS_ANGLE
-    apart, outside the window where a held body crosses a line (_crossings).
-    """
+def _fig2_domain(gamma: float, theta: float) -> None:
+    """Raise ConfigError unless gamma and theta are numbers with 0 < theta <
+    gamma and gamma + theta < 2*pi, so the four lines keep their order."""
     if _not_a_number(gamma) or _not_a_number(theta):
         raise ConfigError(f"gamma and theta must be finite numbers, got {gamma!r}, {theta!r}")
     if not (0.0 < theta < gamma and gamma + theta < TWO_PI):
         raise ConfigError(
             f"need 0 < theta < gamma and gamma + theta < 2*pi, got gamma={gamma!r}, theta={theta!r}"
         )
+
+
+def fig2_lines(gamma: float, theta: float) -> EngravedLines:
+    """Standard engraving: B' = 0, B = theta, A' = gamma, A = gamma + theta.
+
+    Requires _fig2_domain, and each side's lines more than 2*EPS_ANGLE apart,
+    outside the window where a held body crosses a line (_crossings).
+    """
+    _fig2_domain(gamma, theta)
     lines = EngravedLines(
         A=normalize(gamma + theta),
         A_prime=normalize(gamma),

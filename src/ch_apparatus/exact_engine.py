@@ -48,9 +48,9 @@ from .apparatus import (
     SINGLE_STOP_SETUPS,
     TWO_STOP_SETUPS,
     ApparatusConfig,
-    ConfigError,
     EngravedLines,
     TrialBatch,
+    _fig2_domain,
     _not_a_count,
     _not_a_number,
     config_for_setup,
@@ -316,12 +316,9 @@ def closed_form_fig2(gamma: float, theta: float) -> ConditionalTable:
     reach or both miss, giving joint weight gamma/2*pi.  Stops gamma + theta
     apart can never both be reached; stops gamma - theta apart are both
     reached on an arc of that width.  A lone reachable stop is met from an
-    approach arc of width gamma/2.
+    approach arc of width gamma/2.  gamma and theta are as in fig2_lines.
     """
-    if not (0.0 < theta < gamma and gamma + theta < TWO_PI):
-        raise ConfigError(
-            f"need 0 < theta < gamma and gamma + theta < 2*pi, got gamma={gamma!r}, theta={theta!r}"
-        )
+    _fig2_domain(gamma, theta)
     j = gamma / TWO_PI
     half = gamma / (2.0 * TWO_PI)
     near = (gamma - theta) / TWO_PI

@@ -232,7 +232,7 @@ class CampaignPlan:
 
     Each sequence's seed is derived from the master seed and its setup, so
     the master seed alone reproduces the plan.  Single-stop setups may have
-    zero trials; the useless trials can be spared.  Checked when built.
+    zero trials, but not every two-stop setup.  Checked when built.
     """
 
     gamma: float
@@ -270,6 +270,8 @@ class CampaignPlan:
         counts = self.trials if isinstance(self.trials, tuple) else ()
         if len(counts) != len(ALL_SETUPS) or any(_not_a_count(n) or n < 0 for n in counts):
             raise PlanError(f"trials must be one nonnegative integer per setup of {ALL_SETUPS}, got {self.trials!r}")
+        if not any(counts[: len(TWO_STOP_SETUPS)]):
+            raise PlanError("no two-stop trials: setting frequencies are undefined")
         config_for_setup(self.lines, self.gamma, "ab")  # gamma and the engraving
         return self
     __post_init__ = validate
@@ -495,11 +497,12 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
     its own pair of chunk buffers; the step table and the lookups are built
     once and only read.  The pool is shut down, every sequence run and every
     worker joined, before the results are taken in ALL_SETUPS order, so the
-    error of the first failing sequence in that order is raised here.
+    error of the first failing sequence in that order is raised here.  Every
+    plan has two-stop trials, whose shares are the empirical frequencies.
     """
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
-    lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live))) if live else {}
+    lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live)))
     steps = _steps(min(_CHUNK, max(plan.trials)))
     local = threading.local()
 
@@ -508,14 +511,12 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
             local.buffers = np.empty((2, len(steps)), dtype=np.uint64)
         return run_sequence(plan.lines, plan.gamma, spec, _shared=(lookups.get(spec.setup), steps, local.buffers))
 
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(live))), thread_name_prefix="campaign") as pool:
+    with ThreadPoolExecutor(min(_usable_cpus(), len(live)), thread_name_prefix="campaign") as pool:
         futures = [pool.submit(work, spec) for spec in sequences]
     results = {spec.setup: future.result() for spec, future in zip(sequences, futures)}
 
     two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
     total = sum(two_stop_n)
-    if total == 0:
-        raise PlanError("no two-stop trials: setting frequencies are undefined")
     freqs = SettingFrequencies(*(n / total for n in two_stop_n))
 
     table: ConditionalTable | None = None

@@ -201,7 +201,8 @@ class TestReports:
         assert lone == pooled
 
     def test_demo_rejects_zero_trials(self):
-        with pytest.raises(ConfigError):
+        # the rule of campaign.trials
+        with pytest.raises(ConfigError, match="^trials: must be >= 1, got 0$"):
             cmd_demo(GAMMA, THETA, trials=0)
 
     @pytest.mark.parametrize("workers", [0, -2])
@@ -716,15 +717,16 @@ class TestInputValidation:
     def test_demo_rejects_out_of_range_seed_exit_1(self, seed, capsys):
         assert main(["demo", "--trials", "1000", "--seed", seed]) == 1
         captured = capsys.readouterr()
-        assert "error:" in captured.err
+        assert captured.err == f"error: seed must satisfy 0 <= seed < 2**64, got {seed}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_simulate_rejects_out_of_range_seed_exit_1(self, seed, tmp_path, capsys):
+        # one range, one text: -1 used to print "campaign.seed: must be >= 0, got -1"
         payload = {"apparatus": {"gamma": GAMMA, "theta": THETA}, "campaign": {"trials": 1000, "seed": int(seed)}}
         assert main(["simulate", "--config", write_config(tmp_path, payload)]) == 1
         captured = capsys.readouterr()
-        assert "error: campaign.seed" in captured.err
+        assert captured.err == f"error: campaign.seed: seed must satisfy 0 <= seed < 2**64, got {seed}\n"
         assert captured.out == ""
 
     def test_largest_seed_is_accepted(self, tmp_path):

@@ -249,6 +249,16 @@ class TestClosedForm:
         with pytest.raises(ConfigError):
             closed_form_fig2(4.0, 3.0)
 
+    @pytest.mark.parametrize("gamma, theta", [(True, 0.5), ("x", 0.3), (1.0, None), (math.nan, 0.3), (1.0, math.inf)])
+    def test_rejects_what_is_not_a_number(self, gamma, theta):
+        # the domain of fig2_lines: (True, 0.5) used to build a table, and
+        # ("x", 0.3) to end in a raw TypeError
+        message = f"gamma and theta must be finite numbers, got {gamma!r}, {theta!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            closed_form_fig2(gamma, theta)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fig2_lines(gamma, theta)
+
 
 class TestConditionalTable:
     def test_generic_engraving_agrees_with_standard(self):

@@ -892,6 +892,14 @@ class TestCampaignPlan:
         with pytest.raises(PlanError, match="unknown setup"):
             SequenceSpec(setup="xy", n_trials=1, seed=0)
 
+    @pytest.mark.parametrize("n_trials", [{"a": 5}, {"ab": 0, "a'b'": 0, "b'": 3}, {}], ids=["single", "zeros", "empty"])
+    def test_plan_without_two_stop_trials_rejected_when_built(self, n_trials):
+        # each used to build, and failed only in run_campaign
+        with pytest.raises(PlanError, match="^no two-stop trials: setting frequencies are undefined$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=n_trials)
+        with pytest.raises(PlanError, match="^no two-stop trials: "):
+            dataclasses.replace(CampaignPlan(GAMMA, FIG2, (1,) * 8, 0), trials=(0,) * 4 + (1,) * 4)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_master_seed_outside_64_bits_rejected(self, seed):
         # sequence_seed keeps the low 64 bits: 2**64 + 1 would alias seed 1
@@ -965,9 +973,9 @@ class TestRunCampaign:
         assert "a'b'" not in report.estimates()
 
     def test_all_trials_zero_is_an_error(self):
-        plan = CampaignPlan.from_params(GAMMA, FIG2, n_trials=0)
+        # the plan refuses it when built, before run_campaign could run it
         with pytest.raises(PlanError, match="frequencies"):
-            run_campaign(plan)
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=0)
 
     def test_zero_single_stop_sequences_leave_singles_unknown(self):
         trials = {s: 2000 for s in TWO_STOP_SETUPS}

@@ -88,12 +88,23 @@ MUTANTS = [
         "plan-config-unchecked", _SRC + "monte_carlo.py",
         '        config_for_setup(self.lines, self.gamma, "ab")', "        pass",
     ),
+    Mutant(
+        "plan-two-stop-unchecked", _SRC + "monte_carlo.py",
+        '        if not any(counts[: len(TWO_STOP_SETUPS)]):\n'
+        '            raise PlanError("no two-stop trials: setting frequencies are undefined")\n',
+        "",
+    ),
     Mutant("conditional-table-unchecked", _SRC + "exact_engine.py", "    __post_init__ = validate\n", ""),
     Mutant("behavior-table-unchecked", _SRC + "lhv_feasibility.py", "    __post_init__ = validate\n", ""),
     # a campaign's results taken in another order than its sequences
     Mutant(
         "campaign-completion-order", _SRC + "monte_carlo.py",
         "for spec, future in zip(sequences, futures)}", "for spec, future in zip(sequences, reversed(futures))}",
+    ),
+    # a config error that no longer names its key path
+    Mutant(
+        "config-path-dropped", _SRC + "cli.py",
+        'raise ConfigError(f"{path}: {exc}") from exc', "raise ConfigError(str(exc)) from exc",
     ),
     # an option that sets nothing admitted again
     Mutant(
