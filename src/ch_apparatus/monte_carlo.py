@@ -14,15 +14,17 @@ Campaigns count on m itself, through lookups built from the guarded arcs of
 one partition for all sequences (_lookups).  A chunk locates each m in a
 grid of equal cells by a shift and bins it by cell.  angle(m) is monotone in
 m, so a cell whose outputs all lie on one side of every edge of the lookup
-lies in one segment; only the m in the few cells where an edge falls between
-outputs become angles, are searched among the edges and binned by segment,
-and of those only the ones in a guard band around a breakpoint run through
-the kinematics.  The bins are weighted once per sequence, so memory does not
-grow with the number of trials.  The counts equal those of run_trials on
-every angle (kinematic_counts), which the tests and the check suite verify.
-A sequence's chunks run one after another; a campaign runs its sequences
-side by side, one per usable CPU, and since each count is a pure function of
-the sequence's spec the thread count changes no byte of a report.
+lies in one segment.  A chunk only hashes and bins: it keeps the m in the
+few cells where an edge falls between outputs, and a sequence makes those
+angles, searches them among the edges and bins them by segment once a
+chunk's worth is kept and once more at its end; of those only the ones in a
+guard band around a breakpoint run through the kinematics.  The bins are
+weighted once per sequence, so memory does not grow with the number of
+trials.  The counts equal those of run_trials on every angle
+(kinematic_counts), which the tests and the check suite verify.  A
+sequence's chunks run one after another; a campaign runs its sequences side
+by side, one per usable CPU, and since each count is a pure function of the
+sequence's spec the thread count changes no byte of a report.
 """
 
 from __future__ import annotations
@@ -256,11 +258,15 @@ class CampaignPlan:
         """A plan of one sequence per setup.  ``n_trials`` is one count for
         every setup, or counts by setup label, 0 for a label left out."""
         if not isinstance(n_trials, dict):
-            if _not_a_count(n_trials):
-                raise PlanError(f"n_trials: {n_trials!r} is not an integer")
+            if _not_a_count(n_trials) or n_trials < 0:
+                raise PlanError(f"n_trials: {n_trials!r} is not a nonnegative integer")
             n_trials = dict.fromkeys(ALL_SETUPS, n_trials)
         problems = [f"unknown setup label {s!r}" for s in n_trials if s not in ALL_SETUPS]
-        problems += [f"count {n!r} for setup {s!r} is not an integer" for s, n in n_trials.items() if _not_a_count(n)]
+        problems += [
+            f"count {n!r} for setup {s!r} is not a nonnegative integer"
+            for s, n in n_trials.items()
+            if _not_a_count(n) or n < 0
+        ]
         if problems:
             raise PlanError("n_trials: " + "; ".join(problems))
         return cls(gamma, lines, tuple(int(n_trials.get(s, 0)) for s in ALL_SETUPS), master_seed)
@@ -399,22 +405,38 @@ def _lookups(config: ApparatusConfig, setups: Sequence[str] | None) -> list[_Loo
 
 class _Tally:
     """Fixed-size histograms of one sequence: outputs per grid cell, searched
-    outputs per segment, and COUNT_KEYS counts of guard-band outputs."""
+    outputs per segment, and COUNT_KEYS counts of guard-band outputs; plus
+    the states in shared cells not yet searched, fewer than _CHUNK after
+    each add."""
 
     def __init__(self, config: ApparatusConfig, lookup: _Lookup):
         self.config, self.lookup = config, lookup
         self.cells = np.zeros(_GRID, dtype=np.int64)
         self.segments = np.zeros(len(lookup.weights), dtype=np.int64)
         self.kinematic = np.zeros(len(COUNT_KEYS), dtype=np.int64)
+        self.pending: list[np.ndarray] = []
+        self.held = 0
 
     def add(self, z: np.ndarray, tmp: np.ndarray) -> None:
         """Bin the outputs of states z, mixed by _premix, by cell (read before
-        _finish, which keeps the top bits) and, in shared cells, by the
-        segment of their angles, which also feed the guard-band kinematics;
-        z and tmp (scratch of the same shape) are overwritten."""
+        _finish, which keeps the top bits), and keep a copy of the states in
+        shared cells, searched once _CHUNK of them are kept; z and tmp
+        (scratch of the same shape) are overwritten."""
         cells = np.right_shift(z, np.uint64(_CELL_SHIFT + 11), out=tmp).view(np.int64)
         self.cells += np.bincount(cells, minlength=_GRID)
         near = z[self.lookup.shared[cells]]
+        self.pending.append(near)
+        self.held += len(near)
+        if self.held >= _CHUNK:
+            self._search()
+
+    def _search(self) -> None:
+        """Bin the kept states by the segment of their outputs' angles, which
+        also feed the guard-band kinematics, and drop them."""
+        if not self.pending:
+            return
+        near = np.concatenate(self.pending)
+        self.pending, self.held = [], 0
         phis = _angles(_finish(near, np.empty_like(near)) >> np.uint64(11))
         segment = np.searchsorted(self.lookup.edges, phis, side="right")
         hist = np.bincount(segment, minlength=len(self.segments))
@@ -423,7 +445,9 @@ class _Tally:
             self.kinematic += kinematic_counts(self.config, phis[segment % 2 == 0])
 
     def counts(self) -> np.ndarray:
-        """Cells join their segments, and segments count by their weights."""
+        """Cells join their segments, and segments count by their weights,
+        once the kept states are searched."""
+        self._search()
         segments = self.segments.copy()
         np.add.at(segments, self.lookup.cell_segment, self.cells)
         return segments @ self.lookup.weights + self.kinematic
@@ -439,7 +463,8 @@ def run_sequence(
     """Run one sequence on the engraving, with the stops spec.setup names.
 
     Trials are binned in fixed-size index chunks, in chunk order, through
-    one pair of buffers, into a _Tally of fixed size counted at the end.
+    one pair of buffers, into a _Tally of fixed size counted at the end; it
+    also keeps fewer than one chunk of shared-cell states between searches.
     The lookup, the step table and the buffers come from run_campaign, or
     else are built here, the lookup from the setup's own partition before
     any chunk runs; a ConsistencyError from it means the configuration

@@ -56,6 +56,7 @@ from ch_apparatus.monte_carlo import (
     _lookups,
     _Tally,
     estimate,
+    kinematic_counts,
     phi_samples,
     run_campaign,
     run_sequence,
@@ -576,6 +577,55 @@ class TestOutcomeMapCounts:
             assert list(result.counts.values()) == kinematic_reference(config, phis), setup
 
 
+class TestDeferredSearch:
+    """A sequence keeps the states of its shared cells and searches them once
+    _CHUNK are kept, and once more when counted.  With a small _CHUNK a
+    sequence searches many times, and its counts must still be those of
+    every trial."""
+
+    TRIALS = 200_003
+    SMALL_CHUNK = 64  # about 490 shared-cell outputs in TRIALS fig2 trials
+
+    def run(self, lines, gamma, setup, seed):
+        """The counts of the sequence and the states kept after each add."""
+        kept = []
+        add = _Tally.add
+
+        def recording_add(tally, z, tmp):
+            add(tally, z, tmp)
+            kept.append(sum(map(len, tally.pending)))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monte_carlo, "_CHUNK", self.SMALL_CHUNK)
+            patch.setattr(_Tally, "add", recording_add)
+            result = run_sequence(lines, gamma, SequenceSpec(setup, self.TRIALS, seed))
+        expected = kinematic_counts(config_for_setup(lines, gamma, setup), phi_samples(seed, 0, self.TRIALS))
+        assert list(result.counts.values()) == expected.tolist()
+        assert len(kept) == -(-self.TRIALS // self.SMALL_CHUNK)
+        assert max(kept) <= 2 * self.SMALL_CHUNK
+        return kept
+
+    @pytest.mark.parametrize("setup", ["ab", "a'b", "a"])
+    def test_fig2_counts_after_many_searches(self, setup):
+        kept = self.run(FIG2, GAMMA, setup, seed=31)
+        # states were searched before the end, and some were left for counts
+        assert sum(b < a for a, b in zip(kept, kept[1:])) >= 3
+        assert kept[-1] > 0
+
+    @given(engraving_angles, st.floats(min_value=0.05, max_value=TWO_PI - 0.05), st.sampled_from(ALL_SETUPS),
+           st.integers(0, 2**64 - 1))
+    @settings(max_examples=10, deadline=None)
+    @example(angles=dataclasses.astuple(NEAR_BUDGET[0][0]), gamma=NEAR_BUDGET[0][1], setup="ab'", seed=0)
+    @example(angles=dataclasses.astuple(NEAR_BUDGET[1][0]), gamma=NEAR_BUDGET[1][1], setup="a'b'", seed=1)
+    @example(angles=dataclasses.astuple(NEAR_BUDGET[2][0]), gamma=NEAR_BUDGET[2][1], setup="b", seed=2)
+    @example(angles=dataclasses.astuple(NEAR_BUDGET[3][0]), gamma=NEAR_BUDGET[3][1], setup="ab", seed=3)
+    def test_arbitrary_counts_after_many_searches(self, angles, gamma, setup, seed):
+        lines = EngravedLines(*angles)
+        if lines.A == lines.A_prime or lines.B == lines.B_prime:
+            return
+        self.run(lines, gamma, setup, seed)
+
+
 def assert_lookups_equal(shared, own):
     for field in shared._fields:
         a, b = getattr(shared, field), getattr(own, field)
@@ -834,19 +884,19 @@ class TestCampaignPlan:
     def test_unknown_labels_and_non_integer_counts_rejected(self):
         # each is named, not dropped or cut to an integer
         trials = {"ab": 5, "ab'": 5, "a'b": 5, "a'b'": 5, "A": 100, "b": 2.9}
-        message = "n_trials: unknown setup label 'A'; count 2.9 for setup 'b' is not an integer"
+        message = "n_trials: unknown setup label 'A'; count 2.9 for setup 'b' is not a nonnegative integer"
         with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials)
 
-    @pytest.mark.parametrize("count", [True, False, 2.0, 2.5, "5", None])
+    @pytest.mark.parametrize("count", [True, False, 2.0, 2.5, "5", None, -3])
     def test_one_count_must_be_an_integer(self, count):
-        with pytest.raises(PlanError, match=f"^n_trials: {re.escape(repr(count))} is not an integer$"):
+        with pytest.raises(PlanError, match=f"^n_trials: {re.escape(repr(count))} is not a nonnegative integer$"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials=count)
 
-    @pytest.mark.parametrize("count", [True, 1.0, "1"])
+    @pytest.mark.parametrize("count", [True, 1.0, "1", -1])
     def test_counts_by_setup_must_be_integers(self, count):
         trials = {"ab": 1, "ab'": count, "a'b": 1, "a'b'": 1}
-        message = f"n_trials: count {count!r} for setup \"ab'\" is not an integer"
+        message = f"n_trials: count {count!r} for setup \"ab'\" is not a nonnegative integer"
         with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials=trials)
 
@@ -883,6 +933,24 @@ class TestCampaignPlan:
     def test_negative_count_by_setup_rejected(self):
         with pytest.raises(PlanError, match="nonnegative"):
             CampaignPlan.from_params(GAMMA, FIG2, n_trials={"ab": 1, "ab'": 1, "a'b": 1, "a'b'": -1})
+
+    @pytest.mark.parametrize(
+        "n_trials, message",
+        [
+            # each used to fall through to validate, whose text names no setup
+            ({"ab": -1, "ab'": 2}, "n_trials: count -1 for setup 'ab' is not a nonnegative integer"),
+            (-3, "n_trials: -3 is not a nonnegative integer"),
+            (
+                {"ab": 1, "ab'": 1, "a'b": 1, "a'b'": -1, "b": -2.5},
+                "n_trials: count -1 for setup \"a'b'\" is not a nonnegative integer; "
+                "count -2.5 for setup 'b' is not a nonnegative integer",
+            ),
+        ],
+        ids=["by-setup", "one-count", "two-setups"],
+    )
+    def test_negative_count_named_by_its_setup(self, n_trials, message):
+        with pytest.raises(PlanError, match=f"^{re.escape(message)}$"):
+            CampaignPlan.from_params(GAMMA, FIG2, n_trials=n_trials)
 
     def test_negative_trials_rejected(self):
         with pytest.raises(PlanError, match="nonnegative"):

@@ -96,6 +96,13 @@ MUTANTS = [
     ),
     Mutant("conditional-table-unchecked", _SRC + "exact_engine.py", "    __post_init__ = validate\n", ""),
     Mutant("behavior-table-unchecked", _SRC + "lhv_feasibility.py", "    __post_init__ = validate\n", ""),
+    # shared-cell states kept past their search, or never searched
+    Mutant(
+        "tally-final-search-dropped", _SRC + "monte_carlo.py",
+        "        self._search()\n        segments = self.segments.copy()", "        segments = self.segments.copy()",
+    ),
+    Mutant("tally-pending-kept", _SRC + "monte_carlo.py", "self.pending, self.held = [], 0", "self.held = 0"),
+    Mutant("tally-unbounded", _SRC + "monte_carlo.py", "if self.held >= _CHUNK:", "if False:"),
     # a campaign's results taken in another order than its sequences
     Mutant(
         "campaign-completion-order", _SRC + "monte_carlo.py",
