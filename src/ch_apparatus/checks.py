@@ -29,7 +29,7 @@ from .lhv_feasibility import (
     NORM_TOL, BehaviorTable, ch_battery, feasible_joint, mixture_table, no_signaling_deviation, pr_box_table,
     random_no_signaling_table, singlet_table,
 )
-from .monte_carlo import CampaignPlan, kinematic_counts, phi_samples, run_campaign, run_sequence
+from .monte_carlo import _CHUNK, CampaignPlan, kinematic_counts, phi_samples, run_campaign, run_sequence
 
 __all__ = ["CHECKS", "Check", "CheckResult", "run_checks"]
 
@@ -188,7 +188,7 @@ def _honest_ch_sweep(perturb: float) -> Measured:
 def _mc_chunk_split(perturb: float) -> Measured:
     """A sequence over three chunks, the last one short, counts as the
     kinematics do on the same trials sampled in pieces cut at seeded points."""
-    n, lines = 2 * (1 << 16) + 17, fig2_lines(_GAMMA, _THETA)
+    n, lines = 2 * _CHUNK + 17, fig2_lines(_GAMMA, _THETA)
     rng = np.random.default_rng(808)
     mismatched = []
     for spec in CampaignPlan.from_params(_GAMMA, lines, n_trials=n, master_seed=7).sequences:

@@ -64,9 +64,9 @@ from .circle_geometry import EPS_ANGLE, TWO_PI, guarded_partition, normalize
 # clears the rounding band around a breakpoint (EPS_ANGLE plus a few ulps).
 _GUARD_MARGIN = 4.0 * EPS_ANGLE
 
-# A probability table (stop-reach cells, setting frequencies) must sum to 1
-# within this; each entry of a ConditionalTable must lie in
-# [-TABLE_TOL, 1 + TABLE_TOL].
+# A probability table (stop-reach cells, setting frequencies, a behavior
+# table's settings, strategy weights) must sum to 1 within this; each entry
+# of a ConditionalTable must lie in [-TABLE_TOL, 1 + TABLE_TOL].
 TABLE_TOL = 1e-9
 
 # The closed forms of the standard engraving (closed_form_fig2) and its arc

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .apparatus import _SETUP_LINES, CELLS, TWO_STOP_SETUPS, _not_a_count, _not_a_number
-from .exact_engine import ConsistencyError
+from .exact_engine import TABLE_TOL, ConsistencyError
 from .simplex import solve_lp
 
 SETTINGS = TWO_STOP_SETUPS
@@ -36,6 +36,8 @@ _SETTING = {primed: s for s, primed in _PRIMED.items()}
 _NS_PAIRS = [(("11", "10"), _SETTING[x, 0], _SETTING[x, 1]) for x in (0, 1)]
 _NS_PAIRS += [(("11", "01"), _SETTING[0, y], _SETTING[1, y]) for y in (0, 1)]
 
+# The verdict bound: a table is local when its least LP residual
+# (feasible_joint) or its largest CH value (ch_battery) is at most this.
 NORM_TOL = 1e-9
 
 __all__ = [
@@ -94,9 +96,9 @@ class BehaviorTable:
                 raise ValueError(
                     f"cells for setting {setting!r} must be finite: a number in each of {CELLS!r}, got {table!r}"
                 )
-            if any(table[c] < -NORM_TOL for c in CELLS):
+            if any(table[c] < -TABLE_TOL for c in CELLS):
                 raise ValueError(f"cells for setting {setting!r} must be nonnegative: {table!r}")
-            if abs(sum(table[c] for c in CELLS) - 1.0) > NORM_TOL:
+            if abs(sum(table[c] for c in CELLS) - 1.0) > TABLE_TOL:
                 raise ValueError(f"cells for setting {setting!r} must sum to 1: {table!r}")
         return self
     __post_init__ = validate
@@ -138,7 +140,7 @@ def mixture_table(weights: Iterable[float]) -> BehaviorTable:
     w = np.asarray(list(weights), dtype=np.float64)
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite: {w.tolist()!r}")
-    if w.size != 16 or w.min() < -NORM_TOL or abs(w.sum() - 1.0) > NORM_TOL:
+    if w.size != 16 or w.min() < -TABLE_TOL or abs(w.sum() - 1.0) > TABLE_TOL:
         raise ValueError("weights must be 16 nonnegative numbers summing to 1")
     vec = _strategy_matrix() @ w
     return BehaviorTable.from_vector(vec)

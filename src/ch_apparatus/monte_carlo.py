@@ -22,16 +22,16 @@ guard band around a breakpoint run through the kinematics.  The bins are
 weighted once per sequence, so memory does not grow with the number of
 trials.  The counts equal those of run_trials on every angle
 (kinematic_counts), which the tests and the check suite verify.  A
-sequence's chunks run one after another; a campaign runs its sequences side
-by side, one per usable CPU, and since each count is a pure function of the
-sequence's spec the thread count changes no byte of a report.
+sequence's chunks run one after another through its own buffers; a campaign
+maps run_sequence over its plan, one sequence per usable CPU, sharing only
+read-only values, and since each count is a pure function of the sequence's
+spec the thread count changes no byte of a report.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -52,7 +52,6 @@ from .apparatus import (
 from .circle_geometry import TWO_PI
 from .exact_engine import (
     _CELL_EVENTS,
-    _GUARD_MARGIN,
     ConditionalTable,
     _guarded,
     _table,
@@ -119,6 +118,11 @@ def _steps(n: int) -> np.ndarray:
     steps = np.arange(n, dtype=np.uint64)
     steps *= _GOLDEN
     return steps
+
+
+# The counter offsets of one chunk, read by every chunk of every sequence.
+_STEPS = _steps(_CHUNK)
+_STEPS.setflags(write=False)
 
 
 def _states(seed: int, start: int, steps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -383,13 +387,13 @@ def _lookups(config: ApparatusConfig, setups: Sequence[str] | None) -> list[_Loo
     own stops when setups is None, else each setup of config's engraving.
 
     The edges bound the checked interior [guard[k, 1], guard[k, 2]) of each
-    arc k at least two guard margins wide, in circle order, an interior that
-    wraps through 0 split at 2*pi; narrower arcs lie in guard bands.
+    arc k, in circle order, an interior that wraps through 0 split at 2*pi;
+    an arc narrower than two guard margins has three equal guard points
+    (guarded_partition), so its interior is empty and it lies in guard bands.
     """
-    extents, guard, bits, _ = _guarded(config, setups, _COUNTED)
+    _, guard, bits, _ = _guarded(config, setups, _COUNTED)
     pieces = []
-    wide = np.flatnonzero(extents >= 2.0 * _GUARD_MARGIN).tolist()
-    for k, lo, hi in zip(wide, guard[wide, 1].tolist(), guard[wide, 2].tolist()):
+    for k, (lo, hi) in enumerate(guard[:, 1:].tolist()):
         if lo <= hi:
             pieces.append((lo, hi, k))
         else:
@@ -458,31 +462,27 @@ def run_sequence(
     gamma: float,
     spec: SequenceSpec,
     *,
-    _shared: tuple[_Lookup, np.ndarray, np.ndarray] | None = None,
+    _lookup: _Lookup | None = None,
 ) -> SequenceResult:
     """Run one sequence on the engraving, with the stops spec.setup names.
 
     Trials are binned in fixed-size index chunks, in chunk order, through
     one pair of buffers, into a _Tally of fixed size counted at the end; it
     also keeps fewer than one chunk of shared-cell states between searches.
-    The lookup, the step table and the buffers come from run_campaign, or
-    else are built here, the lookup from the setup's own partition before
-    any chunk runs; a ConsistencyError from it means the configuration
-    breaks the exact engine's breakpoint assumption.
+    The lookup comes from run_campaign, or else is built here from the
+    setup's own partition before any chunk runs; a ConsistencyError from it
+    means the configuration breaks the exact engine's breakpoint assumption.
     """
     config = config_for_setup(lines, gamma, spec.setup)
     n = spec.n_trials
     totals = np.zeros(len(COUNT_KEYS), dtype=np.int64)
     if n > 0:
-        if _shared is None:
-            steps = _steps(min(n, _CHUNK))
-            _shared = (_lookups(config, None)[0], steps, np.empty((2, len(steps)), dtype=np.uint64))
-        lookup, steps, buffers = _shared
-        tally = _Tally(config, lookup)
+        tally = _Tally(config, _lookups(config, None)[0] if _lookup is None else _lookup)
+        buffers = np.empty((2, min(n, _CHUNK)), dtype=np.uint64)
         for lo in range(0, n, _CHUNK):
             size = min(_CHUNK, n - lo)
             z, tmp = buffers[:, :size]
-            _premix(_states(spec.seed, lo, steps[:size], z), tmp)
+            _premix(_states(spec.seed, lo, _STEPS[:size], z), tmp)
             tally.add(z, tmp)
         totals = tally.counts()
     return SequenceResult(setup=spec.setup, n_trials=n, counts=dict(zip(COUNT_KEYS, totals.tolist())))
@@ -518,34 +518,26 @@ def run_campaign(plan: CampaignPlan) -> EstimateReport:
 
     Every sequence is submitted to a thread pool of min(usable CPUs,
     sequences with trials) workers, which take them in ALL_SETUPS order, so
-    unequal counts still balance.  Each worker runs its sequences through
-    its own pair of chunk buffers; the step table and the lookups are built
-    once and only read.  The pool is shut down, every sequence run and every
-    worker joined, before the results are taken in ALL_SETUPS order, so the
-    error of the first failing sequence in that order is raised here.  Every
-    plan has two-stop trials, whose shares are the empirical frequencies.
+    unequal counts still balance.  The lookups are built once, from one
+    partition, and only read; each sequence allocates its own buffers.  The
+    pool is shut down, every sequence run and every worker joined, before
+    the results are taken in ALL_SETUPS order, so the error of the first
+    failing sequence in that order is raised here.  Every plan has two-stop
+    trials, whose shares are the empirical frequencies.
     """
     sequences = plan.sequences
     live = [spec.setup for spec in sequences if spec.n_trials > 0]
     lookups = dict(zip(live, _lookups(config_for_setup(plan.lines, plan.gamma, live[0]), live)))
-    steps = _steps(min(_CHUNK, max(plan.trials)))
-    local = threading.local()
-
-    def work(spec: SequenceSpec) -> SequenceResult:
-        if not hasattr(local, "buffers"):
-            local.buffers = np.empty((2, len(steps)), dtype=np.uint64)
-        return run_sequence(plan.lines, plan.gamma, spec, _shared=(lookups.get(spec.setup), steps, local.buffers))
-
     with ThreadPoolExecutor(min(_usable_cpus(), len(live)), thread_name_prefix="campaign") as pool:
-        futures = [pool.submit(work, spec) for spec in sequences]
+        futures = [pool.submit(run_sequence, plan.lines, plan.gamma, s, _lookup=lookups.get(s.setup)) for s in sequences]
     results = {spec.setup: future.result() for spec, future in zip(sequences, futures)}
 
-    two_stop_n = [results[s].n_trials for s in TWO_STOP_SETUPS]
+    two_stop_n = plan.trials[: len(TWO_STOP_SETUPS)]
     total = sum(two_stop_n)
     freqs = SettingFrequencies(*(n / total for n in two_stop_n))
 
     table: ConditionalTable | None = None
-    if all(results[s].n_trials > 0 for s in TWO_STOP_SETUPS):
+    if all(two_stop_n):
         rows = [[r.counts[cell] / r.n_trials for cell in CELLS] if r.n_trials > 0 else None for r in results.values()]
         table = _table(rows)
     return EstimateReport(plan, results, freqs, table)

@@ -207,7 +207,7 @@ class TestReports:
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_demo_rejects_nonpositive_workers(self, workers):
-        with pytest.raises(ConfigError, match=f"^workers must be at least 1, got {workers}$"):
+        with pytest.raises(ConfigError, match=f"^workers: must be >= 1, got {workers}$"):
             cmd_demo(GAMMA, THETA, trials=1000, workers=workers)
 
     @pytest.mark.parametrize("name", ["trials", "workers"])
@@ -442,7 +442,7 @@ class TestSweep:
         assert out.getvalue().splitlines()[-1] == "# skipped 1 invalid grid points"
 
     def test_rejects_nonpositive_steps(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^steps: must be >= 1, got 0$"):
             cmd_sweep((0.5, 1.5), (0.1, 0.4), 0, io.StringIO())
 
     @pytest.mark.parametrize("steps", [True, 2.5, 3.0, "3", None])

@@ -384,6 +384,12 @@ class TestRunSequence:
         spec = SequenceSpec(setup="ab", n_trials=np.int64(n), seed=np.uint64(3))
         assert run_sequence(FIG2, GAMMA, spec).counts == run_sequence(FIG2, GAMMA, SequenceSpec("ab", n, 3)).counts
 
+    def test_step_table_is_one_read_only_chunk(self):
+        # every sequence of every campaign thread reads the one table
+        assert np.array_equal(monte_carlo._STEPS, monte_carlo._steps(_CHUNK))
+        with pytest.raises(ValueError, match="read-only"):
+            monte_carlo._STEPS[:1] = 0
+
     def test_zero_trials(self):
         result = run_sequence(FIG2, GAMMA, SequenceSpec(setup="ab", n_trials=0, seed=0))
         assert all(v == 0 for v in result.counts.values())
@@ -529,6 +535,17 @@ class TestOutcomeMapCounts:
         # the hand-made outputs reach the guard bands; sampled ones almost never do
         assert in_band(lookup, ms).any()
         assert map_counts(config, lookup, ms) == kinematic_reference(config, angle(ms))
+
+    @pytest.mark.parametrize("lines, gamma", [(FIG2, GAMMA), *NEAR_BUDGET])
+    def test_fixed_engravings_hold_arcs_narrower_than_two_margins(self, lines, gamma):
+        # such an arc has three equal guard points, so its interior is two
+        # equal edges and an empty segment: the fixed inputs of the map-count
+        # tests meet it, not only hypothesis draws
+        config = config_for_setup(lines, gamma, "ab")
+        narrow = np.count_nonzero(exact_engine._partition(config)[1] < 2.0 * _GUARD_MARGIN)
+        assert narrow >= 2
+        edges = own_lookup(config).edges
+        assert np.count_nonzero(edges[0::2] == edges[1::2]) == narrow
 
     def test_bands_are_cyclic(self):
         # B' = 0 is a breakpoint: the first output and the outputs just below
@@ -785,11 +802,11 @@ class TestCampaignThreads:
         the names of the threads that ran each setup."""
         real, ran_on = monte_carlo.run_sequence, {}
 
-        def run_sequence(lines, gamma, spec, **shared):
+        def run_sequence(lines, gamma, spec, **private):
             ran_on[spec.setup] = threading.current_thread().name
             if spec.setup in failing:
                 raise RuntimeError(f"sequence {spec.setup} failed")
-            return real(lines, gamma, spec, **shared)
+            return real(lines, gamma, spec, **private)
 
         monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
@@ -812,9 +829,9 @@ class TestCampaignThreads:
         serial = run_campaign(self.PLAN).results
         real, ran = monte_carlo.run_sequence, []
 
-        def run_sequence(lines, gamma, spec, **shared):
+        def run_sequence(lines, gamma, spec, **private):
             ran.append(spec.setup)
-            return real(lines, gamma, spec, **shared)
+            return real(lines, gamma, spec, **private)
 
         monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(monte_carlo, "run_sequence", run_sequence)
@@ -843,9 +860,9 @@ class TestCampaignThreads:
             submitted.set()
             real_shutdown(pool, *args, **kwargs)
 
-        def run_sequence(lines, gamma, spec, **shared):
+        def run_sequence(lines, gamma, spec, **private):
             assert submitted.wait(timeout=30), "the pool never shut down"
-            return real_run(lines, gamma, spec, **shared)
+            return real_run(lines, gamma, spec, **private)
 
         monkeypatch.setattr(threading.Thread, "start", start)
         monkeypatch.setattr(ThreadPoolExecutor, "shutdown", shutdown)
